@@ -29,6 +29,17 @@ struct Span
 };
 
 /**
+ * An absolute span edge in the local clock of a table shifted by
+ * `timeShift`; edges already past fold to 0 and +inf stays +inf. The
+ * one mapping every epoch bound and activity test goes through.
+ */
+double
+localEdge(double absSec, double timeShift)
+{
+    return std::max(0.0, absSec - timeShift);
+}
+
+/**
  * Shared fold of per-resource spans into a RateEpochs table: epoch
  * boundaries are the span edges shifted into the replay's local clock
  * (edges already past fold into one state at time 0; edges at or past
@@ -52,9 +63,9 @@ foldSpans(const std::vector<std::vector<Span>> &spans, double timeShift,
             continue;
         bounds.clear();
         for (const Span &s : spans[r]) {
-            bounds.push_back(std::max(0.0, s.at - timeShift));
+            bounds.push_back(localEdge(s.at, timeShift));
             if (s.end < inf)
-                bounds.push_back(std::max(0.0, s.end - timeShift));
+                bounds.push_back(localEdge(s.end, timeShift));
         }
         std::sort(bounds.begin(), bounds.end());
         bounds.erase(std::unique(bounds.begin(), bounds.end()),
@@ -63,12 +74,15 @@ foldSpans(const std::vector<std::vector<Span>> &spans, double timeShift,
         for (double t : bounds) {
             if (t >= horizonSec)
                 break;
-            const double abs = t + timeShift;
             // Multiplier at local time t: the product of every active
-            // span's factor, folded in trace order.
+            // span's factor, folded in trace order. Activity is tested
+            // in the local clock against the shifted edges the bounds
+            // came from: mapping t back to absolute time can round
+            // below a span's start and drop (or never end) it.
             double m = 1.0;
             for (const Span &s : spans[r])
-                if (s.at <= abs && abs < s.end)
+                if (localEdge(s.at, timeShift) <= t &&
+                    t < localEdge(s.end, timeShift))
                     m *= s.factor;
             if (m == prev)
                 continue;
@@ -128,6 +142,62 @@ buildEpochs(const FaultTrace &trace, const ShardedCompiled &sc,
     return foldSpans(spans, timeShift, horizonSec);
 }
 
+std::vector<ChipSpan>
+chipSpans(const FaultTrace &trace, std::uint32_t shard)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<ChipSpan> out;
+    for (const FaultEvent &e : trace.events) {
+        if (e.shard != shard)
+            continue;
+        switch (e.kind) {
+        case FaultKind::ChannelDegrade:
+            out.push_back({e.atSec, inf, e.factor, e.channel});
+            break;
+        case FaultKind::TransientStall:
+            out.push_back(
+                {e.atSec, e.atSec + e.durSec, e.factor, kWholeChip});
+            break;
+        default:
+            // ChipFail is failover's job; LinkDegrade has no meaning
+            // inside one chip's resource block.
+            break;
+        }
+    }
+    return out;
+}
+
+double
+probeChipSpans(const std::vector<ChipSpan> &spans,
+               std::size_t chipResources, double timeShift,
+               std::uint32_t resourceBase, std::vector<EpochAtZero> &at0)
+{
+    double next = std::numeric_limits<double>::infinity();
+    for (const ChipSpan &s : spans) {
+        // The span's first edge past local 0: its start, or its end
+        // once it has started.
+        const double lo = localEdge(s.atSec, timeShift);
+        const double edge = lo > 0.0 ? lo : localEdge(s.endSec, timeShift);
+        if (edge > 0.0 && edge < next)
+            next = edge;
+    }
+    // foldSpans' multiplier at local time 0, per resource: the same
+    // activity test over the same spans in the same order. A state of
+    // exactly 1 emits no entry there.
+    for (std::size_t r = 0; r < chipResources; ++r) {
+        double m = 1.0;
+        for (const ChipSpan &s : spans)
+            if ((s.resource == r || s.resource == kWholeChip) &&
+                localEdge(s.atSec, timeShift) <= 0.0 &&
+                0.0 < localEdge(s.endSec, timeShift))
+                m *= s.factor;
+        if (m != 1.0)
+            at0.push_back(
+                {resourceBase + static_cast<std::uint32_t>(r), m});
+    }
+    return next;
+}
+
 sim::RateEpochs
 buildChipEpochs(const FaultTrace &trace, std::uint32_t shard,
                 std::size_t chipResources, double timeShift,
@@ -135,27 +205,17 @@ buildChipEpochs(const FaultTrace &trace, std::uint32_t shard,
 {
     if (trace.events.empty())
         return {};
-    const double inf = std::numeric_limits<double>::infinity();
     std::vector<std::vector<Span>> spans(chipResources);
-    for (const FaultEvent &e : trace.events) {
-        if (e.shard != shard)
+    for (const ChipSpan &c : chipSpans(trace, shard)) {
+        const Span s{c.atSec, c.endSec, c.factor};
+        if (c.resource == kWholeChip) {
+            for (std::vector<Span> &v : spans)
+                v.push_back(s);
             continue;
-        switch (e.kind) {
-        case FaultKind::ChannelDegrade:
-            panicIf(e.channel >= chipResources,
-                    "fault event outside the chip block");
-            spans[e.channel].push_back({e.atSec, inf, e.factor});
-            break;
-        case FaultKind::TransientStall:
-            for (std::size_t r = 0; r < chipResources; ++r)
-                spans[r].push_back(
-                    {e.atSec, e.atSec + e.durSec, e.factor});
-            break;
-        default:
-            // ChipFail is failover's job; LinkDegrade has no meaning
-            // inside one chip's resource block.
-            break;
         }
+        panicIf(c.resource >= chipResources,
+                "fault event outside the chip block");
+        spans[c.resource].push_back(s);
     }
     return foldSpans(spans, timeShift, horizonSec);
 }

@@ -83,6 +83,59 @@ sim::RateEpochs buildChipEpochs(
     std::size_t chipResources, double timeShift = 0.0,
     double horizonSec = std::numeric_limits<double>::infinity());
 
+/** ChipSpan::resource of a stall: the span slows the whole chip. */
+constexpr std::uint32_t kWholeChip = ~std::uint32_t{0};
+
+/**
+ * One degrade or stall of a single chip as the epoch builders fold
+ * it: active on [atSec, endSec) in absolute time, slowing one local
+ * resource (a channel degrade) or every resource of the chip (a
+ * stall, resource == kWholeChip).
+ */
+struct ChipSpan
+{
+    double atSec = 0.0;
+    /** +inf for a permanent degrade. */
+    double endSec = 0.0;
+    double factor = 1.0;
+    std::uint32_t resource = kWholeChip;
+};
+
+/**
+ * Chip `shard`'s channel degrades and stalls in normalized trace
+ * order — the order buildChipEpochs and buildEpochs fold their
+ * multipliers in. ChipFail and LinkDegrade events are left out.
+ */
+std::vector<ChipSpan> chipSpans(const FaultTrace &trace,
+                                std::uint32_t shard);
+
+/** An epoch-table entry at replay-local time 0. */
+struct EpochAtZero
+{
+    std::uint32_t resource = 0;
+    double mult = 1.0;
+
+    bool operator==(const EpochAtZero &) const = default;
+};
+
+/**
+ * Probe the table buildChipEpochs(trace, shard, chipResources,
+ * timeShift) builds, without building it, from `spans` =
+ * chipSpans(trace, shard). Appends the table's entries at local time
+ * 0 to `at0` in resource order — resource ids offset by
+ * `resourceBase`, multipliers folded to the same bits — and returns
+ * the first span edge past local time 0 (+inf when there is none).
+ * Edges are shifted exactly as the builders shift them, and every
+ * later entry of the table lies at or past the returned edge, so up
+ * to that edge the table holds nothing but `at0`. The same holds for
+ * a chip's block of a buildEpochs table: a gang maps its slots' chips
+ * onto consecutive resourceBase blocks.
+ */
+double probeChipSpans(const std::vector<ChipSpan> &spans,
+                      std::size_t chipResources, double timeShift,
+                      std::uint32_t resourceBase,
+                      std::vector<EpochAtZero> &at0);
+
 /** Outcome of one fault scenario. */
 struct DegradedOutcome
 {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <deque>
 #include <limits>
 
 #include "common/logging.h"
@@ -12,6 +11,7 @@
 #include "fault/fault_replay.h"
 #include "obs/traced_replay.h"
 #include "rpu/experiment.h"
+#include "serve/admission.h"
 #include "shard/placement_search.h"
 #include "shard/sharded_engine.h"
 
@@ -23,18 +23,6 @@ namespace
 
 constexpr std::uint32_t kNoRec = ~std::uint32_t{0};
 const double kInf = std::numeric_limits<double>::infinity();
-
-/** The chip configuration replayed at uniqBw[i] (serving.cpp's
- * helper, duplicated so the assets compile the identical config). */
-RpuConfig
-chipAt(const FleetConfig &fleet, const std::vector<double> &uniqBw,
-       std::size_t i)
-{
-    RpuConfig cfg = fleet.chip;
-    if (!fleet.chipBandwidthGBps.empty())
-        cfg.bandwidthGBps = uniqBw[i];
-    return cfg;
-}
 
 /**
  * Earliest epoch boundary in the table (+inf when empty). An op whose
@@ -130,11 +118,11 @@ FaultServingSim::FaultServingSim(ServingSim &s)
                     assets->ops[k * 2 + static_cast<std::size_t>(variant)];
                 os.exp = sim.runnerRef.experiment(
                     jc.params, jc.dataflow, variant ? hitMem : missMem);
-                os.cs = RpuEngine(chipAt(sp.fleet, sim.uniqBw, 0))
+                os.cs = RpuEngine(sim.chipAt(0))
                             .compile(os.exp->graph());
                 os.rates.resize(sim.uniqBw.size());
                 for (std::size_t b = 0; b < sim.uniqBw.size(); ++b)
-                    RpuEngine(chipAt(sp.fleet, sim.uniqBw, b))
+                    RpuEngine(sim.chipAt(b))
                         .rates(os.cs, os.rates[b]);
             }
             continue;
@@ -222,44 +210,26 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
         g->failedOver = false;
     }
 
-    // The scripted chip failures, in time order; rate events stay in
-    // `tr` for the epoch builders (which ignore ChipFail).
+    // The scripted chip failures, in time order; every chip's degrades
+    // and stalls as rate spans, which op pricing probes and the epoch
+    // builders fold.
     struct Fail
     {
         double at;
         std::uint32_t shard;
     };
     std::vector<Fail> fails;
-    std::vector<char> chipRate(K, 0);
-    std::vector<double> firstDegrade(K, kInf);
-    std::vector<std::vector<std::pair<double, double>>> stalls(K);
-    for (const fault::FaultEvent &e : tr.events) {
-        switch (e.kind) {
-        case fault::FaultKind::ChipFail:
+    for (const fault::FaultEvent &e : tr.events)
+        if (e.kind == fault::FaultKind::ChipFail)
             fails.push_back({e.atSec, e.shard});
-            break;
-        case fault::FaultKind::ChannelDegrade:
-            chipRate[e.shard] = 1;
-            firstDegrade[e.shard] =
-                std::min(firstDegrade[e.shard], e.atSec);
-            break;
-        case fault::FaultKind::TransientStall:
-            chipRate[e.shard] = 1;
-            stalls[e.shard].push_back({e.atSec, e.atSec + e.durSec});
-            break;
-        case fault::FaultKind::LinkDegrade:
-            break; // unreachable: shape() has no links
-        }
-    }
+    std::vector<std::vector<fault::ChipSpan>> spans(K);
+    for (std::size_t c = 0; c < K; ++c)
+        spans[c] = fault::chipSpans(tr, static_cast<std::uint32_t>(c));
     // Is chip c serving at degraded rate at time t? (Admission
     // deprioritizes such chips.)
     const auto degradedAt = [&](std::size_t c, double t) {
-        if (!chipRate[c])
-            return false;
-        if (firstDegrade[c] <= t)
-            return true;
-        for (const auto &s : stalls[c])
-            if (s.first <= t && t < s.second)
+        for (const fault::ChipSpan &s : spans[c])
+            if (s.atSec <= t && t < s.endSec)
                 return true;
         return false;
     };
@@ -289,11 +259,7 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
         std::vector<std::uint32_t> jobs;
         std::vector<double> fin;
     };
-    struct Item
-    {
-        double ready = 0.0;
-        std::uint32_t job = 0;
-    };
+    using Item = AdmissionQueue::Item;
     const auto itemLess = [](const Item &a, const Item &b) {
         if (a.ready != b.ready)
             return a.ready < b.ready;
@@ -302,7 +268,8 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
 
     std::vector<ChipState> chips(K);
     std::vector<Rec> recs;
-    std::deque<Item> pending;
+    AdmissionQueue queue;
+    queue.reset(sp.classes.size());
     std::vector<Item> retryQ;
     std::vector<std::uint8_t> jstate(n, 0); // 0 open, 1 done, 2 rejected
     std::vector<std::uint8_t> salvaged(n, 0);
@@ -314,6 +281,18 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
     std::vector<std::size_t> chosen;
     std::vector<std::uint32_t> batchIds;
     char label[160];
+
+    const auto enqueue = [&](const Item &it) {
+        queue.push(arrivals[it.job].klass, it);
+    };
+    const auto admitArrival = [&] {
+        enqueue({arrivals[next].atSec, static_cast<std::uint32_t>(next)});
+        ++next;
+    };
+    const auto admitRetry = [&] {
+        enqueue(retryQ.front());
+        retryQ.erase(retryQ.begin());
+    };
 
     const auto reject = [&](std::uint32_t j, double at, bool timedOut) {
         JobResult &r = out[j];
@@ -397,12 +376,14 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
         }
         chips[f.shard].rec = kNoRec;
         if (aliveCount == 0) {
-            // Fleet death: every open job is rejected, never lost.
+            // Fleet death: every open job is rejected, never lost —
+            // queued ones in queue order.
             fleetDead = true;
-            for (const Item &it : pending)
+            queue.drain([&](const Item &it) {
                 if (jstate[it.job] == 0)
                     reject(it.job, std::max(f.at, arrivals[it.job].atSec),
                            false);
+            });
             for (const Item &it : retryQ)
                 if (jstate[it.job] == 0)
                     reject(it.job, std::max(f.at, arrivals[it.job].atSec),
@@ -410,7 +391,6 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
             for (std::size_t j = next; j < n; ++j)
                 reject(static_cast<std::uint32_t>(j),
                        std::max(f.at, arrivals[j].atSec), false);
-            pending.clear();
             retryQ.clear();
             next = n;
             return;
@@ -478,11 +458,28 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
         return ri != kNoRec && recs[ri].open && recs[ri].end > f.at;
     };
 
+    // Degraded prices of this run. A replay that finished no later
+    // than its table's first edge past local time 0 depended on the
+    // table's entries at 0 alone, so its price serves every op of the
+    // same (class, variant, schedule) with the same entries whose own
+    // first later edge lies at or past it. A schedule is its bandwidth
+    // index (single-chip) or the gang binding's layout tag.
+    struct PriceMemo
+    {
+        std::uint32_t klass;
+        std::uint32_t variant;
+        std::uint64_t sched;
+        std::vector<fault::EpochAtZero> at0;
+        double dur;
+    };
+    std::vector<PriceMemo> memo;
+    std::vector<fault::EpochAtZero> at0;
+
     fault::FaultTrace remapped; // gang-slot view of the fleet trace
     sim::RateEpochs ep;
 
     while (!fleetDead) {
-        if (next >= n && pending.empty() && retryQ.empty()) {
+        if (next >= n && queue.empty() && retryQ.empty()) {
             // Only failures remain: process up to the next one that
             // revokes in-flight work; ignore the rest.
             std::size_t scan = failIdx;
@@ -494,21 +491,15 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
                 processFail(fails[failIdx]);
             continue;
         }
-        if (pending.empty()) {
-            const bool takeArrival =
-                next < n && (retryQ.empty() ||
-                             arrivals[next].atSec <= retryQ.front().ready);
-            if (takeArrival) {
-                pending.push_back({arrivals[next].atSec,
-                                   static_cast<std::uint32_t>(next)});
-                ++next;
-            } else {
-                pending.push_back(retryQ.front());
-                retryQ.erase(retryQ.begin());
-            }
+        if (queue.empty()) {
+            if (next < n && (retryQ.empty() ||
+                             arrivals[next].atSec <= retryQ.front().ready))
+                admitArrival();
+            else
+                admitRetry();
         }
-        const Item head = pending.front();
-        const std::uint32_t k = arrivals[head.job].klass;
+        const std::uint32_t k = queue.headClass();
+        const Item head = queue.front(k);
         const ServingSim::ClassModel &m = sim.models[k];
         Assets::Gang *g = assets->gang[k].get();
         const std::size_t width = g ? g->activeSlots : 1;
@@ -545,21 +536,16 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
         }
         if (start > deadlineOf(head.job)) {
             reject(head.job, start, true);
-            pending.pop_front();
+            queue.pop(k);
             continue;
         }
 
-        while (next < n && arrivals[next].atSec <= start) {
-            pending.push_back(
-                {arrivals[next].atSec, static_cast<std::uint32_t>(next)});
-            ++next;
-        }
-        while (!retryQ.empty() && retryQ.front().ready <= start) {
-            pending.push_back(retryQ.front());
-            retryQ.erase(retryQ.begin());
-        }
+        while (next < n && arrivals[next].atSec <= start)
+            admitArrival();
+        while (!retryQ.empty() && retryQ.front().ready <= start)
+            admitRetry();
         stats.done.maxQueueDepth =
-            std::max(stats.done.maxQueueDepth, pending.size());
+            std::max(stats.done.maxQueueDepth, queue.size());
 
         const std::size_t bwIdx =
             m.shards > 1 ? 0
@@ -573,62 +559,140 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
         // p4db-style batch formation, exactly as the healthy loop;
         // candidates past their deadline stay queued (they reject when
         // they reach the head).
-        batchIds.assign(1, head.job);
-        double estSec = warmCtx ? m.warmSvc[bwIdx] : m.coldSvc[bwIdx];
-        std::vector<char> taken(pending.size(), 0);
-        taken[0] = 1;
-        for (std::size_t i = 1; i < pending.size(); ++i) {
-            if (batchIds.size() >= sp.batch.targetBatch)
-                break;
-            if (sp.batch.targetBatchSec > 0.0 &&
-                estSec >= sp.batch.targetBatchSec)
-                break;
-            if (arrivals[pending[i].job].klass != k)
-                continue;
-            if (start > deadlineOf(pending[i].job))
-                continue;
-            taken[i] = 1;
-            batchIds.push_back(pending[i].job);
-            estSec += m.warmSvc[bwIdx];
-        }
-        {
-            std::deque<Item> rest;
-            for (std::size_t i = 0; i < pending.size(); ++i)
-                if (!taken[i])
-                    rest.push_back(pending[i]);
-            pending.swap(rest);
-        }
+        queue.takeBatch(
+            k, sp.batch, warmCtx ? m.warmSvc[bwIdx] : m.coldSvc[bwIdx],
+            m.warmSvc[bwIdx],
+            [&](std::uint32_t j) { return start > deadlineOf(j); },
+            batchIds);
 
-        // Any rate events on the gang's chips? Remap them once per
-        // dispatch into slot coordinates (chosen[i] -> slot i).
-        bool gangAffected = false;
-        if (g) {
-            for (std::size_t c : chosen)
-                gangAffected = gangAffected || chipRate[c] != 0;
-            if (gangAffected) {
-                remapped.events.clear();
-                for (const fault::FaultEvent &e : tr.events) {
-                    if (e.kind != fault::FaultKind::ChannelDegrade &&
-                        e.kind != fault::FaultKind::TransientStall)
-                        continue;
-                    for (std::size_t i = 0; i < width; ++i)
-                        if (chosen[i] == e.shard) {
-                            fault::FaultEvent ev = e;
-                            ev.shard = static_cast<std::uint32_t>(i);
-                            remapped.events.push_back(ev);
-                            break;
-                        }
-                }
-                remapped.normalize();
-                gangAffected = !remapped.events.empty();
+        // Only chips with rate spans can price an op off its clean
+        // scalar. A gang remaps their events once per dispatch into
+        // slot coordinates (chosen[i] -> slot i).
+        bool affected = false;
+        for (std::size_t c : chosen)
+            affected = affected || !spans[c].empty();
+        if (g && affected) {
+            remapped.events.clear();
+            for (const fault::FaultEvent &e : tr.events) {
+                if (e.kind != fault::FaultKind::ChannelDegrade &&
+                    e.kind != fault::FaultKind::TransientStall)
+                    continue;
+                for (std::size_t i = 0; i < width; ++i)
+                    if (chosen[i] == e.shard) {
+                        fault::FaultEvent ev = e;
+                        ev.shard = static_cast<std::uint32_t>(i);
+                        remapped.events.push_back(ev);
+                        break;
+                    }
             }
+            remapped.normalize();
         }
         const bool gangFo = g && g->activeSlots < m.shards;
 
-        // Execute: per-op pricing through the clean scalars, or a
-        // piecewise replay when a fault epoch overlaps the op.
         const std::uint32_t firstChip = static_cast<std::uint32_t>(
             *std::min_element(chosen.begin(), chosen.end()));
+        // A single-chip op priced clean renders as the class's clean
+        // replay placed on its chip.
+        const auto cleanSegment = [&](std::uint32_t variant, double t) {
+            if (!viz || !sim.viz_ || g)
+                return;
+            obs::TraceSegment seg;
+            seg.baseSec = t;
+            seg.resourceBase =
+                static_cast<std::uint32_t>(firstChip * sim.viz_->perChip);
+            seg.buf = sim.viz_->bufs[k][variant][bwIdx];
+            viz->segments.push_back(std::move(seg));
+        };
+        // Price one op starting at t: its clean scalar, or a piecewise
+        // replay when a fault epoch overlaps it (`degraded`).
+        const auto priceOp = [&](std::uint32_t variant, double t,
+                                 bool &degraded) {
+            const Assets::OpSched *os =
+                g ? nullptr : &assets->ops[k * 2 + variant];
+            const double clean =
+                g ? (variant ? g->liveHit : g->liveMiss)
+                  : (variant ? m.hitRt[bwIdx] : m.missRt[bwIdx]);
+            degraded = false;
+            if (!affected) {
+                cleanSegment(variant, t);
+                return clean;
+            }
+            // The op's epoch table up to the first span edge past its
+            // start holds only its entries at local time 0.
+            at0.clear();
+            double edge = kInf;
+            if (!g) {
+                edge = fault::probeChipSpans(spans[chosen[0]],
+                                             os->cs.resourceCount(), t, 0,
+                                             at0);
+            } else {
+                const std::size_t per = g->psMiss.compiled.perChip;
+                for (std::size_t s = 0; s < width; ++s)
+                    edge = std::min(
+                        edge, fault::probeChipSpans(
+                                  spans[chosen[s]], per, t,
+                                  static_cast<std::uint32_t>(s * per),
+                                  at0));
+            }
+            // The table's first boundary is 0 when it has entries
+            // there, else at or past `edge`: with no entry at 0 and the
+            // edge at or past the clean finish the op prices clean, no
+            // table needed.
+            if (at0.empty() && edge >= clean) {
+                cleanSegment(variant, t);
+                return clean;
+            }
+            const sim::CompiledSchedule &cs =
+                g ? (variant ? g->psHit : g->psMiss).compiled.schedule
+                  : os->cs;
+            const sim::ReplayRates &rates =
+                g ? (variant ? g->rHit : g->rMiss) : os->rates[bwIdx];
+            const std::uint64_t sched = g ? cs.layoutTag() : bwIdx;
+            // A viz run records each degraded single-chip op's own
+            // replay, so it reads no memo there.
+            const bool traced = viz && !g;
+            if (!at0.empty() && !traced)
+                for (const PriceMemo &e : memo)
+                    if (e.klass == k && e.variant == variant &&
+                        e.sched == sched && e.at0 == at0) {
+                        if (e.dur > edge)
+                            break;
+                        ++nMemoHits;
+                        degraded = true;
+                        return e.dur;
+                    }
+            ep = g ? fault::buildEpochs(remapped, g->psMiss.compiled, t)
+                   : fault::buildChipEpochs(
+                         tr, static_cast<std::uint32_t>(chosen[0]),
+                         os->cs.resourceCount(), t);
+            ++nEpochTables;
+            if (!(firstBoundary(ep) < clean)) {
+                cleanSegment(variant, t);
+                return clean;
+            }
+            degraded = true;
+            ++nPiecewiseReplays;
+            double dur;
+            if (traced) {
+                obs::TraceSegment seg;
+                seg.baseSec = t;
+                seg.resourceBase = static_cast<std::uint32_t>(
+                    firstChip * (sim.viz_ ? sim.viz_->perChip
+                                          : cs.resourceCount()));
+                seg.epochs = ep;
+                dur = obs::replayPiecewiseTraced(cs, rates, ep, nullptr,
+                                                 assets->scratch, seg.buf);
+                viz->segments.push_back(std::move(seg));
+            } else {
+                dur = cs.replayPiecewise(rates, ep, nullptr,
+                                         assets->scratch);
+            }
+            if (!at0.empty() && dur <= edge)
+                memo.push_back({k, variant, sched, at0, dur});
+            return dur;
+        };
+
+        // Execute the batch; each job's ops price in order.
         const std::uint32_t recIdx =
             static_cast<std::uint32_t>(recs.size());
         recs.emplace_back();
@@ -644,66 +708,8 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
             const double jobStart = t;
             bool jobDegraded = false;
             for (std::size_t i = 0; i < mask.size(); ++i) {
-                double dur = 0.0;
                 bool opDegraded = false;
-                if (!g) {
-                    const Assets::OpSched &os =
-                        assets->ops[k * 2 + (mask[i] ? 1 : 0)];
-                    const double clean =
-                        mask[i] ? m.hitRt[bwIdx] : m.missRt[bwIdx];
-                    if (chipRate[chosen[0]]) {
-                        ep = fault::buildChipEpochs(
-                            tr, static_cast<std::uint32_t>(chosen[0]),
-                            os.cs.resourceCount(), t);
-                        opDegraded = firstBoundary(ep) < clean;
-                    }
-                    if (!opDegraded) {
-                        dur = clean;
-                        if (viz && sim.viz_) {
-                            obs::TraceSegment seg;
-                            seg.baseSec = t;
-                            seg.resourceBase = static_cast<std::uint32_t>(
-                                firstChip * sim.viz_->perChip);
-                            seg.buf =
-                                sim.viz_->bufs[k][mask[i] ? 1 : 0][bwIdx];
-                            viz->segments.push_back(std::move(seg));
-                        }
-                    } else if (viz) {
-                        obs::TraceSegment seg;
-                        seg.baseSec = t;
-                        seg.resourceBase = static_cast<std::uint32_t>(
-                            firstChip *
-                            (sim.viz_ ? sim.viz_->perChip
-                                      : os.cs.resourceCount()));
-                        seg.epochs = ep;
-                        dur = obs::replayPiecewiseTraced(
-                            os.cs, os.rates[bwIdx], ep, nullptr,
-                            assets->scratch, seg.buf);
-                        viz->segments.push_back(std::move(seg));
-                    } else {
-                        dur = os.cs.replayPiecewise(os.rates[bwIdx], ep,
-                                                    nullptr,
-                                                    assets->scratch);
-                    }
-                } else {
-                    const double clean =
-                        mask[i] ? g->liveHit : g->liveMiss;
-                    if (gangAffected) {
-                        ep = fault::buildEpochs(remapped,
-                                                g->psMiss.compiled, t);
-                        opDegraded = firstBoundary(ep) < clean;
-                    }
-                    if (!opDegraded) {
-                        dur = clean;
-                    } else {
-                        const shard::ShardedPatchable &ps =
-                            mask[i] ? g->psHit : g->psMiss;
-                        dur = ps.compiled.schedule.replayPiecewise(
-                            mask[i] ? g->rHit : g->rMiss, ep, nullptr,
-                            assets->scratch);
-                    }
-                }
-                t += dur;
+                t += priceOp(mask[i] ? 1 : 0, t, opDegraded);
                 jobDegraded = jobDegraded || opDegraded;
             }
             JobResult &res = out[j];
@@ -844,6 +850,9 @@ FaultServingSim::exportMetrics(obs::MetricsRegistry &m,
     m.count(prefix + "chip_failures", nChipFailures);
     m.count(prefix + "failovers", nFailovers);
     m.count(prefix + "migrated_bytes", nMigratedBytes);
+    m.count(prefix + "piecewise_replays", nPiecewiseReplays);
+    m.count(prefix + "price_memo_hits", nMemoHits);
+    m.count(prefix + "epoch_tables", nEpochTables);
     m.gauge(prefix + "healthy_p99_sec", lastStats.healthyP99Sec);
     m.gauge(prefix + "degraded_p99_sec", lastStats.degradedP99Sec);
     m.gauge(prefix + "degraded_over_healthy_p99",

@@ -19,7 +19,11 @@
  *    chip with no active fault prices through the identical ClassModel
  *    scalars the healthy path uses, so a zero-fault run is
  *    bit-identical to ServingSim::run (asserted by tests and the
- *    serving benchmark before any timing).
+ *    serving benchmark before any timing). Ops no fault edge can
+ *    reach skip the table, and each run memoizes degraded prices by
+ *    the table's state at the op's start, reused only where that
+ *    state alone decides the replay — bit-identical to pricing every
+ *    op afresh (docs/serving.md, "Degraded pricing").
  *  - A ChipFail salvages the dead chip's in-flight batch — jobs whose
  *    simulated finish lies beyond the failure — into a retry queue
  *    with bounded retries, exponential backoff and per-job deadlines:
@@ -187,17 +191,18 @@ class FaultServingSim
     /**
      * Export cumulative fault-serving counters into `m` under
      * `prefix`: completed/rejected/timed-out/lost jobs, retries,
-     * salvaged jobs, chip failures, failovers, migrated bytes
-     * (counters) plus last-run healthy/degraded p99, their ratio,
-     * recovery seconds and migration seconds (gauges). Totals since
-     * construction — export once per registry, at harness-dump time.
+     * salvaged jobs, chip failures, failovers, migrated bytes, and the
+     * degraded-pricing work — piecewise_replays, price_memo_hits,
+     * epoch_tables — (counters) plus last-run healthy/degraded p99,
+     * their ratio, recovery seconds and migration seconds (gauges).
+     * Totals since construction — export once per registry, at
+     * harness-dump time.
      */
     void exportMetrics(obs::MetricsRegistry &m,
                        const std::string &prefix = "serve_fault.") const;
 
   private:
     struct Assets;
-    struct Runstate;
 
     ServingSim &sim;
     std::unique_ptr<Assets> assets;
@@ -207,6 +212,9 @@ class FaultServingSim
     std::size_t nRetries = 0, nSalvaged = 0, nChipFailures = 0;
     std::size_t nFailovers = 0;
     std::uint64_t nMigratedBytes = 0;
+    // Degraded-pricing work: piecewise replays run, degraded prices
+    // reused from the run's memo, epoch tables built.
+    std::size_t nPiecewiseReplays = 0, nMemoHits = 0, nEpochTables = 0;
     FaultServeStats lastStats;
 };
 

@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
-#include <deque>
 #include <functional>
 #include <list>
 
@@ -12,6 +11,7 @@
 #include "common/stats.h"
 #include "obs/traced_replay.h"
 #include "rpu/experiment.h"
+#include "serve/admission.h"
 #include "shard/placement_search.h"
 #include "shard/sharded_engine.h"
 
@@ -192,21 +192,14 @@ ServingSim::ServingSim(const ServeSpec &spec, ExperimentRunner &runner,
 
 ServingSim::~ServingSim() = default;
 
-namespace
-{
-
-/** The chip configuration replayed at uniqBw[i]. */
 RpuConfig
-chipAt(const FleetConfig &fleet, const std::vector<double> &uniqBw,
-       std::size_t i)
+ServingSim::chipAt(std::size_t bwIdx) const
 {
-    RpuConfig cfg = fleet.chip;
-    if (!fleet.chipBandwidthGBps.empty())
-        cfg.bandwidthGBps = uniqBw[i];
+    RpuConfig cfg = sp.fleet.chip;
+    if (!sp.fleet.chipBandwidthGBps.empty())
+        cfg.bandwidthGBps = uniqBw[bwIdx];
     return cfg;
 }
-
-} // namespace
 
 void
 ServingSim::buildModels(ExperimentRunner &runner, tune::EvalCache *cache)
@@ -281,7 +274,7 @@ ServingSim::buildModels(ExperimentRunner &runner, tune::EvalCache *cache)
                     std::vector<RpuConfig> cfgs;
                     cfgs.reserve(missing.size());
                     for (std::size_t i : missing)
-                        cfgs.push_back(chipAt(sp.fleet, uniqBw, i));
+                        cfgs.push_back(chipAt(i));
                     exp->simulateRuntimeMany(cfgs.data(), cfgs.size(),
                                              rt.data());
                 } else {
@@ -373,7 +366,7 @@ ServingSim::buildViz(ExperimentRunner &runner)
             const auto exp = runner.experiment(
                 jc.params, jc.dataflow, variant ? hitMem : missMem);
             const sim::CompiledSchedule cs =
-                RpuEngine(chipAt(sp.fleet, uniqBw, 0))
+                RpuEngine(chipAt(0))
                     .compile(exp->graph());
             if (va->names.empty()) {
                 va->perChip = cs.resourceCount();
@@ -389,7 +382,7 @@ ServingSim::buildViz(ExperimentRunner &runner)
                 va->bufs[k][static_cast<std::size_t>(variant)];
             slot.resize(uniqBw.size());
             for (std::size_t b = 0; b < uniqBw.size(); ++b) {
-                RpuEngine(chipAt(sp.fleet, uniqBw, b))
+                RpuEngine(chipAt(b))
                     .rates(cs, rates);
                 obs::replayTraced(cs, rates, scratch, slot[b]);
             }
@@ -426,17 +419,23 @@ ServingSim::run(const std::vector<JobArrival> &arrivals,
         std::int64_t lastClass = -1;
     };
     std::vector<ChipState> chips(sp.fleet.chips);
-    std::deque<std::uint32_t> pending;
+    AdmissionQueue queue;
+    queue.reset(sp.classes.size());
     std::size_t next = 0;
     std::uint32_t batchSeq = 0;
     std::vector<std::size_t> chosen;
     std::vector<std::uint32_t> batchIds;
+    const auto admit = [&] {
+        queue.push(arrivals[next].klass,
+                   {arrivals[next].atSec, static_cast<std::uint32_t>(next)});
+        ++next;
+    };
 
-    while (next < arrivals.size() || !pending.empty()) {
-        if (pending.empty())
-            pending.push_back(static_cast<std::uint32_t>(next++));
-        const std::uint32_t head = pending.front();
-        const std::uint32_t k = arrivals[head].klass;
+    while (next < arrivals.size() || !queue.empty()) {
+        if (queue.empty())
+            admit();
+        const std::uint32_t k = queue.headClass();
+        const AdmissionQueue::Item head = queue.front(k);
         const ClassModel &m = models[k];
 
         // The m.shards least-loaded chips, ties to the lowest id.
@@ -450,16 +449,14 @@ ServingSim::run(const std::vector<JobArrival> &arrivals,
                       return a < b;
                   });
         chosen.resize(m.shards);
-        double start = arrivals[head].atSec;
+        double start = head.ready;
         for (std::size_t c : chosen)
             start = std::max(start, chips[c].freeAt);
         // Jobs arriving while the gang drains are admission
         // candidates: they may join this batch.
-        while (next < arrivals.size() &&
-               arrivals[next].atSec <= start)
-            pending.push_back(static_cast<std::uint32_t>(next++));
-        stats.maxQueueDepth =
-            std::max(stats.maxQueueDepth, pending.size());
+        while (next < arrivals.size() && arrivals[next].atSec <= start)
+            admit();
+        stats.maxQueueDepth = std::max(stats.maxQueueDepth, queue.size());
 
         const std::size_t bwIdx =
             m.shards > 1 ? 0
@@ -473,30 +470,10 @@ ServingSim::run(const std::vector<JobArrival> &arrivals,
         // p4db-style target batch: coalesce queued same-class jobs
         // behind the head until the size target or the estimated
         // batch duration is reached.
-        batchIds.assign(1, head);
-        double estSec =
-            warmCtx ? m.warmSvc[bwIdx] : m.coldSvc[bwIdx];
-        std::vector<char> taken(pending.size(), 0);
-        taken[0] = 1;
-        for (std::size_t i = 1; i < pending.size(); ++i) {
-            if (batchIds.size() >= sp.batch.targetBatch)
-                break;
-            if (sp.batch.targetBatchSec > 0.0 &&
-                estSec >= sp.batch.targetBatchSec)
-                break;
-            if (arrivals[pending[i]].klass != k)
-                continue;
-            taken[i] = 1;
-            batchIds.push_back(pending[i]);
-            estSec += m.warmSvc[bwIdx];
-        }
-        {
-            std::deque<std::uint32_t> rest;
-            for (std::size_t i = 0; i < pending.size(); ++i)
-                if (!taken[i])
-                    rest.push_back(pending[i]);
-            pending.swap(rest);
-        }
+        queue.takeBatch(
+            k, sp.batch, warmCtx ? m.warmSvc[bwIdx] : m.coldSvc[bwIdx],
+            m.warmSvc[bwIdx], [](std::uint32_t) { return false; },
+            batchIds);
 
         // Execute the batch: the leader runs cold unless the gang is
         // already warm on this class; followers inherit a warmed key

@@ -328,6 +328,8 @@ class ServingSim
 
     void buildModels(ExperimentRunner &runner, tune::EvalCache *cache);
     void buildViz(ExperimentRunner &runner);
+    /** The chip configuration replayed at uniqBw[bwIdx]. */
+    RpuConfig chipAt(std::size_t bwIdx) const;
 
     ServeSpec sp;
     /** Distinct per-chip bandwidths, ascending. */

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
+#include "fault/fault_replay.h"
 #include "fault/monte_carlo.h"
 #include "rpu/experiment.h"
 #include "shard/placement_search.h"
@@ -682,6 +684,79 @@ TEST(Failover, MigrationSecondsScalesWithPayloadAndTopology)
     // shared bus serializes it.
     EXPECT_LT(p2p, bus);
     EXPECT_GT(p2p, 0.0);
+}
+
+TEST(ChipSpans, ProbeMatchesTheBuiltTable)
+{
+    // Random chip traces and shifts, shifts often exactly on a span
+    // edge: the probe's entries at local time 0 are the built table's
+    // (same resources, same folded bits), and every later entry lies
+    // at or past the edge it returns.
+    Rng rng(11);
+    const double factors[] = {0.25, 0.5, 0.6, 1.0, 2.0};
+    for (int iter = 0; iter < 3000; ++iter) {
+        FaultTrace tr;
+        const std::uint64_t nev = 1 + rng.uniform(6);
+        for (std::uint64_t i = 0; i < nev; ++i) {
+            FaultEvent e;
+            const std::uint64_t kind = rng.uniform(3);
+            e.kind = kind == 0   ? FaultKind::ChannelDegrade
+                     : kind == 1 ? FaultKind::TransientStall
+                                 : FaultKind::ChipFail;
+            e.shard = static_cast<std::uint32_t>(rng.uniform(2));
+            e.channel = static_cast<std::uint32_t>(rng.uniform(2));
+            e.atSec = static_cast<double>(rng.uniform(1000)) / 97.0;
+            e.factor = factors[rng.uniform(5)];
+            e.durSec = e.kind == FaultKind::TransientStall
+                           ? 0.01 + static_cast<double>(rng.uniform(300)) /
+                                        101.0
+                           : 0.0;
+            tr.events.push_back(e);
+        }
+        tr.normalize();
+        const FaultEvent &pick = tr.events[rng.uniform(tr.events.size())];
+        const std::uint64_t mode = rng.uniform(3);
+        const double shift =
+            mode == 0   ? pick.atSec
+            : mode == 1 ? pick.atSec + pick.durSec
+                        : static_cast<double>(rng.uniform(1300)) / 89.0;
+        for (std::uint32_t chip = 0; chip < 2; ++chip) {
+            std::vector<EpochAtZero> at0;
+            const double edge =
+                probeChipSpans(chipSpans(tr, chip), 3, shift, 5, at0);
+            const sim::RateEpochs ep = buildChipEpochs(tr, chip, 3, shift);
+            std::vector<EpochAtZero> want;
+            for (std::size_t r = 0; !ep.empty() && r < 3; ++r)
+                for (std::uint32_t i = ep.off[r]; i < ep.off[r + 1]; ++i) {
+                    if (ep.at[i] == 0.0)
+                        want.push_back(
+                            {static_cast<std::uint32_t>(5 + r), ep.mult[i]});
+                    else
+                        EXPECT_GE(ep.at[i], edge) << "iter " << iter;
+                }
+            EXPECT_EQ(at0, want) << "iter " << iter;
+        }
+    }
+}
+
+TEST(ChipSpans, KeepTraceOrderAndSkipOtherEvents)
+{
+    FaultTrace tr;
+    tr.events.push_back({3.0, FaultKind::TransientStall, 1, 0, 0.5, 2.0});
+    tr.events.push_back({1.0, FaultKind::ChannelDegrade, 1, 2, 0.25, 0.0});
+    tr.events.push_back({2.0, FaultKind::ChipFail, 1, 0, 1.0, 0.0});
+    tr.events.push_back({0.5, FaultKind::ChannelDegrade, 0, 0, 0.5, 0.0});
+    tr.normalize();
+    const std::vector<ChipSpan> s = chipSpans(tr, 1);
+    ASSERT_EQ(s.size(), 2u);
+    EXPECT_EQ(s[0].atSec, 1.0);
+    EXPECT_EQ(s[0].endSec, kInf);
+    EXPECT_EQ(s[0].resource, 2u);
+    EXPECT_EQ(s[0].factor, 0.25);
+    EXPECT_EQ(s[1].atSec, 3.0);
+    EXPECT_EQ(s[1].endSec, 5.0);
+    EXPECT_EQ(s[1].resource, kWholeChip);
+    EXPECT_TRUE(chipSpans(tr, 2).empty());
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -126,6 +127,145 @@ serializeFault(const std::vector<JobResult> &v)
         s += line;
     }
     return s;
+}
+
+/** FNV-1a 64 over the bytes of `s`. */
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** Every JobResult field plus every FaultServeStats field, doubles as
+ * hex floats: equal runs give equal bytes. */
+std::string
+serializeRun(const std::vector<JobResult> &v, const FaultServeStats &st)
+{
+    std::string s = serializeFault(v);
+    char line[512];
+    const ServeStats &d = st.done;
+    std::snprintf(line, sizeof line,
+                  "%zu %zu %zu %zu %zu %zu %zu %a %a %a %a %a %a %a\n",
+                  d.jobs, d.batches, d.batchedJobs, d.warmJobs,
+                  d.keyCacheHitOps, d.totalOps, d.maxQueueDepth,
+                  d.makespanSec, d.qps, d.meanLatencySec, d.p50LatencySec,
+                  d.p99LatencySec, d.p999LatencySec, d.maxLatencySec);
+    s += line;
+    std::snprintf(line, sizeof line,
+                  "%zu %zu %zu %zu %zu %zu %zu %zu %llu %a %zu %zu %a %a "
+                  "%a %a %a %a\n",
+                  st.completedJobs, st.rejectedJobs, st.timedOutJobs,
+                  st.lostJobs, st.retries, st.salvagedJobs,
+                  st.chipFailures, st.failovers,
+                  static_cast<unsigned long long>(st.migratedBytes),
+                  st.migrationSec, st.healthyJobs, st.degradedJobs,
+                  st.healthyP50Sec, st.healthyP99Sec, st.degradedP50Sec,
+                  st.degradedP99Sec, st.degradedOverHealthyP99,
+                  st.recoverySec);
+    s += line;
+    return s;
+}
+
+/** Counter `name` of `fs`'s exported metrics (0 when absent). */
+std::uint64_t
+counterOf(const FaultServingSim &fs, const std::string &name)
+{
+    obs::MetricsRegistry reg;
+    fs.exportMetrics(reg);
+    for (const obs::Metric &m : reg.snapshot())
+        if (m.name == "serve_fault." + name)
+            return m.count;
+    return 0;
+}
+
+/** Earliest epoch boundary of a table (+inf when empty). */
+double
+firstBoundaryOf(const sim::RateEpochs &ep)
+{
+    double first = kInf;
+    for (double a : ep.at)
+        first = std::min(first, a);
+    return first;
+}
+
+/** Is chip `c` degraded or stalled at time t under `tr`? */
+bool
+chipDegradedAt(const fault::FaultTrace &tr, std::uint32_t c, double t)
+{
+    for (const fault::FaultEvent &e : tr.events) {
+        if (e.shard != c)
+            continue;
+        if (e.kind == fault::FaultKind::ChannelDegrade && e.atSec <= t)
+            return true;
+        if (e.kind == fault::FaultKind::TransientStall && e.atSec <= t &&
+            t < e.atSec + e.durSec)
+            return true;
+    }
+    return false;
+}
+
+/**
+ * Test-side pricing reference for runs whose classes are single-chip
+ * and one op long: re-prices every completed job from its recorded
+ * start, chip and warmness with a fresh epoch table
+ * (fault::buildChipEpochs) and, when the table's first boundary falls
+ * before the clean finish, a piecewise replay of it — every op, no
+ * shortcut. Expects each finish and degraded flag to match `out` to
+ * the bit and returns the number of degraded ops.
+ */
+std::size_t
+expectFreshTablePricing(const ServingSim &sim, ExperimentRunner &runner,
+                        const fault::FaultTrace &trace,
+                        const std::vector<JobResult> &out)
+{
+    const ServeSpec &sp = sim.spec();
+    fault::FaultTrace tr = trace;
+    tr.normalize();
+    struct Op
+    {
+        sim::CompiledSchedule cs;
+        sim::ReplayRates rates;
+        double clean = 0.0;
+    };
+    sim::ReplayScratch scratch;
+    std::vector<Op> ops(sp.classes.size() * 2);
+    for (std::size_t k = 0; k < sp.classes.size(); ++k) {
+        EXPECT_EQ(sp.classes[k].workload.ops.size(), 1u);
+        for (int v = 0; v < 2; ++v) {
+            const MemoryConfig mem{sp.fleet.chip.dataMemBytes, v == 1};
+            const auto exp = runner.experiment(sp.classes[k].params,
+                                               sp.classes[k].dataflow, mem);
+            Op &op = ops[k * 2 + static_cast<std::size_t>(v)];
+            op.cs = RpuEngine(sp.fleet.chip).compile(exp->graph());
+            RpuEngine(sp.fleet.chip).rates(op.cs, op.rates);
+            op.clean = op.cs.replay(op.rates, scratch);
+            // A one-op job runs its key cold (miss) or warm (hit): the
+            // clean op is the whole job's service.
+            EXPECT_EQ(op.clean, sim.classServiceSec(k, v == 1));
+        }
+    }
+    std::size_t degradedOps = 0;
+    for (std::size_t j = 0; j < out.size(); ++j) {
+        const JobResult &r = out[j];
+        if (r.rejected)
+            continue;
+        const Op &op = ops[r.klass * 2 + (r.warmStart ? 1 : 0)];
+        const sim::RateEpochs ep = fault::buildChipEpochs(
+            tr, r.chip, op.cs.resourceCount(), r.startSec);
+        const bool degraded = firstBoundaryOf(ep) < op.clean;
+        const double dur =
+            degraded ? op.cs.replayPiecewise(op.rates, ep, nullptr, scratch)
+                     : op.clean;
+        EXPECT_EQ(r.finishSec, r.startSec + dur) << "job " << j;
+        EXPECT_EQ(r.degraded, degraded || r.retries > 0) << "job " << j;
+        degradedOps += degraded ? 1 : 0;
+    }
+    return degradedOps;
 }
 
 TEST(FaultServe, PolicyAndStreamValidation)
@@ -843,6 +983,393 @@ TEST(FaultServe, TrySimulateMatchesManualConstruction)
     EXPECT_TRUE(sameFaultResults(hout, href));
 }
 
+TEST(FaultServe, PricingMatchesFreshTableReference)
+{
+    // One chip, two one-op classes, faults aligned against op
+    // boundaries: a stall that starts and ends inside an op, stalls
+    // starting and ending exactly where an op starts, a permanent
+    // degrade, and a stall compounding with it through a batched
+    // burst. Every op must price exactly as a fresh epoch table plus
+    // piecewise replay prices it, with viz on and off.
+    const HksParams &ark = benchmarkByName("ARK");
+    ServeSpec sp;
+    sp.classes.push_back(
+        {"rotOC", HeWorkload::reduction(2), ark, Dataflow::OC, 1});
+    sp.classes.push_back(
+        {"rotMP", HeWorkload::reduction(2), ark, Dataflow::MP, 1});
+    sp.fleet.chip.bandwidthGBps = 4.0;
+    sp.fleet.chips = 1;
+    sp.fleet.keyCacheBytes = ark.evkBytes() * 8;
+    sp.batch.targetBatch = 3;
+    ExperimentRunner runner(2);
+    ServingSim sim(sp, runner);
+    const double c = sim.classServiceSec(0, false);
+
+    std::vector<JobArrival> arr;
+    std::uint32_t tenant = 0;
+    const auto burst = [&](double at, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i)
+            arr.push_back(
+                {at, static_cast<std::uint32_t>(i % 2), tenant++});
+    };
+    burst(0.0, 6);
+    burst(30.0 * c, 1); // idle fleet: starts exactly at 30c
+    burst(40.0 * c, 1); // ... at 40c
+    burst(50.0 * c, 1); // ... at 50c
+    burst(60.0 * c, 12);
+    normalizeArrivals(arr);
+
+    using fault::FaultKind;
+    fault::FaultTrace tr;
+    tr.events.push_back({0.3 * c, FaultKind::TransientStall, 0, 0, 0.25,
+                         0.3 * c}); // inside job 0's op
+    tr.events.push_back({30.0 * c, FaultKind::TransientStall, 0, 0, 0.5,
+                         0.5 * c}); // starts on an op start
+    tr.events.push_back({39.5 * c, FaultKind::TransientStall, 0, 0, 0.5,
+                         0.5 * c}); // ends on an op start
+    tr.events.push_back({50.0 * c, FaultKind::ChannelDegrade, 0, 0, 0.6,
+                         0.0}); // permanent, from an op start
+    tr.events.push_back({62.0 * c, FaultKind::TransientStall, 0, 0, 0.3,
+                         2.0 * c}); // compounds with the degrade
+    tr.normalize();
+
+    FaultServingSim fs(sim);
+    std::vector<JobResult> out;
+    FaultServeStats st;
+    ASSERT_TRUE(fs.run(arr, tr, RetryPolicy{}, out, st).ok());
+    EXPECT_EQ(st.completedJobs, arr.size());
+    const std::size_t degradedOps =
+        expectFreshTablePricing(sim, runner, tr, out);
+
+    // The aligned cases landed where intended.
+    EXPECT_TRUE(out[0].degraded);
+    EXPECT_EQ(out[6].startSec, 30.0 * c);
+    EXPECT_TRUE(out[6].degraded);
+    EXPECT_EQ(out[7].startSec, 40.0 * c);
+    EXPECT_FALSE(out[7].degraded);
+    EXPECT_EQ(out[8].startSec, 50.0 * c);
+    EXPECT_TRUE(out[8].degraded);
+    EXPECT_GE(degradedOps, 14u);
+
+    // The shortcuts did the work: tables and replays only where a
+    // boundary falls inside an op or a rate state is new; every other
+    // degraded op reused a memoized price.
+    const std::uint64_t replays = counterOf(fs, "piecewise_replays");
+    const std::uint64_t hits = counterOf(fs, "price_memo_hits");
+    EXPECT_EQ(replays + hits, degradedOps);
+    EXPECT_GT(hits, 0u);
+    EXPECT_LE(counterOf(fs, "epoch_tables"), replays + 2);
+
+    // Viz on: identical results; degraded ops render their own replay
+    // (no memo reads), with the epoch table attached.
+    std::vector<JobResult> vout;
+    FaultServeStats vst;
+    obs::ScenarioTrace viz;
+    FaultServingSim vfs(sim);
+    ASSERT_TRUE(vfs.run(arr, tr, RetryPolicy{}, vout, vst, &viz).ok());
+    EXPECT_EQ(serializeRun(out, st), serializeRun(vout, vst));
+    EXPECT_EQ(counterOf(vfs, "price_memo_hits"), 0u);
+    EXPECT_EQ(counterOf(vfs, "piecewise_replays"), degradedOps);
+    ASSERT_EQ(viz.segments.size(), arr.size());
+    std::size_t withEpochs = 0;
+    for (const obs::TraceSegment &seg : viz.segments)
+        withEpochs += seg.epochs.empty() ? 0 : 1;
+    EXPECT_EQ(withEpochs, degradedOps);
+}
+
+TEST(FaultServe, SampledFaultPricingMatchesFreshTableReference)
+{
+    // Seeded stalls and degrades on a 3-chip fleet under overload,
+    // with a chip death and retries: the same fresh-table reference
+    // for every completed job, across several seeds.
+    const HksParams &ark = benchmarkByName("ARK");
+    ServeSpec sp;
+    sp.classes.push_back(
+        {"rotOC", HeWorkload::reduction(2), ark, Dataflow::OC, 1});
+    sp.classes.push_back(
+        {"rotMP", HeWorkload::reduction(2), ark, Dataflow::MP, 1});
+    sp.fleet.chip.bandwidthGBps = 4.0;
+    sp.fleet.chips = 3;
+    sp.fleet.keyCacheBytes = ark.evkBytes() * 8;
+    sp.batch.targetBatch = 4;
+    ExperimentRunner runner(2);
+    ServingSim sim(sp, runner);
+    FaultServingSim fs(sim);
+    const double c = sim.classServiceSec(0, false);
+
+    ArrivalSpec as;
+    as.horizonSec = 200.0 * c;
+    as.tenants.push_back({2.0 / c, {1.0, 1.0}});
+    as.tenants.push_back({2.0 / c, {3.0, 1.0}});
+    fault::FaultModel model;
+    model.channelDegradeMtbfSec = 150.0 * c;
+    model.stallMtbfSec = 30.0 * c;
+    model.degradeFactor = 0.6;
+    model.stallFactor = 0.3;
+    model.stallDurSec = 3.0 * c;
+    model.horizonSec = 200.0 * c;
+    RetryPolicy pol;
+    pol.backoffSec = c;
+
+    std::size_t degradedOps = 0;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        const std::vector<JobArrival> arr =
+            poissonArrivals(as, tenantStreamSeed(seed, 0));
+        fault::FaultTrace tr =
+            fault::sampleTrace(model, fs.shape(), faultStreamSeed(seed, 0));
+        tr.events.push_back(
+            {100.0 * c, fault::FaultKind::ChipFail, 2, 0, 1.0, 0.0});
+        tr.normalize();
+        std::vector<JobResult> out;
+        FaultServeStats st;
+        ASSERT_TRUE(fs.run(arr, tr, pol, out, st).ok());
+        EXPECT_EQ(st.lostJobs, 0u);
+        degradedOps += expectFreshTablePricing(sim, runner, tr, out);
+    }
+    // Ops of batches a chip death revoked were priced too, so the
+    // counters can run ahead of the surviving degraded ops.
+    EXPECT_GT(degradedOps, 0u);
+    EXPECT_GT(counterOf(fs, "price_memo_hits"), 0u);
+    EXPECT_GE(counterOf(fs, "piecewise_replays") +
+                  counterOf(fs, "price_memo_hits"),
+              degradedOps);
+}
+
+TEST(FaultServe, GangPricingMatchesFreshTableReference)
+{
+    // A 2-wide gang on a 2-chip fleet: stalls on both chips, a
+    // permanent degrade on chip 1, then chip 1 dies and the gang fails
+    // over to a new binding revision on chip 0 alone. Every op must
+    // price as a fresh buildEpochs table over the gang's slot view
+    // plus a piecewise replay of the binding it ran on.
+    const HksParams &par = benchmarkByName("BTS1");
+    ServeSpec sp;
+    sp.classes.push_back(
+        {"gang", HeWorkload::reduction(2), par, Dataflow::MP, 2});
+    sp.fleet.chip.bandwidthGBps = 8.0;
+    sp.fleet.chips = 2;
+    sp.batch.targetBatch = 2;
+    ExperimentRunner runner(2);
+    ServingSim sim(sp, runner);
+    const double c = sim.classServiceSec(0, false);
+
+    std::vector<JobArrival> arr;
+    for (std::uint32_t i = 0; i < 40; ++i)
+        arr.push_back({0.7 * c * i, 0, i});
+    normalizeArrivals(arr);
+    const double failAt = 21.5 * c;
+    using fault::FaultKind;
+    fault::FaultTrace tr;
+    tr.events.push_back(
+        {1.2 * c, FaultKind::TransientStall, 0, 0, 0.25, 0.4 * c});
+    tr.events.push_back(
+        {4.0 * c, FaultKind::TransientStall, 1, 0, 0.5, 6.0 * c});
+    tr.events.push_back({8.0 * c, FaultKind::ChannelDegrade, 1, 0, 0.5,
+                         0.0});
+    tr.events.push_back(
+        {12.0 * c, FaultKind::TransientStall, 0, 0, 0.3, 5.0 * c});
+    tr.events.push_back({failAt, FaultKind::ChipFail, 1, 0, 1.0, 0.0});
+    tr.events.push_back(
+        {26.0 * c, FaultKind::TransientStall, 0, 0, 0.5, 4.0 * c});
+    tr.normalize();
+
+    FaultServingSim fs(sim);
+    std::vector<JobResult> out;
+    FaultServeStats st;
+    ASSERT_TRUE(fs.run(arr, tr, RetryPolicy{}, out, st).ok());
+    ASSERT_EQ(st.failovers, 1u);
+    EXPECT_EQ(st.lostJobs, 0u);
+
+    // Reference bindings: the base placement and the one planFailover
+    // moves chip 1's slot off (no key cache: every op is a miss).
+    const MemoryConfig mem{sp.fleet.chip.dataMemBytes, false};
+    const auto exp = runner.experiment(par, Dataflow::MP, mem);
+    const shard::ShardSpec spec2 = shard::placementShardSpec(
+        par, 2, sp.fleet.strategy, sp.fleet.imbalanceTol);
+    const std::vector<double> w =
+        shard::taskWeights(exp->graph(), sp.fleet.chip);
+    const shard::Partition basePart =
+        shard::partitionGraph(exp->graph(), spec2, w);
+    shard::ShardedEngine eng(sp.fleet.chip, sp.fleet.interconnect);
+    const shard::ShardedPatchable base =
+        eng.compilePatchable(exp->graph(), basePart);
+    shard::ShardedPatchable moved =
+        eng.compilePatchable(exp->graph(), basePart);
+    fault::FailoverPlan plan;
+    ASSERT_TRUE(fault::planFailover(exp->graph(), spec2, moved.part, 1,
+                                    {1, 0}, nullptr, w, plan)
+                    .ok());
+    eng.recompilePartition(moved, plan.part);
+    sim::ReplayRates baseRates, movedRates;
+    eng.rates(base.compiled, baseRates);
+    eng.rates(moved.compiled, movedRates);
+    const double baseClean = eng.replayRuntime(base.compiled);
+    const double movedClean = eng.replayRuntime(moved.compiled);
+    EXPECT_EQ(baseClean, c);
+
+    sim::ReplayScratch scratch;
+    std::size_t degradedOps = 0;
+    for (std::size_t j = 0; j < out.size(); ++j) {
+        const JobResult &r = out[j];
+        ASSERT_FALSE(r.rejected);
+        const bool after = r.startSec >= failAt;
+        // Slot order: admission puts non-degraded chips first, then
+        // (equal gang freeAt) the lower id.
+        std::vector<std::uint32_t> slots;
+        if (after) {
+            slots = {0};
+        } else {
+            slots = {0, 1};
+            if (chipDegradedAt(tr, 0, r.startSec) &&
+                !chipDegradedAt(tr, 1, r.startSec))
+                slots = {1, 0};
+        }
+        fault::FaultTrace view;
+        for (const fault::FaultEvent &e : tr.events) {
+            if (e.kind == FaultKind::ChipFail)
+                continue;
+            for (std::size_t i = 0; i < slots.size(); ++i)
+                if (e.shard == slots[i]) {
+                    fault::FaultEvent ev = e;
+                    ev.shard = static_cast<std::uint32_t>(i);
+                    view.events.push_back(ev);
+                }
+        }
+        view.normalize();
+        const shard::ShardedPatchable &ps = after ? moved : base;
+        const double clean = after ? movedClean : baseClean;
+        const sim::RateEpochs ep =
+            fault::buildEpochs(view, ps.compiled, r.startSec);
+        const bool degraded = firstBoundaryOf(ep) < clean;
+        const double dur =
+            degraded ? ps.compiled.schedule.replayPiecewise(
+                           after ? movedRates : baseRates, ep, nullptr,
+                           scratch)
+                     : clean;
+        EXPECT_EQ(r.finishSec, r.startSec + dur) << "job " << j;
+        EXPECT_EQ(r.degraded, degraded || r.retries > 0 || after)
+            << "job " << j;
+        degradedOps += degraded ? 1 : 0;
+    }
+    // The job chip 1's death revoked was priced once more.
+    EXPECT_GT(degradedOps, 0u);
+    EXPECT_GT(counterOf(fs, "price_memo_hits"), 0u);
+    EXPECT_GE(counterOf(fs, "piecewise_replays") +
+                  counterOf(fs, "price_memo_hits"),
+              degradedOps);
+
+    // Viz on (gang ops render as marks): identical results.
+    std::vector<JobResult> vout;
+    FaultServeStats vst;
+    obs::ScenarioTrace viz;
+    ASSERT_TRUE(fs.run(arr, tr, RetryPolicy{}, vout, vst, &viz).ok());
+    EXPECT_EQ(serializeRun(out, st), serializeRun(vout, vst));
+}
+
+TEST(FaultServe, GoldenStreamPin)
+{
+    // Overload on a 4-chip fleet with a gang class: queues thousands
+    // deep, per-job deadlines that skip expired batch candidates and
+    // time jobs out, stalls and a permanent degrade priced piecewise,
+    // chip deaths with retries, a gang failover, and finally fleet
+    // death. Every result and stats field is pinned by hash: the
+    // admission order, ties and pricing of this run may not move.
+    const HksParams &ark = benchmarkByName("ARK");
+    ServeSpec sp;
+    sp.classes.push_back(
+        {"reduce8", HeWorkload::reduction(8), ark, Dataflow::OC, 1});
+    sp.classes.push_back(
+        {"matvec4", HeWorkload::matVec(4), ark, Dataflow::OC, 1});
+    sp.classes.push_back({"gang2", HeWorkload::reduction(2),
+                          benchmarkByName("BTS1"), Dataflow::MP, 2});
+    sp.fleet.chip.bandwidthGBps = 4.0;
+    sp.fleet.chips = 4;
+    sp.fleet.keyCacheBytes = ark.evkBytes() * 8;
+    sp.batch.targetBatch = 8;
+    ExperimentRunner runner(2);
+    ServingSim sim(sp, runner);
+    FaultServingSim fs(sim);
+
+    const double horizon = 100.0;
+    ArrivalSpec as;
+    as.tenants.push_back({16.0, {3.0, 1.0, 1.0}});
+    as.tenants.push_back({16.0, {1.0, 3.0, 1.0}});
+    as.tenants.push_back({8.0, {1.0, 1.0, 2.0}});
+    as.horizonSec = horizon;
+    std::vector<JobArrival> arr = poissonArrivals(as, 77);
+    for (std::size_t i = 0; i < arr.size(); i += 5)
+        arr[i].deadlineSec = 0.2 * horizon;
+
+    fault::FaultModel fm;
+    fm.stallMtbfSec = 0.3 * horizon;
+    fm.stallFactor = 0.3;
+    fm.stallDurSec = 0.02 * horizon;
+    fm.horizonSec = 0.9 * horizon;
+    fault::FaultTrace tr =
+        fault::sampleTrace(fm, fs.shape(), faultStreamSeed(77, 0));
+    using fault::FaultKind;
+    tr.events.push_back(
+        {0.15 * horizon, FaultKind::ChannelDegrade, 0, 0, 0.6, 0.0});
+    tr.events.push_back({0.3 * horizon, FaultKind::ChipFail, 3, 0, 1.0, 0.0});
+    tr.events.push_back({0.5 * horizon, FaultKind::ChipFail, 2, 0, 1.0, 0.0});
+    tr.events.push_back({0.7 * horizon, FaultKind::ChipFail, 1, 0, 1.0, 0.0});
+    tr.events.push_back({0.9 * horizon, FaultKind::ChipFail, 0, 0, 1.0, 0.0});
+    tr.normalize();
+    RetryPolicy pol;
+    pol.backoffSec = 0.01 * horizon;
+
+    std::vector<JobResult> out;
+    FaultServeStats st;
+    ASSERT_TRUE(fs.run(arr, tr, pol, out, st).ok());
+    EXPECT_GE(st.done.maxQueueDepth, 1000u);
+    EXPECT_GT(st.timedOutJobs, 0u);
+    EXPECT_GT(st.retries, 0u);
+    EXPECT_EQ(st.failovers, 1u);
+    EXPECT_EQ(st.chipFailures, 4u);
+    EXPECT_EQ(st.lostJobs, 0u);
+    EXPECT_EQ(st.completedJobs + st.rejectedJobs, arr.size());
+    EXPECT_GT(st.degradedJobs, 0u);
+    const std::uint64_t h = fnv1a(serializeRun(out, st));
+    EXPECT_EQ(h, 0x58a2e3cd9a004523ull) << std::hex << "0x" << h;
+}
+
+TEST(FaultServe, FleetDeathRejectsInQueueOrder)
+{
+    // One chip, two classes alternating at t = 0: chip death mid-job
+    // rejects the queued jobs in queue (arrival) order across both
+    // classes, then the salvaged retry.
+    const HksParams &ark = benchmarkByName("ARK");
+    ServeSpec sp = oneOpSpec(1);
+    sp.classes.push_back(
+        {"rotMP", HeWorkload::reduction(2), ark, Dataflow::MP, 1});
+    ExperimentRunner runner(2);
+    ServingSim sim(sp, runner);
+    const double c = sim.classServiceSec(0, false);
+    std::vector<JobArrival> arr;
+    for (std::uint32_t i = 0; i < 6; ++i)
+        arr.push_back({0.0, i % 2, i});
+    normalizeArrivals(arr);
+    fault::FaultTrace tr;
+    tr.events.push_back(
+        {0.5 * c, fault::FaultKind::ChipFail, 0, 0, 1.0, 0.0});
+
+    FaultServingSim fs(sim);
+    std::vector<JobResult> out;
+    FaultServeStats st;
+    obs::ScenarioTrace viz;
+    ASSERT_TRUE(fs.run(arr, tr, RetryPolicy{}, out, st, &viz).ok());
+    std::vector<std::string> rejects;
+    for (const obs::TraceMark &m : viz.marks)
+        if (m.label.rfind("reject job ", 0) == 0)
+            rejects.push_back(m.label);
+    const std::vector<std::string> want{"reject job 1", "reject job 2",
+                                        "reject job 3", "reject job 4",
+                                        "reject job 5", "reject job 0"};
+    EXPECT_EQ(rejects, want);
+    EXPECT_EQ(st.rejectedJobs, 6u);
+    EXPECT_EQ(st.lostJobs, 0u);
+}
+
 TEST(FaultServe, TenantAndFaultSeedStreamsAreDisjoint)
 {
     const std::uint64_t seed = 9;
@@ -954,6 +1481,45 @@ TEST(ChipEpochs, HorizonBoundedTableReplaysBitIdentically)
         cs.replayPiecewise(rates, bounded, nullptr, scratch);
     EXPECT_EQ(mFull, mBounded);
     EXPECT_GT(mFull, healthy);
+}
+
+TEST(ChipEpochs, ShiftedFutureDegradeIsKept)
+{
+    // (at - shift) + shift rounds below `at` for this pair: testing
+    // activity back in the absolute clock dropped the degrade and left
+    // the table empty. The local clock keeps it at its shifted edge.
+    const double at = 47.075213249023243;
+    const double shift = 7.435061503109555;
+    ASSERT_LT((at - shift) + shift, at);
+    fault::FaultTrace tr;
+    tr.events.push_back(
+        {at, fault::FaultKind::ChannelDegrade, 0, 0, 0.5, 0.0});
+    const sim::RateEpochs ep = fault::buildChipEpochs(tr, 0, 2, shift);
+    ASSERT_EQ(ep.off.size(), 3u);
+    ASSERT_EQ(ep.off[1] - ep.off[0], 1u);
+    EXPECT_EQ(ep.at[0], at - shift);
+    EXPECT_EQ(ep.mult[0], 0.5);
+    EXPECT_EQ(ep.off[2] - ep.off[1], 0u);
+}
+
+TEST(ChipEpochs, ShiftedFutureStallEnds)
+{
+    // Here the stall's end rounds back below its absolute end, so the
+    // stall read as still active at its own end edge and never ended.
+    const double at = 98.24211088259253;
+    const double dur = 4.363314749529641;
+    const double shift = 28.421950368700585;
+    const double end = at + dur;
+    ASSERT_LT((end - shift) + shift, end);
+    fault::FaultTrace tr;
+    tr.events.push_back(
+        {at, fault::FaultKind::TransientStall, 0, 0, 0.25, dur});
+    const sim::RateEpochs ep = fault::buildChipEpochs(tr, 0, 1, shift);
+    ASSERT_EQ(ep.at.size(), 2u);
+    EXPECT_EQ(ep.at[0], at - shift);
+    EXPECT_EQ(ep.mult[0], 0.25);
+    EXPECT_EQ(ep.at[1], end - shift);
+    EXPECT_EQ(ep.mult[1], 1.0);
 }
 
 TEST(ChromeTrace, CutSegmentClampsStraddlingOps)

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <list>
 #include <string>
 #include <vector>
@@ -82,6 +83,38 @@ sameResults(const std::vector<JobResult> &a,
             return false;
     }
     return true;
+}
+
+/** FNV-1a 64 of every JobResult field and every ServeStats field,
+ * doubles as hex floats: equal runs hash equal. */
+std::uint64_t
+runHash(const std::vector<JobResult> &v, const ServeStats &st)
+{
+    std::string s;
+    char line[512];
+    for (const JobResult &r : v) {
+        std::snprintf(line, sizeof line, "%a %a %a %u %u %u %u %d %u %d %d\n",
+                      r.arriveSec, r.startSec, r.finishSec, r.klass,
+                      r.tenant, r.chip, r.batch,
+                      static_cast<int>(r.warmStart), r.retries,
+                      static_cast<int>(r.rejected),
+                      static_cast<int>(r.degraded));
+        s += line;
+    }
+    std::snprintf(line, sizeof line,
+                  "%zu %zu %zu %zu %zu %zu %zu %a %a %a %a %a %a %a\n",
+                  st.jobs, st.batches, st.batchedJobs, st.warmJobs,
+                  st.keyCacheHitOps, st.totalOps, st.maxQueueDepth,
+                  st.makespanSec, st.qps, st.meanLatencySec,
+                  st.p50LatencySec, st.p99LatencySec, st.p999LatencySec,
+                  st.maxLatencySec);
+    s += line;
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
 }
 
 TEST(Arrivals, SeededStreamsAreBitReproducible)
@@ -418,6 +451,38 @@ TEST(Serve, GangClassMatchesShardedReference)
     for (std::size_t i = 0; i < sp.classes[0].workload.ops.size(); ++i)
         t += opRt;
     EXPECT_EQ(out[0].finishSec, t);
+}
+
+TEST(Serve, GoldenStreamPin)
+{
+    // An overloaded three-class fleet (a gang class included) with both
+    // batch caps active: the queue runs thousands deep. Every result
+    // and stats field is pinned by hash, so any change to admission
+    // order, batching or pricing shows up here.
+    const HksParams &ark = benchmarkByName("ARK");
+    ServeSpec sp = twoClassSpec(3, 8);
+    sp.classes.push_back({"gang2", HeWorkload::reduction(2),
+                          benchmarkByName("BTS1"), Dataflow::MP, 2});
+    sp.fleet.keyCacheBytes = ark.evkBytes() * 6;
+    ExperimentRunner runner(2);
+    ServingSim probe(sp, runner);
+    sp.batch.targetBatchSec = 5.0 * probe.classServiceSec(0, true);
+    ServingSim sim(sp, runner);
+
+    ArrivalSpec as;
+    as.tenants.push_back({16.0, {3.0, 1.0, 1.0}});
+    as.tenants.push_back({16.0, {1.0, 3.0, 1.0}});
+    as.tenants.push_back({8.0, {1.0, 1.0, 2.0}});
+    as.horizonSec = 100.0;
+    const std::vector<JobArrival> arr = poissonArrivals(as, 2024);
+
+    std::vector<JobResult> out;
+    ServeStats st;
+    ASSERT_TRUE(sim.run(arr, out, st).ok());
+    EXPECT_GE(st.maxQueueDepth, 1000u);
+    EXPECT_GT(st.batchedJobs, 0u);
+    EXPECT_EQ(runHash(out, st), 0xac53a3d5638b86c1ull)
+        << std::hex << "0x" << runHash(out, st);
 }
 
 TEST(Serve, EvalCacheSharedAcrossSimulators)
