@@ -24,7 +24,11 @@
  * one-task partition move (recompilePartition) vs a from-scratch
  * ShardedEngine::compile — after asserting the patched schedules
  * replay bit-identically to fresh compiles of the same target. CI
- * gates patchSpeedup (compile_ms / channel_repatch_ms) >= 5x.
+ * gates patchSpeedup (compile_ms / channel_repatch_ms) >= 5x. It also
+ * times the bind a placement search or tuner pays per point: binding
+ * the experiment's compiled schedule into a reused output
+ * (shard_bind_ms), after asserting it replays exactly like
+ * compile(g, p); CI gates shard_bind_identical == true.
  *
  * The traced-replay section measures the opt-in observer
  * (obs::replayTraced) against the plain replay over the same
@@ -129,6 +133,22 @@ bitIdentical(const SimStats &a, const SimStats &b)
            a.trafficBytes == b.trafficBytes && a.modOps == b.modOps;
 }
 
+/** Equal sharded replays: makespan, transfers, every resource. */
+bool
+bitIdentical(const shard::ShardedStats &a, const shard::ShardedStats &b)
+{
+    if (a.runtime != b.runtime || a.transferTasks != b.transferTasks ||
+        a.transferBytes != b.transferBytes ||
+        a.resources.size() != b.resources.size())
+        return false;
+    for (std::size_t r = 0; r < a.resources.size(); ++r)
+        if (a.resources[r].name != b.resources[r].name ||
+            a.resources[r].busySeconds != b.resources[r].busySeconds ||
+            a.resources[r].jobs != b.resources[r].jobs)
+            return false;
+    return true;
+}
+
 struct Row
 {
     std::string name;
@@ -139,11 +159,13 @@ struct Row
     double compileMs = 0.0;
     double channelRepatchMs = 0.0;
     double shardCompileMs = 0.0;
+    double shardBindMs = 0.0;
     double shardMoveRepatchMs = 0.0;
     /** Per-op records one traced replay of this schedule appends. */
     std::size_t traceOps = 0;
     bool identical = true;
     bool tracedIdentical = true;
+    bool shardBindIdentical = true;
 
     double
     speedup() const
@@ -397,6 +419,19 @@ main()
                              name);
                 row.identical = false;
             }
+            // The bind identity: the experiment's compiled schedule,
+            // bound to p1, replays exactly like compile(g, p1).
+            shard::ShardedCompiled bound;
+            seng.bind(exp, p1, bound);
+            if (!bitIdentical(seng.replay(bound), seng.replay(fresh))) {
+                std::fprintf(stderr,
+                             "FAIL: %s: shard schedule bound from the "
+                             "experiment and compile(g, p) replay "
+                             "differently\n",
+                             name);
+                row.identical = false;
+                row.shardBindIdentical = false;
+            }
 
             {
                 const int reps = 10;
@@ -407,6 +442,13 @@ main()
                     (void)sc;
                 }
                 row.shardCompileMs = secondsSince(t0) * 1e3 / reps;
+            }
+            {
+                const int reps = 100;
+                const Clock::time_point t0 = Clock::now();
+                for (int i = 0; i < reps; ++i)
+                    seng.bind(exp, i % 2 == 0 ? p0 : p1, bound);
+                row.shardBindMs = secondsSince(t0) * 1e3 / reps;
             }
             {
                 const int reps = 40;
@@ -458,17 +500,20 @@ main()
     std::printf("\n");
     benchutil::header("patch_vs_recompile: in-place rebinding vs "
                       "fresh compiles");
-    std::printf("%-9s | %8s %9s %8s | %9s %9s %8s\n", "Benchmark",
+    std::printf("%-9s | %8s %9s %8s | %9s %9s %9s %8s\n", "Benchmark",
                 "compile", "chrepatch", "speedup", "shardcomp",
-                "moverepatch", "speedup");
+                "shardbind", "moverepatch", "speedup");
     benchutil::rule();
     bool meets_patch_target = true;
+    bool all_shard_bind_identical = true;
     for (const Row &r : rows) {
         std::printf("%-9s | %6.2fms %7.3fms %7.1fx | %7.2fms %7.3fms "
-                    "%7.1fx\n",
+                    "%7.3fms %7.1fx\n",
                     r.name.c_str(), r.compileMs, r.channelRepatchMs,
-                    r.patchSpeedup(), r.shardCompileMs,
+                    r.patchSpeedup(), r.shardCompileMs, r.shardBindMs,
                     r.shardMoveRepatchMs, r.shardMoveSpeedup());
+        all_shard_bind_identical =
+            all_shard_bind_identical && r.shardBindIdentical;
         meets_patch_target =
             meets_patch_target && r.patchSpeedup() >= 5.0;
     }
@@ -477,6 +522,8 @@ main()
                 "channels in place, alternating two layouts)\n");
     std::printf("shardcomp   = ShardedEngine::compile at K=4 (the cost "
                 "a partition move used to pay)\n");
+    std::printf("shardbind   = ShardedEngine::bind from the experiment's "
+                "compiled schedule into a reused output (a tuner point)\n");
     std::printf("moverepatch = ShardedEngine::recompilePartition after "
                 "a one-task move (dirty shards only re-place)\n");
 
@@ -522,6 +569,7 @@ main()
         w.field("points_per_loop", bws.size());
         w.field("batch_lanes", sim::kBatchLanes);
         w.field("traced_identical", all_traced_identical);
+        w.field("shard_bind_identical", all_shard_bind_identical);
         w.beginArray("rows");
         for (const Row &r : rows) {
             w.beginObject();
@@ -537,6 +585,8 @@ main()
             w.field("channel_repatch_ms", r.channelRepatchMs);
             w.field("patchSpeedup", r.patchSpeedup());
             w.field("shard_compile_ms", r.shardCompileMs);
+            w.field("shard_bind_ms", r.shardBindMs);
+            w.field("shard_bind_identical", r.shardBindIdentical);
             w.field("shard_move_repatch_ms", r.shardMoveRepatchMs);
             w.field("shardMoveSpeedup", r.shardMoveSpeedup());
             w.field("traced_sims_per_sec", r.traced.simsPerSec);

@@ -206,6 +206,15 @@ struct RpuLayout
                (static_cast<std::uint64_t>(channelPolicy) << 1) |
                (splitComputePipes ? 1u : 0u);
     }
+
+    /**
+     * The tag() bits that shape a compiled skeleton: vector length
+     * and pipe split. Two layouts agreeing on them lower a graph to
+     * the same task order, deps and op numerators, and differ only in
+     * which channel serves each memory op.
+     */
+    static constexpr std::uint64_t kSkeletonTagMask =
+        (0xFFFFFFFFull << 8) | 1u;
 };
 
 } // namespace ciflow

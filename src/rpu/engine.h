@@ -56,7 +56,7 @@ constexpr std::size_t kWorkShuffle = 1; ///< elems / shuffleElemsPerSec
  * Stateful memory-task placement across one RPU's DRAM channels.
  *
  * Implements every ChannelPolicy in one place so the compile path, the
- * rebuild reference path, and the multi-RPU shard compiler (which runs
+ * rebuild reference path, and the multi-RPU shard bind (which runs
  * one placer per chip) agree on placement by construction:
  *  - Interleave: round-robin over all channels.
  *  - EvkDedicated: evk streams own the last channel; everything else
@@ -227,8 +227,9 @@ class RpuEngine
      * block that starts at `base`: channels occupy ids
      * [base, base + channelCount()) and the compute pipe(s) follow, in
      * the same order compile() registers them. compile() lowers with
-     * base 0; the shard compiler lowers each chip's tasks with that
-     * chip's block offset, reproducing single-RPU lowering exactly.
+     * base 0; the legacy graph-lowering shard reference
+     * (tests/legacy_shard_lowering.h) lowers each chip's tasks with
+     * that chip's block offset.
      */
     void lowerTask(const Task &t, const CodeGen &cg,
                    ChannelPlacer &placer, sim::ResourceId base,

@@ -89,6 +89,7 @@ struct FaultServingSim::Assets
         bool failedOver = false;
     };
 
+    /** The gang classes' engine; null when no class gangs. */
     std::unique_ptr<shard::ShardedEngine> eng;
     /** ops[k * 2 + variant]; variant 0 = miss, 1 = hit. Unused (empty)
      * for gang classes. */
@@ -106,8 +107,6 @@ FaultServingSim::FaultServingSim(ServingSim &s)
     MemoryConfig hitMem = missMem;
     hitMem.evkOnChip = true;
 
-    assets->eng = std::make_unique<shard::ShardedEngine>(
-        sp.fleet.chip, sp.fleet.interconnect);
     assets->ops.resize(sp.classes.size() * 2);
     assets->gang.resize(sp.classes.size());
     for (std::size_t k = 0; k < sp.classes.size(); ++k) {
@@ -127,6 +126,11 @@ FaultServingSim::FaultServingSim(ServingSim &s)
             }
             continue;
         }
+        // Only gang classes use the interconnect, so only they build
+        // the engine (checkSpec validated the network for them).
+        if (!assets->eng)
+            assets->eng = std::make_unique<shard::ShardedEngine>(
+                sp.fleet.chip, sp.fleet.interconnect);
         auto g = std::make_unique<Assets::Gang>();
         g->spec = shard::placementShardSpec(jc.params, jc.shards,
                                             sp.fleet.strategy,
@@ -141,10 +145,8 @@ FaultServingSim::FaultServingSim(ServingSim &s)
             shard::partitionGraph(g->expMiss->graph(), g->spec, g->wMiss);
         g->baseHit =
             shard::partitionGraph(g->expHit->graph(), g->spec, g->wHit);
-        g->psMiss =
-            assets->eng->compilePatchable(g->expMiss->graph(), g->baseMiss);
-        g->psHit =
-            assets->eng->compilePatchable(g->expHit->graph(), g->baseHit);
+        g->psMiss = assets->eng->compilePatchable(*g->expMiss, g->baseMiss);
+        g->psHit = assets->eng->compilePatchable(*g->expHit, g->baseHit);
         assets->eng->rates(g->psMiss.compiled, g->rMiss);
         assets->eng->rates(g->psHit.compiled, g->rHit);
         g->slotAlive.assign(jc.shards, 1);

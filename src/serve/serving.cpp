@@ -153,6 +153,12 @@ checkSpec(const ServeSpec &spec)
     if (anyGang && !spec.fleet.chip.channelGBps.empty())
         return bad("gang-scheduled classes require symmetric DRAM "
                    "channels");
+    if (anyGang)
+        if (const sim::Error err =
+                shard::checkInterconnect(spec.fleet.interconnect))
+            return bad("gang-scheduled classes need a valid "
+                       "interconnect: " +
+                       err.context);
     if (ovr.empty() && !(std::isfinite(spec.fleet.chip.bandwidthGBps) &&
                          spec.fleet.chip.bandwidthGBps > 0.0) &&
         spec.fleet.chip.channelGBps.empty())
@@ -292,7 +298,7 @@ ServingSim::buildModels(ExperimentRunner &runner, tune::EvalCache *cache)
                     const shard::ShardedEngine eng(
                         sp.fleet.chip, sp.fleet.interconnect);
                     const shard::ShardedCompiled sc =
-                        eng.compile(exp->graph(), part);
+                        eng.compile(*exp, part);
                     for (std::size_t j = 0; j < missing.size(); ++j)
                         rt[j] = eng.replayRuntime(sc);
                     cutBytes = part.cutBytes;

@@ -20,8 +20,11 @@
 #ifndef CIFLOW_SHARD_INTERCONNECT_H
 #define CIFLOW_SHARD_INTERCONNECT_H
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+
+#include "sim/error.h"
 
 namespace ciflow::shard
 {
@@ -68,6 +71,27 @@ struct InterconnectConfig
         return from * (shards - 1) + (to < from ? to : to - 1);
     }
 };
+
+/**
+ * Non-aborting validation of an interconnect: BadInterconnect unless
+ * latencySec is finite and >= 0 and linkGBps is positive (+inf is a
+ * legal free link). A NaN latency would drop a transfer out of
+ * replay's max and a negative one would make it visible before it was
+ * sent, so both are rejected here, once: ShardedEngine's constructor
+ * calls this, which is what lets its binds append transfer ops
+ * without re-validating them.
+ */
+inline sim::Error
+checkInterconnect(const InterconnectConfig &net)
+{
+    if (!(std::isfinite(net.latencySec) && net.latencySec >= 0.0))
+        return {sim::ErrorCode::BadInterconnect,
+                "link latency must be finite and >= 0 seconds"};
+    if (!(net.linkGBps > 0.0))
+        return {sim::ErrorCode::BadInterconnect,
+                "link bandwidth must be > 0 GB/s (+inf is a free link)"};
+    return {};
+}
 
 } // namespace ciflow::shard
 

@@ -6,7 +6,7 @@
  * chips and materializes the cross-shard dependencies as *cut edges*:
  * one transfer per (producer task, destination shard), deduplicated, so
  * a value consumed by many tasks on the same remote chip ships once.
- * The shard compiler (sharded_engine.h) turns each cut edge into a
+ * The shard bind (sharded_engine.h) turns each cut edge into a
  * transfer task queued on an interconnect link.
  *
  * Two strategies:

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/logging.h"
+
 namespace ciflow::shard
 {
 
@@ -17,12 +19,14 @@ placementShardSpec(const HksParams &par, std::size_t shards,
     return ss;
 }
 
-PlacementEval
-evaluatePlacement(const TaskGraph &g, const Partition &p,
-                  const RpuConfig &chip, const InterconnectConfig &net)
+namespace
 {
-    const ShardedEngine eng(chip, net);
-    const ShardedCompiled sc = eng.compile(g, p);
+
+/** Replay one bound placement point and package its PlacementEval. */
+PlacementEval
+evalOf(const ShardedEngine &eng, const ShardedCompiled &sc,
+       const Partition &p)
+{
     PlacementEval e;
     e.runtime = eng.replayRuntime(sc);
     e.cutBytes = p.cutBytes;
@@ -31,10 +35,34 @@ evaluatePlacement(const TaskGraph &g, const Partition &p,
     return e;
 }
 
+} // namespace
+
+PlacementEval
+evaluatePlacement(const TaskGraph &g, const Partition &p,
+                  const RpuConfig &chip, const InterconnectConfig &net)
+{
+    const ShardedEngine eng(chip, net);
+    return evalOf(eng, eng.compile(g, p), p);
+}
+
+PlacementEval
+evaluatePlacement(const HksExperiment &exp, const Partition &p,
+                  const RpuConfig &chip, const InterconnectConfig &net)
+{
+    // One bound schedule per thread, rebound point after point, like
+    // the engines' replay scratch.
+    thread_local ShardedCompiled sc;
+    const ShardedEngine eng(chip, net);
+    eng.bind(exp, p, sc);
+    return evalOf(eng, sc, p);
+}
+
 std::vector<PlacementResult>
 searchPlacements(ExperimentRunner &runner, const HksParams &par,
                  const MemoryConfig &mem, const PlacementSpec &spec)
 {
+    if (const sim::Error err = checkInterconnect(spec.interconnect))
+        fatal("placement search interconnect: " + err.message());
     // The chips simulate the graph the experiment was built against,
     // so their memory-system fields must match it.
     RpuConfig chip = spec.chip;
@@ -111,9 +139,10 @@ searchPlacements(ExperimentRunner &runner, const HksParams &par,
     }
     runner.runAll(jobs);
 
-    // Phase 2: compile each (cut, topology) grid point once and
-    // replay the whole bandwidth axis as one batch. K=1 needs no
-    // topology sweep either — there are no links.
+    // Phase 2: bind each (cut, topology) grid point once from the
+    // experiment's compiled schedule and replay the whole bandwidth
+    // axis as one batch. K=1 needs no topology sweep either — there
+    // are no links.
     struct Job
     {
         const Cut *cut = nullptr;
@@ -140,8 +169,7 @@ searchPlacements(ExperimentRunner &runner, const HksParams &par,
             InterconnectConfig net = spec.interconnect;
             net.topology = j.topology;
             const ShardedEngine eng(chip, net);
-            const ShardedCompiled sc =
-                eng.compile(c.exp->graph(), c.partition);
+            const ShardedCompiled sc = eng.compile(*c.exp, c.partition);
             std::vector<double> runtimes(bws.size());
             eng.replayRuntimeMany(sc, bws.data(), bws.size(),
                                   runtimes.data());

@@ -4,8 +4,10 @@
  * dataflow) for one benchmark and rank the candidates against the
  * single-RPU baseline.
  *
- * Each grid point partitions the cached task graph, compiles the shard
- * schedule once, and replays it — cheap enough (compile-once replay,
+ * Each grid point partitions the cached task graph, binds the shard
+ * schedule once from the experiment's already compiled single-chip
+ * schedule (ShardedEngine::compile(exp, p): no graph lowering), and
+ * replays it — cheap enough (compile-once replay,
  * ExperimentRunner::runAll fan-out across the thread pool) that a
  * search over thousands of candidate cuts is a second-scale affair.
  * Results are deterministic: simulation is a pure function of
@@ -112,12 +114,24 @@ struct PlacementEval
 
 /**
  * Compile + replay one placement point: `g` under partition `p` on
- * `chip`-configured RPUs joined by `net`. The single evaluation step
- * both searchPlacements grid points and tuner shard-axis points go
- * through — a pure function of its arguments, so equal inputs give
+ * `chip`-configured RPUs joined by `net`, through
+ * ShardedEngine::compile(g, p) (a single-chip compile, then the
+ * bind). A pure function of its arguments, so equal inputs give
  * bit-identical runtimes regardless of which harness asked.
  */
 PlacementEval evaluatePlacement(const TaskGraph &g, const Partition &p,
+                                const RpuConfig &chip,
+                                const InterconnectConfig &net);
+
+/**
+ * evaluatePlacement(exp.graph(), p, chip, net), bound from the
+ * experiment's compiled schedule into a per-thread buffer (see
+ * ShardedEngine::bind) instead of compiling the graph again: the
+ * evaluation step of the auto-tuner's shard-axis points. Bit-identical
+ * to the graph form.
+ */
+PlacementEval evaluatePlacement(const HksExperiment &exp,
+                                const Partition &p,
                                 const RpuConfig &chip,
                                 const InterconnectConfig &net);
 

@@ -1,7 +1,7 @@
 #include "shard/sharded_engine.h"
 
-#include <string>
-#include <unordered_map>
+#include <algorithm>
+#include <cstdio>
 
 #include "common/logging.h"
 #include "common/units.h"
@@ -43,116 +43,164 @@ shardedTag(const RpuLayout &chip, std::size_t shards, Topology topo)
             (topo == Topology::PointToPoint ? 2u : 0u) | 1u);
 }
 
+/**
+ * Whether `src` lowers with `chip`'s pipe split and vector length —
+ * the two layout axes that shape a schedule's skeleton — so a bind can
+ * copy its deps and op numerators verbatim.
+ */
+bool
+sameSkeleton(const RpuConfig &chip, const sim::CompiledSchedule &src)
+{
+    return (src.baseLayoutTag() & RpuLayout::kSkeletonTagMask) ==
+           (RpuLayout::of(chip).tag() & RpuLayout::kSkeletonTagMask);
+}
+
+/** Bind state of the one-shot entry points, reused per thread. */
+ShardBinding &
+bindTls()
+{
+    thread_local ShardBinding b;
+    return b;
+}
+
+/** Record `g`'s per-task memory payloads and evk flags in `b`. */
+void
+loadPayloads(const TaskGraph &g, ShardBinding &b)
+{
+    b.memBytes.resize(g.size());
+    b.isEvk.resize(g.size());
+    for (const Task &t : g.tasks()) {
+        b.memBytes[t.id] = t.bytes;
+        b.isEvk[t.id] = t.isEvk ? 1 : 0;
+    }
+}
+
 } // namespace
 
-void
-ShardedEngine::compileInto(const TaskGraph &g, const Partition &p,
-                           ShardedCompiled &sc,
-                           ShardedPatchable *meta) const
+ShardedEngine::ShardedEngine(const RpuConfig &chip,
+                             const InterconnectConfig &ic)
+    : cfg(chip), net(ic)
 {
-    g.validate();
-    panicIf(p.shardOf.size() != g.size(),
-            "partition does not cover the graph");
+    if (const sim::Error err = checkInterconnect(net))
+        fatal("interconnect: " + err.message());
+}
+
+void
+ShardedEngine::bindInto(const sim::CompiledSchedule &src,
+                        const Partition &p, ShardBinding &b,
+                        ShardedCompiled &sc) const
+{
+    const std::size_t n = src.taskCount();
+    panicIf(!sameSkeleton(cfg, src),
+            "bind source was compiled with another pipe split or "
+            "vector length than the engine chip");
+    panicIf(b.memBytes.size() != n,
+            "bind source was not compiled from this graph (task "
+            "counts differ)");
+    panicIf(p.shardOf.size() != n, "partition does not cover the graph");
+    panicIf(&src == &sc.schedule, "bind source is its own output");
     const std::size_t k = p.shards;
     const std::size_t nchan = cfg.channelCount();
-    const std::size_t per_chip = nchan + cfg.computePipeCount();
+    const std::size_t pipes = cfg.computePipeCount();
+    const std::size_t per_chip = nchan + pipes;
+    // The source lays out channels first, then the same pipes.
+    const std::size_t src_chan = src.resourceCount() - pipes;
+    const std::uint64_t tag =
+        shardedTag(RpuLayout::of(cfg), k, net.topology);
+    sim::CompiledSchedule &cs = sc.schedule;
+    const bool reused = cs.resourceCount() > 0;
 
     sc.shards = k;
     sc.perChip = per_chip;
     sc.links = net.linkCount(k);
+    sc.transferTasks = 0;
+    sc.transferBytes = 0;
 
     // Chip resource blocks first — channels then pipe(s) within each
-    // block, exactly the single-RPU layout — then the links.
-    for (std::size_t s = 0; s < k; ++s) {
-        const std::string prefix = "rpu" + std::to_string(s) + ".";
-        for (std::size_t c = 0; c < nchan; ++c)
-            sc.schedule.addResource(prefix + "dram" +
-                                    std::to_string(c));
-        if (cfg.splitComputePipes) {
-            sc.schedule.addResource(prefix + "arith");
-            sc.schedule.addResource(prefix + "shuffle");
+    // block, exactly the single-RPU layout — then the links. A reused
+    // schedule already bound under this tag keeps its table.
+    if (!reused || cs.baseLayoutTag() != tag) {
+        cs.patchBegin(k * per_chip + sc.links);
+        char name[64];
+        sim::ResourceId r = 0;
+        const auto named = [&] { cs.patchResourceName(r++, name); };
+        for (std::size_t s = 0; s < k; ++s) {
+            for (std::size_t c = 0; c < nchan; ++c) {
+                std::snprintf(name, sizeof(name), "rpu%zu.dram%zu", s, c);
+                named();
+            }
+            if (cfg.splitComputePipes) {
+                std::snprintf(name, sizeof(name), "rpu%zu.arith", s);
+                named();
+                std::snprintf(name, sizeof(name), "rpu%zu.shuffle", s);
+                named();
+            } else {
+                std::snprintf(name, sizeof(name), "rpu%zu.compute", s);
+                named();
+            }
+        }
+        if (net.topology == Topology::SharedBus) {
+            if (sc.links > 0)
+                cs.patchResourceName(r++, "bus");
         } else {
-            sc.schedule.addResource(prefix + "compute");
+            for (std::size_t a = 0; a < k; ++a)
+                for (std::size_t d = 0; d < k; ++d)
+                    if (a != d) {
+                        std::snprintf(name, sizeof(name), "link%zu>%zu",
+                                      a, d);
+                        named();
+                    }
         }
     }
     const sim::ResourceId link_base =
         static_cast<sim::ResourceId>(k * per_chip);
-    if (net.topology == Topology::SharedBus) {
-        if (sc.links > 0)
-            sc.schedule.addResource("bus");
-    } else {
-        for (std::size_t a = 0; a < k; ++a)
-            for (std::size_t b = 0; b < k; ++b)
-                if (a != b)
-                    sc.schedule.addResource(
-                        "link" + std::to_string(a) + ">" +
-                        std::to_string(b));
-    }
 
-    // Exact totals up front (every cut edge becomes one single-op,
-    // single-dep transfer task) so the CSR build never reallocates.
-    std::size_t ndeps = p.cutEdges.size(), nops = p.cutEdges.size();
-    for (const Task &t : g.tasks()) {
-        ndeps += t.deps.size();
-        nops += 1;
-        if (cfg.splitComputePipes && t.kind == TaskKind::Compute &&
-            t.shuffleOps > 0)
-            nops += 1;
-    }
-    sc.schedule.reserve(g.size() + p.cutEdges.size(), ndeps, nops);
-    if (meta) {
-        const std::size_t graph_deps = ndeps - p.cutEdges.size();
-        const std::size_t graph_ops = nops - p.cutEdges.size();
-        meta->depOff.reserve(g.size() + 1);
-        meta->depOff.push_back(0);
-        meta->depIds.reserve(graph_deps);
-        meta->opOff.reserve(g.size() + 1);
-        meta->opOff.push_back(0);
-        meta->ops.reserve(graph_ops);
-        meta->roles.reserve(graph_ops);
-        meta->memBytes.reserve(graph_ops);
-        meta->chanOf.reserve(graph_ops);
-    }
+    // Cut-edge lookup: (producer, destination shard) -> edge index;
+    // the transfer task itself is created lazily at first consumer.
+    b.cutIndex.clear();
+    for (std::size_t i = 0; i < p.cutEdges.size(); ++i)
+        b.cutIndex.emplace_back(
+            static_cast<std::uint64_t>(p.cutEdges[i].src) * k +
+                p.cutEdges[i].toShard,
+            static_cast<std::uint32_t>(i));
+    std::sort(b.cutIndex.begin(), b.cutIndex.end());
+    constexpr sim::TaskId kUnset = ~sim::TaskId{0};
+    b.transferId.assign(p.cutEdges.size(), kUnset);
+    b.newId.resize(n);
+    b.chanOf.resize(n);
 
-    const RpuEngine eng(cfg);
-    const CodeGen cg(cfg.vectorLen);
     std::vector<ChannelPlacer> placers;
     placers.reserve(k);
     for (std::size_t s = 0; s < k; ++s)
         placers.emplace_back(cfg.channelPolicy, nchan);
 
-    // Cut-edge lookup: (producer, destination shard) -> edge index;
-    // the transfer task itself is created lazily at first consumer.
-    std::unordered_map<std::uint64_t, std::size_t> cut_index;
-    cut_index.reserve(p.cutEdges.size());
-    for (std::size_t i = 0; i < p.cutEdges.size(); ++i)
-        cut_index.emplace(static_cast<std::uint64_t>(
-                              p.cutEdges[i].src) *
-                                  k +
-                              p.cutEdges[i].toShard,
-                          i);
-    constexpr sim::TaskId kUnset = ~sim::TaskId{0};
-    std::vector<sim::TaskId> transfer_id(p.cutEdges.size(), kUnset);
-
-    std::vector<sim::TaskId> new_id(g.size());
-    std::vector<sim::TaskId> deps;
-    std::vector<sim::CompiledOp> ops;
-    for (const Task &t : g.tasks()) {
-        const std::uint32_t shard = p.shardOf[t.id];
-        deps.clear();
-        for (std::uint32_t d : t.deps) {
+    // Exact totals up front (every cut edge becomes one single-op,
+    // single-dep transfer task) so the CSR build never reallocates.
+    const sim::ScheduleView v = src.view();
+    const std::size_t ncut = p.cutEdges.size();
+    cs.clearTasks();
+    cs.reserve(n + ncut, src.depCount() + ncut, src.opCount() + ncut);
+    for (std::size_t t = 0; t < n; ++t) {
+        const std::uint32_t shard = p.shardOf[t];
+        b.depScratch.clear();
+        for (std::uint32_t i = v.depOff[t]; i < v.depOff[t + 1]; ++i) {
+            const sim::TaskId d = v.depIds[i];
             if (p.shardOf[d] == shard) {
-                deps.push_back(new_id[d]);
+                b.depScratch.push_back(b.newId[d]);
                 continue;
             }
             const std::uint64_t key =
                 static_cast<std::uint64_t>(d) * k + shard;
-            const auto it = cut_index.find(key);
-            panicIf(it == cut_index.end(),
-                    "partition cut does not cover a cross-shard "
-                    "dependency");
+            const auto it = std::lower_bound(
+                b.cutIndex.begin(), b.cutIndex.end(),
+                std::pair<std::uint64_t, std::uint32_t>{key, 0});
+            // Branch, not panicIf: the message must not be built per
+            // cross-shard dependency.
+            if (it == b.cutIndex.end() || it->first != key)
+                panic("partition cut does not cover a cross-shard "
+                      "dependency");
             const std::size_t idx = it->second;
-            if (transfer_id[idx] == kUnset) {
+            if (b.transferId[idx] == kUnset) {
                 const CutEdge &e = p.cutEdges[idx];
                 sim::CompiledOp xfer;
                 xfer.resource =
@@ -161,73 +209,118 @@ ShardedEngine::compileInto(const TaskGraph &g, const Partition &p,
                         e.fromShard, e.toShard, k));
                 xfer.bytes = static_cast<double>(e.bytes);
                 xfer.postSeconds = net.latencySec;
-                transfer_id[idx] = sc.schedule.addTask(
-                    {new_id[d]}, {xfer});
+                const sim::TaskId dep = b.newId[d];
+                b.transferId[idx] = cs.addTaskTrusted(&dep, 1, &xfer, 1);
                 ++sc.transferTasks;
                 sc.transferBytes += e.bytes;
             }
-            deps.push_back(transfer_id[idx]);
+            b.depScratch.push_back(b.transferId[idx]);
         }
-        ops.clear();
-        eng.lowerTask(t, cg, placers[shard],
-                      static_cast<sim::ResourceId>(shard * per_chip),
-                      ops);
-        new_id[t.id] = sc.schedule.addTask(deps, ops);
-        if (meta) {
-            meta->depIds.insert(meta->depIds.end(), t.deps.begin(),
-                                t.deps.end());
-            meta->depOff.push_back(
-                static_cast<std::uint32_t>(meta->depIds.size()));
-            meta->ops.insert(meta->ops.end(), ops.begin(), ops.end());
-            meta->opOff.push_back(
-                static_cast<std::uint32_t>(meta->ops.size()));
-            if (t.kind == TaskKind::Compute) {
-                meta->roles.push_back(OpRole::Pipe0);
-                meta->memBytes.push_back(0);
-                meta->chanOf.push_back(0);
-                if (ops.size() > 1) {
-                    meta->roles.push_back(OpRole::Pipe1);
-                    meta->memBytes.push_back(0);
-                    meta->chanOf.push_back(0);
-                }
+
+        b.opScratch.clear();
+        const sim::ResourceId base =
+            static_cast<sim::ResourceId>(shard * per_chip);
+        for (std::uint32_t i = v.opOff[t]; i < v.opOff[t + 1]; ++i) {
+            sim::CompiledOp o;
+            o.bytes = v.opBytes[i];
+            o.work[0] = v.opWork0[i];
+            o.work[1] = v.opWork1[i];
+            o.seconds = v.opSec[i];
+            o.postSeconds = v.opPost[i];
+            if (v.opRes[i] < src_chan) {
+                if (b.shardDirty[shard])
+                    b.chanOf[t] = static_cast<std::uint32_t>(
+                        placers[shard].place(b.memBytes[t],
+                                             b.isEvk[t] != 0));
+                o.resource = base + b.chanOf[t];
             } else {
-                meta->roles.push_back(t.isEvk ? OpRole::MemEvk
-                                              : OpRole::Mem);
-                meta->memBytes.push_back(t.bytes);
-                meta->chanOf.push_back(static_cast<std::uint32_t>(
-                    ops[0].resource - shard * per_chip));
+                o.resource =
+                    base + static_cast<sim::ResourceId>(nchan) +
+                    (v.opRes[i] - static_cast<sim::ResourceId>(src_chan));
             }
+            b.opScratch.push_back(o);
         }
+        // Trusted append: the source's ops passed addTask's cost
+        // validation when it was compiled, transfer ops carry a cut
+        // byte count and an interconnect latency the constructor
+        // validated, and every dep id comes from newId/transferId
+        // entries of earlier iterations, so it precedes the new task.
+        b.newId[t] = cs.addTaskTrusted(b.depScratch.data(),
+                                       b.depScratch.size(),
+                                       b.opScratch.data(),
+                                       b.opScratch.size());
     }
 
-    if (meta) {
-        // Publish the graph -> schedule id mapping of this binding
-        // (recompilePartition refreshes it on every repatch), so
-        // consumers that track per-task state across rebinds — the
-        // fault layer's done masks — never re-derive the interleave.
-        meta->newId = new_id;
-        meta->transferId = transfer_id;
-    }
-    sc.schedule.setLayoutTag(
-        shardedTag(RpuLayout::of(cfg), k, net.topology));
+    if (reused)
+        cs.patchCommit(tag);
+    else
+        cs.setLayoutTag(tag);
+}
+
+void
+ShardedEngine::bind(const TaskGraph &g, const sim::CompiledSchedule &src,
+                    const Partition &p, ShardedCompiled &out) const
+{
+    ShardBinding &b = bindTls();
+    loadPayloads(g, b);
+    b.shardDirty.assign(p.shards, 1);
+    bindInto(src, p, b, out);
+}
+
+void
+ShardedEngine::bind(const HksExperiment &exp, const Partition &p,
+                    ShardedCompiled &out) const
+{
+    if (sameSkeleton(cfg, exp.compiled()))
+        bind(exp.graph(), exp.compiled(), p, out);
+    else
+        bind(exp.graph(), RpuEngine(cfg).compile(exp.graph()), p, out);
 }
 
 ShardedCompiled
 ShardedEngine::compile(const TaskGraph &g, const Partition &p) const
 {
     ShardedCompiled sc;
-    compileInto(g, p, sc, nullptr);
+    bind(g, RpuEngine(cfg).compile(g), p, sc);
     return sc;
+}
+
+ShardedCompiled
+ShardedEngine::compile(const HksExperiment &exp, const Partition &p) const
+{
+    ShardedCompiled sc;
+    bind(exp, p, sc);
+    return sc;
+}
+
+ShardedPatchable
+ShardedEngine::patchableOf(sim::CompiledSchedule src, const TaskGraph &g,
+                           const Partition &p) const
+{
+    ShardedPatchable ps;
+    ps.source = std::move(src);
+    loadPayloads(g, ps);
+    ps.shardDirty.assign(p.shards, 1);
+    bindInto(ps.source, p, ps, ps.compiled);
+    ps.part = p;
+    return ps;
 }
 
 ShardedPatchable
 ShardedEngine::compilePatchable(const TaskGraph &g,
                                 const Partition &p) const
 {
-    ShardedPatchable ps;
-    compileInto(g, p, ps.compiled, &ps);
-    ps.part = p;
-    return ps;
+    return patchableOf(RpuEngine(cfg).compile(g), g, p);
+}
+
+ShardedPatchable
+ShardedEngine::compilePatchable(const HksExperiment &exp,
+                                const Partition &p) const
+{
+    return patchableOf(sameSkeleton(cfg, exp.compiled())
+                           ? exp.compiled()
+                           : RpuEngine(cfg).compile(exp.graph()),
+                       exp.graph(), p);
 }
 
 void
@@ -246,125 +339,17 @@ ShardedEngine::recompilePartition(ShardedPatchable &ps,
             "patchable sharded schedule was compiled under a "
             "different engine configuration");
 
-    const std::size_t nchan = cfg.channelCount();
-    const std::size_t per_chip = ps.compiled.perChip;
-
     // A shard is dirty when its membership changed (a task left or
     // joined); only dirty shards re-run placement. A clean shard's
     // task sequence is unchanged, so its placer would retrace the
-    // recorded channels — reuse them instead.
+    // recorded channels — the bind reuses them instead.
     ps.shardDirty.assign(k, 0);
     for (std::size_t t = 0; t < n; ++t)
         if (ps.part.shardOf[t] != newP.shardOf[t]) {
             ps.shardDirty[ps.part.shardOf[t]] = 1;
             ps.shardDirty[newP.shardOf[t]] = 1;
         }
-
-    std::vector<ChannelPlacer> placers;
-    placers.reserve(k);
-    for (std::size_t s = 0; s < k; ++s)
-        placers.emplace_back(cfg.channelPolicy, nchan);
-
-    sim::CompiledSchedule &cs = ps.compiled.schedule;
-    cs.clearTasks();
-    ps.compiled.transferTasks = 0;
-    ps.compiled.transferBytes = 0;
-
-    const sim::ResourceId link_base =
-        static_cast<sim::ResourceId>(k * per_chip);
-    std::unordered_map<std::uint64_t, std::size_t> cut_index;
-    cut_index.reserve(newP.cutEdges.size());
-    for (std::size_t i = 0; i < newP.cutEdges.size(); ++i)
-        cut_index.emplace(static_cast<std::uint64_t>(
-                              newP.cutEdges[i].src) *
-                                  k +
-                              newP.cutEdges[i].toShard,
-                          i);
-    constexpr sim::TaskId kUnset = ~sim::TaskId{0};
-    ps.transferId.assign(newP.cutEdges.size(), kUnset);
-    if (ps.newId.size() < n)
-        ps.newId.resize(n);
-
-    for (std::size_t t = 0; t < n; ++t) {
-        const std::uint32_t shard = newP.shardOf[t];
-        ps.depScratch.clear();
-        for (std::uint32_t i = ps.depOff[t]; i < ps.depOff[t + 1];
-             ++i) {
-            const std::uint32_t d = ps.depIds[i];
-            if (newP.shardOf[d] == shard) {
-                ps.depScratch.push_back(ps.newId[d]);
-                continue;
-            }
-            const std::uint64_t key =
-                static_cast<std::uint64_t>(d) * k + shard;
-            const auto it = cut_index.find(key);
-            panicIf(it == cut_index.end(),
-                    "partition cut does not cover a cross-shard "
-                    "dependency");
-            const std::size_t idx = it->second;
-            if (ps.transferId[idx] == kUnset) {
-                const CutEdge &e = newP.cutEdges[idx];
-                sim::CompiledOp xfer;
-                xfer.resource =
-                    link_base +
-                    static_cast<sim::ResourceId>(net.linkIndex(
-                        e.fromShard, e.toShard, k));
-                xfer.bytes = static_cast<double>(e.bytes);
-                xfer.postSeconds = net.latencySec;
-                const sim::TaskId dep = ps.newId[d];
-                ps.transferId[idx] =
-                    cs.addTaskTrusted(&dep, 1, &xfer, 1);
-                ++ps.compiled.transferTasks;
-                ps.compiled.transferBytes += e.bytes;
-            }
-            ps.depScratch.push_back(ps.transferId[idx]);
-        }
-
-        ps.opScratch.clear();
-        const sim::ResourceId base =
-            static_cast<sim::ResourceId>(shard * per_chip);
-        const sim::ResourceId pipe0 =
-            base + static_cast<sim::ResourceId>(nchan);
-        for (std::uint32_t i = ps.opOff[t]; i < ps.opOff[t + 1]; ++i) {
-            sim::CompiledOp o = ps.ops[i];
-            switch (ps.roles[i]) {
-            case OpRole::Mem:
-            case OpRole::MemEvk: {
-                const std::uint32_t chan =
-                    ps.shardDirty[shard]
-                        ? static_cast<std::uint32_t>(
-                              placers[shard].place(
-                                  ps.memBytes[i],
-                                  ps.roles[i] == OpRole::MemEvk))
-                        : ps.chanOf[i];
-                ps.chanOf[i] = chan;
-                o.resource =
-                    base + static_cast<sim::ResourceId>(chan);
-                break;
-            }
-            case OpRole::Pipe0:
-                o.resource = pipe0;
-                break;
-            case OpRole::Pipe1:
-                o.resource = pipe0 + 1;
-                break;
-            }
-            ps.opScratch.push_back(o);
-        }
-        // Trusted append: every template in ps.ops passed addTask's
-        // cost validation when compilePatchable recorded it, the
-        // transfer op's numerators are a cut byte count and a config
-        // latency (finite by construction), and dep ids come from
-        // newId/transferId entries of earlier loop iterations, so
-        // they precede the task being added. The validated addTask's
-        // per-op checks were the dominant cost of a rebind.
-        ps.newId[t] = cs.addTaskTrusted(ps.depScratch.data(),
-                                        ps.depScratch.size(),
-                                        ps.opScratch.data(),
-                                        ps.opScratch.size());
-    }
-
-    cs.patchCommit(shardedTag(RpuLayout::of(cfg), k, net.topology));
+    bindInto(ps.source, newP, ps, ps.compiled);
     ps.part = newP;
 }
 

@@ -3,20 +3,29 @@
  * ShardedEngine: K identical RPUs plus an interconnect, compiled into
  * one sim::CompiledSchedule.
  *
- * compile() lays out K copies of the single-chip resource block
- * (DRAM channels first, then compute pipe(s) — the exact layout
- * RpuEngine::compile uses, produced by the same RpuEngine::lowerTask
- * lowering with a per-chip base offset and a per-chip ChannelPlacer),
- * followed by the interconnect's link channels. Every cut edge of the
- * Partition becomes one *transfer task* between its producer and the
- * first consumer on the destination chip: a bytes payload queued on
- * the link (transfers contend like DRAM traffic) plus a pipelined
- * propagation delay (CompiledOp::postSeconds).
+ * A sharded schedule is a *binding* of a single-chip schedule of the
+ * same graph (an RpuEngine::compile result, such as the one every
+ * HksExperiment already holds), not a second lowering of the graph.
+ * One bind pass builds it: K copies of the single-chip resource block
+ * (DRAM channels first, then compute pipe(s), the RpuEngine layout),
+ * followed by the interconnect's link channels. The pass copies every
+ * task's deps and op cost numerators from the source, offsets pipe
+ * ops into their chip's block, and re-places memory ops with a
+ * per-chip ChannelPlacer from the task's bytes and evk flag, so the
+ * source may use any channel layout but must share the chip's pipe
+ * split and vector length. Every cut edge of the Partition becomes
+ * one *transfer task* between its producer and the first consumer on
+ * the destination chip: a bytes payload queued on the link (transfers
+ * contend like DRAM traffic) plus a pipelined propagation delay
+ * (CompiledOp::postSeconds).
  *
- * Because the per-chip lowering is shared with the single-RPU path, a
- * K=1 partition compiles to the identical op stream with no transfer
- * tasks, and its replay is bit-identical to the single-RPU compiled
- * replay (tests/test_shard.cpp pins this).
+ * compile(g, p) is RpuEngine(chip).compile(g) followed by that bind;
+ * the experiment overloads bind from HksExperiment::compiled() when
+ * its skeleton matches, skipping the single-chip lowering too;
+ * recompilePartition() re-runs the same bind over the patchable's
+ * kept source. A K=1 partition binds to the identical op stream with
+ * no transfer tasks, and its replay is bit-identical to the
+ * single-RPU compiled replay (tests/test_shard.cpp pins this).
  *
  * replay()/replayRuntime() evaluate a compiled shard schedule at the
  * chip + link rates through per-thread scratch, so a K-shard simulate
@@ -27,7 +36,11 @@
 #ifndef CIFLOW_SHARD_SHARDED_ENGINE_H
 #define CIFLOW_SHARD_SHARDED_ENGINE_H
 
+#include <utility>
+#include <vector>
+
 #include "rpu/engine.h"
+#include "rpu/experiment.h"
 #include "shard/interconnect.h"
 #include "shard/partition.h"
 #include "sim/compiled_schedule.h"
@@ -51,47 +64,49 @@ struct ShardedCompiled
 };
 
 /**
- * A sharded compile plus the cached lowering needed to rebind it to a
- * new partition without re-lowering: every graph task's dependency
- * list and compiled op templates (cost numerators, roles, exact
- * memory payloads) are recorded once by compilePatchable(), so a
- * partition move rebuilds only placement — dirty shards re-run their
+ * Per-task state of one bind pass: what it reads to re-place memory
+ * ops, and the graph -> schedule id maps it writes. After a bind,
+ * graph task t is schedule task newId[t] and cut edge j's transfer is
+ * schedule task transferId[j] (or ~0 if the edge never materialized)
+ * — the fault layer's done masks rely on this.
+ */
+struct ShardBinding
+{
+    /** Memory-task payload in bytes per graph task (0 for compute). */
+    std::vector<std::uint64_t> memBytes;
+    /** 1 where graph task t streams evk data. */
+    std::vector<std::uint8_t> isEvk;
+    /** Within-chip channel bound per graph task (memory tasks). */
+    std::vector<std::uint32_t> chanOf;
+    std::vector<sim::TaskId> newId, transferId;
+
+    // Reusable pass scratch (allocation-free once warm). Only shards
+    // with shardDirty[s] != 0 re-run channel placement; the others
+    // reuse chanOf.
+    std::vector<char> shardDirty;
+    std::vector<sim::TaskId> depScratch;
+    std::vector<sim::CompiledOp> opScratch;
+    /** Cut edges keyed (src * K + toShard), sorted for lookup. */
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> cutIndex;
+};
+
+/**
+ * A sharded compile that can be rebound to a new partition without
+ * re-lowering: it keeps its single-chip source schedule plus the
+ * memory payloads and evk flags (the ShardBinding base), so a
+ * partition move re-runs the bind pass — dirty shards re-run their
  * ChannelPlacer, clean shards reuse the recorded channel of every op
  * (valid because placer state depends only on that shard's unchanged
- * task sequence) — and the transfer tasks of the new cut. The
- * schedule member replays exactly like a compile() result.
+ * task sequence) — and materializes the new cut's transfer tasks. The
+ * compiled member replays exactly like a compile() result.
  */
-struct ShardedPatchable
+struct ShardedPatchable : ShardBinding
 {
     ShardedCompiled compiled;
     /** Partition the schedule is currently bound to. */
     Partition part;
-
-    // Cached, partition-independent lowering (built once): graph task
-    // t's deps are depIds[depOff[t]..depOff[t+1]) and its op
-    // templates are index range [opOff[t], opOff[t+1]) below.
-    std::vector<std::uint32_t> depOff;
-    std::vector<std::uint32_t> depIds;
-    std::vector<std::uint32_t> opOff;
-    /** Op cost numerators (resource re-derived at each rebind). */
-    std::vector<sim::CompiledOp> ops;
-    /** Role per cached op (selects channel vs pipe rebinding). */
-    std::vector<OpRole> roles;
-    /** Memory-op payload in bytes (0 for pipe ops). */
-    std::vector<std::uint64_t> memBytes;
-
-    /** Within-chip channel currently bound per memory op. */
-    std::vector<std::uint32_t> chanOf;
-
-    // Reusable recompile scratch (allocation-free once warm). newId
-    // and transferId double as the *current* graph -> schedule id
-    // mapping: after compilePatchable or recompilePartition, graph
-    // task t is schedule task newId[t] and cut edge j's transfer is
-    // schedule task transferId[j] (or ~0 if the edge never
-    // materialized) — the fault layer's done masks rely on this.
-    std::vector<sim::TaskId> newId, transferId, depScratch;
-    std::vector<sim::CompiledOp> opScratch;
-    std::vector<char> shardDirty;
+    /** Single-chip schedule every rebind reads deps and ops from. */
+    sim::CompiledSchedule source;
 };
 
 /** Aggregate results of one sharded simulation. */
@@ -117,40 +132,64 @@ struct ShardedStats
 class ShardedEngine
 {
   public:
-    ShardedEngine(const RpuConfig &chip, const InterconnectConfig &ic)
-        : cfg(chip), net(ic)
-    {
-    }
+    /** fatal() unless checkInterconnect(ic) accepts the network. */
+    ShardedEngine(const RpuConfig &chip, const InterconnectConfig &ic);
 
     /**
-     * Lower `g` under partition `p` once. The result can be replayed
-     * at any rates of a config sharing the chip layout and topology.
+     * Compile `g` under partition `p`: RpuEngine(chip).compile(g)
+     * followed by the bind pass. The result can be replayed at any
+     * rates of a config sharing the chip layout and topology.
      */
     ShardedCompiled compile(const TaskGraph &g,
                             const Partition &p) const;
 
     /**
-     * compile() plus the cached lowering recompilePartition() needs:
-     * the schedule is built by the same pass (bit-identical to
-     * compile()), with the per-task dep lists and op templates
-     * recorded along the way so later partition moves never consult
-     * the graph or CodeGen again.
+     * compile(exp.graph(), p), bound from exp.compiled() when that
+     * schedule has this chip's pipe split and vector length (no
+     * lowering at all) and from a fresh single-chip compile otherwise.
+     * Bit-identical to compile(exp.graph(), p).
+     */
+    ShardedCompiled compile(const HksExperiment &exp,
+                            const Partition &p) const;
+
+    /**
+     * The bind pass into `out`, reusing its buffers: `src` must be a
+     * single-chip compile of `g` with this chip's pipe split and
+     * vector length (any channel layout), and not `out.schedule`
+     * itself, or this panics. A reused `out` gets a new patch
+     * revision; the result replays exactly like compile(g, p).
+     */
+    void bind(const TaskGraph &g, const sim::CompiledSchedule &src,
+              const Partition &p, ShardedCompiled &out) const;
+
+    /** bind() from `exp`'s schedule, as compile(exp, p) picks it. */
+    void bind(const HksExperiment &exp, const Partition &p,
+              ShardedCompiled &out) const;
+
+    /**
+     * compile() that keeps what recompilePartition() needs: the
+     * single-chip source schedule, the memory payloads and evk flags.
+     * Its schedule is bit-identical to compile(g, p).
      */
     ShardedPatchable compilePatchable(const TaskGraph &g,
                                       const Partition &p) const;
 
+    /** compilePatchable() sourced as compile(exp, p) sources it. */
+    ShardedPatchable compilePatchable(const HksExperiment &exp,
+                                      const Partition &p) const;
+
     /**
-     * Rebind `ps` to partition `newP` in place: the task CSR is
-     * rebuilt from the cached op templates (no graph, no CodeGen, no
-     * re-lowering), shards whose membership changed re-run channel
+     * Rebind `ps` to partition `newP` in place by re-running the bind
+     * pass over its kept source (no graph, no CodeGen, no
+     * re-lowering): shards whose membership changed re-run channel
      * placement, untouched shards reuse their existing channel
      * binding, and the new cut's transfer tasks are materialized
      * exactly as compile() would. Commits a patch revision (distinct
      * layoutTag). The shard count cannot change — that resizes the
      * resource table's chip blocks, so compile from scratch. The
      * result is bit-identical to compile(g, newP)
-     * (tests/test_patch.cpp pins move sequences against from-scratch
-     * compiles of the final partition).
+     * (tests/test_patch.cpp pins move sequences against the legacy
+     * graph lowering of the final partition).
      */
     void recompilePartition(ShardedPatchable &ps,
                             const Partition &newP) const;
@@ -188,13 +227,20 @@ class ShardedEngine
     const InterconnectConfig &interconnect() const { return net; }
 
   private:
+    /** compilePatchable() around an already chosen source of `g`. */
+    ShardedPatchable patchableOf(sim::CompiledSchedule src,
+                                 const TaskGraph &g,
+                                 const Partition &p) const;
+
     /**
-     * Shared lowering pass of compile()/compilePatchable(): builds
-     * the schedule into `sc`, recording the patch caches when `meta`
-     * is non-null, so the two entry points cannot drift.
+     * The one bind pass behind every entry point: rebuilds `sc` as
+     * the binding of `src` under `p`, re-placing the memory ops of
+     * the shards `b.shardDirty` marks and reusing `b.chanOf` on the
+     * rest. Reuses `sc`'s buffers; a fresh `sc` is stamped revision
+     * 0, a reused one commits a new patch revision.
      */
-    void compileInto(const TaskGraph &g, const Partition &p,
-                     ShardedCompiled &sc, ShardedPatchable *meta) const;
+    void bindInto(const sim::CompiledSchedule &src, const Partition &p,
+                  ShardBinding &b, ShardedCompiled &sc) const;
 
     RpuConfig cfg;
     InterconnectConfig net;

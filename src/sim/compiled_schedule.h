@@ -294,12 +294,12 @@ class CompiledSchedule
     /**
      * addTask without the per-op cost validation or the forward-dep
      * check, inline so the append is just the CSR pushes. Only for
-     * re-appending op templates a prior addTask() of this process
-     * already validated (the shard engine's partition repatch replays
-     * its cached lowering through here) with dep ids the caller
-     * guarantees precede the new task; patchCommit() still bounds-
-     * checks every op's resource id. The validated addTask() is the
-     * front door for anything lowered from fresh input.
+     * re-appending ops a prior addTask() of this process already
+     * validated (the shard engine binds single-chip schedules through
+     * here) with dep ids the caller guarantees precede the new task;
+     * patchCommit() still bounds-checks every op's resource id. The
+     * validated addTask() is the front door for anything lowered from
+     * fresh input.
      */
     TaskId addTaskTrusted(const TaskId *deps, std::size_t ndeps,
                           const CompiledOp *ops_in, std::size_t nops)

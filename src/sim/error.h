@@ -39,6 +39,8 @@ enum class ErrorCode : std::uint8_t {
     NoSurvivors,
     /** A serving spec or arrival stream is malformed. */
     BadServeSpec,
+    /** An interconnect's latency or link bandwidth is out of range. */
+    BadInterconnect,
 };
 
 /** Short stable name of an error code ("rate-mismatch", ...). */
@@ -62,6 +64,8 @@ errorCodeName(ErrorCode c)
         return "no-survivors";
     case ErrorCode::BadServeSpec:
         return "bad-serve-spec";
+    case ErrorCode::BadInterconnect:
+        return "bad-interconnect";
     }
     return "?";
 }

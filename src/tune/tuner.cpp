@@ -316,7 +316,9 @@ Tuner::evaluateUncached(const TunePoint &p)
 
     // Multi-chip points delegate to the sharding layer through the
     // same per-point helpers searchPlacements uses, so a tuner shard
-    // axis and a placement search agree bit-identically.
+    // axis and a placement search agree bit-identically. The point
+    // binds from the experiment's compiled schedule into a per-thread
+    // buffer: no graph lowering per point.
     const std::vector<double> w = shard::taskWeights(exp->graph(), cfg);
     const shard::Partition part = shard::partitionGraph(
         exp->graph(),
@@ -326,7 +328,7 @@ Tuner::evaluateUncached(const TunePoint &p)
     shard::InterconnectConfig net = sp.interconnect;
     net.topology = p.topology;
     const shard::PlacementEval e =
-        shard::evaluatePlacement(exp->graph(), part, cfg, net);
+        shard::evaluatePlacement(*exp, part, cfg, net);
     m.runtime = e.runtime;
     m.cutBytes = e.cutBytes;
     m.transferTasks = e.transferTasks;

@@ -983,6 +983,35 @@ TEST(FaultServe, TrySimulateMatchesManualConstruction)
     EXPECT_TRUE(sameFaultResults(hout, href));
 }
 
+// Only gang classes ship values over the interconnect: once a class
+// gangs, a NaN link latency is a BadServeSpec; with no gang class the
+// network is never built, and the run equals one on the default
+// interconnect.
+TEST(FaultServe, InterconnectIsValidatedOnlyWhenAClassGangs)
+{
+    ExperimentRunner runner(1);
+    const std::vector<JobArrival> arr = atZero(2);
+    ServeSpec sp = oneOpSpec(2);
+    std::vector<JobResult> ref, out;
+    FaultServeStats rst, st;
+    ASSERT_TRUE(trySimulateFaultServing(sp, arr, fault::FaultTrace{},
+                                        RetryPolicy{}, runner, ref, rst)
+                    .ok());
+    sp.fleet.interconnect.latencySec =
+        std::numeric_limits<double>::quiet_NaN();
+    ASSERT_TRUE(trySimulateFaultServing(sp, arr, fault::FaultTrace{},
+                                        RetryPolicy{}, runner, out, st)
+                    .ok());
+    EXPECT_TRUE(sameFaultResults(out, ref));
+
+    sp.classes[0].shards = 2;
+    const sim::Error err = trySimulateFaultServing(
+        sp, arr, fault::FaultTrace{}, RetryPolicy{}, runner, out, st);
+    EXPECT_EQ(err.code, sim::ErrorCode::BadServeSpec);
+    EXPECT_NE(err.context.find("link latency"), std::string::npos)
+        << err.context;
+}
+
 TEST(FaultServe, PricingMatchesFreshTableReference)
 {
     // One chip, two one-op classes, faults aligned against op

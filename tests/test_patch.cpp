@@ -12,13 +12,21 @@
  * must make patched bindings *distinguishable* from the compiler's
  * stamps (revision-mixed tags), so stale cached ReplayRates keep
  * panicking instead of silently replaying a superseded binding.
+ *
+ * Sharded schedules are bindings of a single-chip compile; every
+ * entry point of that bind pass (compile, the experiment overloads,
+ * bind, compilePatchable, recompilePartition) is pinned against the
+ * legacy graph lowering in legacy_shard_lowering.h, CSR array by CSR
+ * array and id map by id map.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <vector>
 
+#include "legacy_shard_lowering.h"
 #include "rpu/experiment.h"
 #include "shard/placement_search.h"
 #include "shard/sharded_engine.h"
@@ -105,10 +113,75 @@ expectShardStatsEqual(const shard::ShardedStats &a,
     EXPECT_EQ(a.transferBytes, b.transferBytes);
     ASSERT_EQ(a.resources.size(), b.resources.size());
     for (std::size_t r = 0; r < a.resources.size(); ++r) {
+        EXPECT_EQ(a.resources[r].name, b.resources[r].name);
         EXPECT_EQ(a.resources[r].busySeconds,
                   b.resources[r].busySeconds);
         EXPECT_EQ(a.resources[r].jobs, b.resources[r].jobs);
     }
+}
+
+/** Element-wise equality of `n` entries of two CSR arrays. */
+template <typename T>
+bool
+sameArray(const T *a, const T *b, std::size_t n)
+{
+    return std::equal(a, a + n, b);
+}
+
+/**
+ * `got` is the legacy lowering `want`, exactly: the same CSR arrays
+ * (deps, op resources and every cost numerator), the same layout
+ * stamp, and — replayed through `eng` — the same makespan, per-resource
+ * names, busy seconds and job counts, and transfer count and bytes.
+ */
+void
+expectMatchesLegacy(const shard::ShardedEngine &eng,
+                    const shard::ShardedCompiled &got,
+                    const legacy::LoweredShards &want)
+{
+    const sim::ScheduleView a = got.schedule.view();
+    const sim::ScheduleView b = want.compiled.schedule.view();
+    ASSERT_EQ(a.taskCount, b.taskCount);
+    ASSERT_EQ(a.opCount, b.opCount);
+    ASSERT_EQ(a.resourceCount, b.resourceCount);
+    ASSERT_EQ(got.schedule.depCount(), want.compiled.schedule.depCount());
+    EXPECT_TRUE(sameArray(a.depOff, b.depOff, a.taskCount + 1));
+    EXPECT_TRUE(sameArray(a.depIds, b.depIds, got.schedule.depCount()));
+    EXPECT_TRUE(sameArray(a.opOff, b.opOff, a.taskCount + 1));
+    EXPECT_TRUE(sameArray(a.opRes, b.opRes, a.opCount));
+    EXPECT_TRUE(sameArray(a.opBytes, b.opBytes, a.opCount));
+    EXPECT_TRUE(sameArray(a.opWork0, b.opWork0, a.opCount));
+    EXPECT_TRUE(sameArray(a.opWork1, b.opWork1, a.opCount));
+    EXPECT_TRUE(sameArray(a.opSec, b.opSec, a.opCount));
+    EXPECT_TRUE(sameArray(a.opPost, b.opPost, a.opCount));
+    EXPECT_EQ(got.schedule.baseLayoutTag(),
+              want.compiled.schedule.baseLayoutTag());
+    EXPECT_EQ(got.shards, want.compiled.shards);
+    EXPECT_EQ(got.perChip, want.compiled.perChip);
+    EXPECT_EQ(got.links, want.compiled.links);
+    expectShardStatsEqual(eng.replay(got), eng.replay(want.compiled));
+}
+
+/** expectMatchesLegacy plus the patchable's graph -> schedule ids. */
+void
+expectPatchableMatchesLegacy(const shard::ShardedEngine &eng,
+                             const shard::ShardedPatchable &ps,
+                             const legacy::LoweredShards &want)
+{
+    expectMatchesLegacy(eng, ps.compiled, want);
+    EXPECT_EQ(ps.newId, want.newId);
+    EXPECT_EQ(ps.transferId, want.transferId);
+}
+
+/** A chip of `channels` DRAM channels under `pol`, fused or split. */
+RpuConfig
+chipOf(std::size_t channels, ChannelPolicy pol, bool split)
+{
+    RpuConfig c;
+    c.memChannels = channels;
+    c.channelPolicy = pol;
+    c.splitComputePipes = split;
+    return c;
 }
 
 const std::vector<ChannelPolicy> &
@@ -231,8 +304,8 @@ TEST(Patch, ShardMoveSequenceMatchesFromScratchCompile)
     const shard::ShardedEngine seng(chip, net);
     shard::Partition cur = shard::partitionGraph(g, spec, w);
     shard::ShardedPatchable ps = seng.compilePatchable(g, cur);
-    expectShardStatsEqual(seng.replay(ps.compiled),
-                          seng.replay(seng.compile(g, cur)));
+    expectPatchableMatchesLegacy(seng, ps,
+                                 legacy::lowerSharded(chip, net, g, cur));
 
     std::mt19937 rng(7);
     std::uniform_int_distribution<std::size_t> pick(0, g.size() - 1);
@@ -244,10 +317,216 @@ TEST(Patch, ShardMoveSequenceMatchesFromScratchCompile)
         cur = shard::assignmentPartition(g, spec, std::move(assign),
                                          w);
         seng.recompilePartition(ps, cur);
-        expectShardStatsEqual(seng.replay(ps.compiled),
-                              seng.replay(seng.compile(g, cur)));
+        expectPatchableMatchesLegacy(
+            seng, ps, legacy::lowerSharded(chip, net, g, cur));
     }
     EXPECT_GT(ps.compiled.schedule.patchRevision(), 0u);
+}
+
+// Every entry point of the bind pass reproduces the legacy graph
+// lowering on random DAGs: compile, compilePatchable (with its id
+// maps), and bind from single-chip sources compiled at 1, 2 and 4
+// channels under every policy — one reused output carried through
+// the whole walk — across fused and split pipes, engine chips of
+// every channel layout, K in {1, 2, 4}, both topologies and both
+// strategies.
+TEST(ShardBind, EntryPointsMatchLegacyLoweringOnRandomDags)
+{
+    std::mt19937 rng(20261017);
+    shard::ShardedCompiled reused;
+    for (int iter = 0; iter < 2; ++iter) {
+        const TaskGraph g = randomGraph(rng, 90);
+        for (bool split : {false, true})
+            for (std::size_t ch : {1, 2, 4})
+                for (ChannelPolicy pol : allPolicies()) {
+                    const RpuConfig chip = chipOf(ch, pol, split);
+                    const std::vector<double> w =
+                        shard::taskWeights(g, chip);
+                    std::vector<sim::CompiledSchedule> sources;
+                    for (std::size_t sch : {1, 2, 4})
+                        for (ChannelPolicy spol : allPolicies())
+                            sources.push_back(
+                                RpuEngine(chipOf(sch, spol, split))
+                                    .compile(g));
+                    for (std::size_t k : {1, 2, 4})
+                        for (shard::Topology topo :
+                             {shard::Topology::SharedBus,
+                              shard::Topology::PointToPoint})
+                            for (shard::PartitionStrategy strat :
+                                 shard::allStrategies()) {
+                                SCOPED_TRACE(
+                                    "iter " + std::to_string(iter) +
+                                    " split " + std::to_string(split) +
+                                    " ch " + std::to_string(ch) +
+                                    " pol " +
+                                    std::to_string(static_cast<int>(pol)) + " K " +
+                                    std::to_string(k) + " " +
+                                    shard::topologyName(topo) + " " +
+                                    shard::strategyName(strat));
+                                const shard::Partition p =
+                                    shard::partitionGraph(
+                                        g,
+                                        {k, strat, 0.10, 1ull << 12, 2},
+                                        w);
+                                shard::InterconnectConfig net;
+                                net.topology = topo;
+                                const shard::ShardedEngine eng(chip, net);
+                                const legacy::LoweredShards want =
+                                    legacy::lowerSharded(chip, net, g, p);
+                                expectMatchesLegacy(eng, eng.compile(g, p),
+                                                    want);
+                                expectPatchableMatchesLegacy(
+                                    eng, eng.compilePatchable(g, p), want);
+                                for (const sim::CompiledSchedule &src :
+                                     sources) {
+                                    eng.bind(g, src, p, reused);
+                                    expectMatchesLegacy(eng, reused, want);
+                                }
+                            }
+                }
+    }
+    // The reused output committed one patch revision per rebind.
+    EXPECT_GT(reused.schedule.patchRevision(), 0u);
+}
+
+// The same pin on real HKS graphs, through the experiment overloads
+// too: fused chips bind straight from HksExperiment::compiled(),
+// split chips fall back to a fresh single-chip compile, and both
+// equal the legacy lowering.
+TEST(ShardBind, EntryPointsMatchLegacyLoweringOnHksGraphs)
+{
+    const HksParams &par = benchmarkByName("BTS1");
+    const MemoryConfig mem{32ull << 20, false};
+    const HksExperiment exp(par, Dataflow::OC, mem);
+    const TaskGraph &g = exp.graph();
+    shard::ShardedCompiled reused;
+    for (bool split : {false, true})
+        for (const RpuConfig &base :
+             {chipOf(1, ChannelPolicy::Interleave, split),
+              chipOf(2, ChannelPolicy::LeastLoaded, split),
+              chipOf(4, ChannelPolicy::EvkDedicated, split)}) {
+            RpuConfig chip = base;
+            chip.dataMemBytes = mem.dataCapacityBytes;
+            chip.evkOnChip = mem.evkOnChip;
+            const std::vector<double> w = shard::taskWeights(g, chip);
+            for (std::size_t k : {1, 2, 4})
+                for (shard::Topology topo : {shard::Topology::SharedBus,
+                                             shard::Topology::PointToPoint})
+                    for (shard::PartitionStrategy strat :
+                         shard::allStrategies()) {
+                        SCOPED_TRACE("split " + std::to_string(split) +
+                                     " ch " +
+                                     std::to_string(chip.memChannels) +
+                                     " K " + std::to_string(k) + " " +
+                                     shard::topologyName(topo) + " " +
+                                     shard::strategyName(strat));
+                        const shard::Partition p = shard::partitionGraph(
+                            g, shard::placementShardSpec(par, k, strat, 0.10),
+                            w);
+                        shard::InterconnectConfig net;
+                        net.topology = topo;
+                        const shard::ShardedEngine eng(chip, net);
+                        const legacy::LoweredShards want =
+                            legacy::lowerSharded(chip, net, g, p);
+                        expectMatchesLegacy(eng, eng.compile(g, p), want);
+                        expectMatchesLegacy(eng, eng.compile(exp, p), want);
+                        eng.bind(exp, p, reused);
+                        expectMatchesLegacy(eng, reused, want);
+                        expectPatchableMatchesLegacy(
+                            eng, eng.compilePatchable(exp, p), want);
+                        expectPatchableMatchesLegacy(
+                            eng, eng.compilePatchable(g, p), want);
+                        for (std::size_t sch : {1, 2, 4})
+                            for (ChannelPolicy spol : allPolicies()) {
+                                eng.bind(g,
+                                         RpuEngine(chipOf(sch, spol, split))
+                                             .compile(g),
+                                         p, reused);
+                                expectMatchesLegacy(eng, reused, want);
+                            }
+                    }
+        }
+}
+
+// recompilePartition is the same bind pass: walks of random moves
+// and whole-strategy switches on random DAGs keep matching the legacy
+// lowering of the current partition, id maps included, under every
+// policy and both pipe splits.
+TEST(ShardBind, PartitionMovesMatchLegacyLowering)
+{
+    std::mt19937 rng(77);
+    const TaskGraph g = randomGraph(rng, 120);
+    std::uniform_int_distribution<std::size_t> pick(0, g.size() - 1);
+    for (bool split : {false, true})
+        for (ChannelPolicy pol : allPolicies())
+            for (std::size_t k : {2, 4})
+                for (shard::Topology topo : {shard::Topology::SharedBus,
+                                             shard::Topology::PointToPoint}) {
+                    SCOPED_TRACE("split " + std::to_string(split) +
+                                 " pol " + std::to_string(static_cast<int>(pol)) +
+                                 " K " + std::to_string(k) + " " +
+                                 shard::topologyName(topo));
+                    const RpuConfig chip = chipOf(4, pol, split);
+                    shard::InterconnectConfig net;
+                    net.topology = topo;
+                    const shard::ShardedEngine eng(chip, net);
+                    const std::vector<double> w = shard::taskWeights(g, chip);
+                    const shard::ShardSpec spec{
+                        k, shard::PartitionStrategy::ContiguousByLevel,
+                        0.10, 1ull << 12, 2};
+                    shard::Partition cur = shard::partitionGraph(g, spec, w);
+                    shard::ShardedPatchable ps = eng.compilePatchable(g, cur);
+                    std::uniform_int_distribution<std::uint32_t> to(
+                        0, static_cast<std::uint32_t>(k - 1));
+                    for (int move = 0; move < 5; ++move) {
+                        std::vector<std::uint32_t> assign = cur.shardOf;
+                        for (int i = 0; i < 3; ++i)
+                            assign[pick(rng)] = to(rng);
+                        cur = shard::assignmentPartition(
+                            g, spec, std::move(assign), w);
+                        eng.recompilePartition(ps, cur);
+                        expectPatchableMatchesLegacy(
+                            eng, ps, legacy::lowerSharded(chip, net, g, cur));
+                    }
+                    shard::ShardSpec mincut = spec;
+                    mincut.strategy = shard::PartitionStrategy::MinCutGreedy;
+                    cur = shard::partitionGraph(g, mincut, w);
+                    eng.recompilePartition(ps, cur);
+                    expectPatchableMatchesLegacy(
+                        eng, ps, legacy::lowerSharded(chip, net, g, cur));
+                }
+}
+
+// A source the bind cannot copy verbatim is refused: another pipe
+// split or vector length reshapes the skeleton, a source compiled
+// from another graph does not cover the partition's tasks, and a
+// source that is the output would be cleared while being read.
+TEST(ShardBindDeathTest, MismatchedSourcesAreRejected)
+{
+    std::mt19937 rng(5);
+    const TaskGraph g = randomGraph(rng, 40);
+    const TaskGraph other = randomGraph(rng, 41);
+    const RpuConfig chip; // fused pipe, vector length 1024
+    const shard::ShardedEngine eng(chip, shard::InterconnectConfig{});
+    const shard::Partition p = shard::partitionGraph(
+        g, {2, shard::PartitionStrategy::ContiguousByLevel, 0.10, 1ull << 12,
+            2},
+        shard::taskWeights(g, chip));
+    shard::ShardedCompiled out;
+
+    RpuConfig split = chip;
+    split.splitComputePipes = true;
+    EXPECT_DEATH(eng.bind(g, RpuEngine(split).compile(g), p, out),
+                 "another pipe split or vector length");
+    RpuConfig vlen = chip;
+    vlen.vectorLen = 512;
+    EXPECT_DEATH(eng.bind(g, RpuEngine(vlen).compile(g), p, out),
+                 "another pipe split or vector length");
+    EXPECT_DEATH(eng.bind(g, RpuEngine(chip).compile(other), p, out),
+                 "task counts differ");
+    out.schedule = RpuEngine(chip).compile(g);
+    EXPECT_DEATH(eng.bind(g, out.schedule, p, out),
+                 "bind source is its own output");
 }
 
 // Patched bindings carry a revision-mixed layoutTag: distinct from

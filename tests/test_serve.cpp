@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <list>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -199,6 +200,19 @@ TEST(Serve, CheckSpecRejectsDegenerateSpecs)
     badOverride.fleet.chipBandwidthGBps = {8.0, 16.0}; // 1 chip
     EXPECT_EQ(checkSpec(badOverride).code,
               sim::ErrorCode::BadServeSpec);
+
+    // Gang classes ship values over the interconnect, so it must pass
+    // shard::checkInterconnect; a fleet with no gang never uses it.
+    ServeSpec nanLink = sp;
+    nanLink.fleet.chips = 2;
+    nanLink.fleet.interconnect.latencySec =
+        std::numeric_limits<double>::quiet_NaN();
+    EXPECT_TRUE(checkSpec(nanLink).ok());
+    nanLink.classes[0].shards = 2;
+    const sim::Error err = checkSpec(nanLink);
+    EXPECT_EQ(err.code, sim::ErrorCode::BadServeSpec);
+    EXPECT_NE(err.context.find("link latency"), std::string::npos)
+        << err.context;
 }
 
 TEST(Serve, LoneColdJobMatchesWorkloadLayer)

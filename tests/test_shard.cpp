@@ -3,12 +3,13 @@
  * Tests for the multi-RPU sharding subsystem: partition invariants and
  * hand-computed assignments, cut-edge deduplication, degenerate-case
  * equivalences (K=1 bit-identity, free interconnect), interconnect
- * queueing (bus vs point-to-point, pipelined latency), and the
- * placement search.
+ * queueing (bus vs point-to-point, pipelined latency) and its
+ * validation, and the placement search.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <limits>
 
 #include "rpu/experiment.h"
@@ -405,6 +406,89 @@ TEST(Interconnect, SharedBusSerializesWhatPointToPointOverlaps)
     EXPECT_NEAR(sp.runtime, 2.001e-6, 1e-12);
     EXPECT_NEAR(sp.linkBusy, 2e-6, 1e-15);
     EXPECT_LT(sp.runtime, sb.runtime);
+}
+
+// checkInterconnect is the one validation of latency and link rate:
+// latency finite and >= 0, link bandwidth > 0 (+inf is the free link
+// of the freeInterconnect() fixture).
+TEST(Interconnect, CheckRejectsOutOfRangeLatencyAndLinkRates)
+{
+    EXPECT_TRUE(checkInterconnect(InterconnectConfig{}).ok());
+    EXPECT_TRUE(checkInterconnect(freeInterconnect()).ok());
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double lat : {nan, -1e-3, inf, -inf}) {
+        InterconnectConfig net;
+        net.latencySec = lat;
+        EXPECT_EQ(checkInterconnect(net).code,
+                  sim::ErrorCode::BadInterconnect)
+            << lat;
+    }
+    for (double bw : {nan, 0.0, -64.0, -inf}) {
+        InterconnectConfig net;
+        net.linkGBps = bw;
+        EXPECT_EQ(checkInterconnect(net).code,
+                  sim::ErrorCode::BadInterconnect)
+            << bw;
+    }
+}
+
+// A patchable compiled on a cut-free partition hands no transfer to
+// a validated append, so rebinding it onto a real cut used to append
+// transfers carrying any latency unchecked: at NaN they dropped out of
+// replay's max (BTS1 OC K=2 replayed 14.25 ms), at -1 ms they became
+// visible before they were sent (20.00 ms), against 22.01 ms for a
+// free-latency compile. The engine now refuses such an interconnect
+// at construction; the zero-latency rebind is the healthy baseline.
+TEST(InterconnectDeathTest, RebindOntoACutRejectsBadLatency)
+{
+    const HksParams &par = benchmarkByName("BTS1");
+    const MemoryConfig mem{32ull << 20, false};
+    const TaskGraph g = buildHksGraph(par, Dataflow::OC, mem);
+    RpuConfig chip;
+    chip.dataMemBytes = mem.dataCapacityBytes;
+    chip.evkOnChip = mem.evkOnChip;
+    const ShardSpec spec = placementShardSpec(
+        par, 2, PartitionStrategy::MinCutGreedy, 0.10);
+    const std::vector<double> w = taskWeights(g, chip);
+    const Partition allOn0 = assignmentPartition(
+        g, spec, std::vector<std::uint32_t>(g.size(), 0), w);
+    const Partition mincut = partitionGraph(g, spec, w);
+    ASSERT_TRUE(allOn0.cutEdges.empty());
+    ASSERT_FALSE(mincut.cutEdges.empty());
+
+    InterconnectConfig net;
+    net.latencySec = 0.0;
+    {
+        const ShardedEngine eng(chip, net);
+        ShardedPatchable ps = eng.compilePatchable(g, allOn0);
+        eng.recompilePartition(ps, mincut);
+        EXPECT_EQ(eng.replayRuntime(ps.compiled),
+                  eng.replayRuntime(eng.compile(g, mincut)));
+    }
+    for (double lat : {std::numeric_limits<double>::quiet_NaN(), -1e-3}) {
+        net.latencySec = lat;
+        EXPECT_EXIT(
+            {
+                const ShardedEngine eng(chip, net);
+                ShardedPatchable ps = eng.compilePatchable(g, allOn0);
+                eng.recompilePartition(ps, mincut);
+                std::printf("%a\n", eng.replayRuntime(ps.compiled));
+            },
+            ::testing::ExitedWithCode(1),
+            "link latency must be finite")
+            << lat;
+    }
+    // A placement search refuses the network before partitioning.
+    PlacementSpec spec2;
+    spec2.shardCounts = {2};
+    spec2.interconnect.latencySec = -1e-3;
+    EXPECT_EXIT(
+        {
+            ExperimentRunner runner(1);
+            searchPlacements(runner, par, mem, spec2);
+        },
+        ::testing::ExitedWithCode(1), "placement search interconnect");
 }
 
 TEST(ShardedEngine, ReplayMatchesRunAndIsReusable)

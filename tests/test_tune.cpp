@@ -3,7 +3,8 @@
  * Auto-tuner tests: space indexing, strategy convergence to the
  * exhaustive-grid optimum (bit-identical runtimes), evaluation-cache
  * hit accounting, Pareto-frontier correctness on a hand-built
- * 3-point space, shard-axis delegation to the placement helpers, and
+ * 3-point space, shard-axis delegation to the placement helpers (bit
+ * for bit against the graph-lowering evaluatePlacement), and
  * OCbase bit-identity with the rpu-layer grid scan.
  */
 
@@ -267,6 +268,74 @@ TEST(Tuner, ShardAxisDelegatesToPlacementHelpers)
     idx[std::size_t(Axis::Shards)] = 0;
     EXPECT_EQ(t.evaluate(idx).runtime,
               exp->simulate(chip).runtime);
+}
+
+// K>1 tuner points bind from the experiment's compiled schedule; they
+// must equal the 4-argument (graph-lowering) evaluatePlacement bit for
+// bit across both topologies and both strategies, every channel
+// layout and policy, a skew and both MODOPS values — with each
+// canonical point evaluated exactly once and every repeat a hit.
+TEST(Tuner, ShardAxisPointsMatchGraphLoweringPlacement)
+{
+    ExperimentRunner runner(2);
+    const HksParams &par = benchmarkByName("BTS1");
+    TuneSpace sp;
+    sp.dataflows = {Dataflow::OC};
+    sp.bandwidths = {16.0};
+    sp.shardCounts = {1, 2, 4};
+    sp.topologies = {shard::Topology::SharedBus,
+                     shard::Topology::PointToPoint};
+    sp.strategies = shard::allStrategies();
+    sp.channelCounts = {1, 2, 4};
+    sp.channelPolicies = {ChannelPolicy::Interleave,
+                          ChannelPolicy::EvkDedicated,
+                          ChannelPolicy::LeastLoaded};
+    sp.channelSkews = {1.5};
+    sp.modopsMults = {1.0, 2.0};
+    Tuner t(runner, par, sp);
+    const TuneResult ex = t.tune({.strategy = Strategy::ExhaustiveGrid});
+
+    // Canonical points per MODOPS value: one single-channel layout
+    // (policy and skew are vacuous there) plus 2 channel counts x 3
+    // policies; K=1 has one of those sets, each of the 2 x 2 x 2
+    // (K, topology, strategy) shard points another.
+    const std::size_t layouts = 1 + 2 * 3;
+    const std::size_t canonical = 2 * layouts * (1 + 2 * 2 * 2);
+    EXPECT_EQ(ex.spaceSize, 3u * 2 * 2 * 3 * 3 * 2);
+    EXPECT_EQ(ex.evaluations, canonical);
+    EXPECT_EQ(t.evaluations(), canonical);
+    EXPECT_EQ(ex.evaluated.size(), ex.spaceSize);
+
+    std::size_t shardPoints = 0;
+    for (const TunedPoint &tp : ex.evaluated) {
+        if (tp.point.shards < 2)
+            continue;
+        ++shardPoints;
+        const RpuConfig chip = sp.chipConfig(tp.point);
+        const auto exp =
+            runner.experiment(par, tp.point.dataflow, sp.memoryConfig(tp.point));
+        const shard::Partition part = shard::partitionGraph(
+            exp->graph(),
+            shard::placementShardSpec(par, tp.point.shards, tp.point.strategy,
+                                      sp.imbalanceTol),
+            shard::taskWeights(exp->graph(), chip));
+        shard::InterconnectConfig net = sp.interconnect;
+        net.topology = tp.point.topology;
+        const shard::PlacementEval e =
+            shard::evaluatePlacement(exp->graph(), part, chip, net);
+        EXPECT_EQ(tp.m.runtime, e.runtime) << tp.point.describe();
+        EXPECT_EQ(tp.m.cutBytes, e.cutBytes) << tp.point.describe();
+        EXPECT_EQ(tp.m.transferTasks, e.transferTasks)
+            << tp.point.describe();
+    }
+    EXPECT_EQ(shardPoints, ex.spaceSize / 3 * 2);
+
+    // A second walk over the whole space is served from the cache.
+    const std::size_t hits0 = t.cacheHits();
+    for (const TunedPoint &tp : ex.evaluated)
+        EXPECT_EQ(t.evaluate(tp.idx).runtime, tp.m.runtime);
+    EXPECT_EQ(t.evaluations(), canonical);
+    EXPECT_EQ(t.cacheHits(), hits0 + ex.spaceSize);
 }
 
 TEST(Tuner, OcBaseGridIsBitIdenticalToRpuHelper)
