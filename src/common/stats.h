@@ -40,13 +40,14 @@ inline double
 percentileSorted(const double *sorted, std::size_t n, double p)
 {
     panicIf(n == 0, "percentile of an empty sample");
-    std::size_t r =
-        static_cast<std::size_t>(std::ceil(p * static_cast<double>(n)));
-    if (r == 0)
-        r = 1;
-    if (r > n)
-        r = n;
-    return sorted[r - 1];
+    // Clamp before converting: a negative rank converted to size_t is
+    // undefined behaviour (optimized builds disagree on the result).
+    const double rank = std::ceil(p * static_cast<double>(n));
+    if (!(rank > 1.0))
+        return sorted[0];
+    if (rank >= static_cast<double>(n))
+        return sorted[n - 1];
+    return sorted[static_cast<std::size_t>(rank) - 1];
 }
 
 /** percentileSorted over a vector (must be ascending-sorted). */

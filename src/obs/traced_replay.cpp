@@ -1,10 +1,10 @@
 #include "obs/traced_replay.h"
 
 #include <cmath>
-#include <limits>
 #include <string>
 
 #include "common/logging.h"
+#include "sim/replay_kernel.h"
 
 namespace ciflow::obs
 {
@@ -12,21 +12,40 @@ namespace ciflow::obs
 namespace
 {
 
-/**
- * Name the first non-finite record for the overflow watchdog — the
- * traced twin of CompiledSchedule's nonFiniteOpReport, answered from
- * the buffer itself instead of a rescan (the offending op is already
- * recorded).
- */
-std::string
-nonFiniteReport(const sim::CompiledSchedule &cs, const TraceBuffer &buf)
+/** Kernel recorder appending one TraceOp per executed op. */
+struct TraceRecorder
 {
-    for (const TraceOp &r : buf.ops)
-        if (!std::isfinite(r.visible))
-            return "op " + std::to_string(r.op) + " of task " +
-                   std::to_string(r.task) + " (resource " +
-                   cs.resourceName(r.resource) + ")";
-    return "no offending op found in trace";
+    TraceBuffer &buf;
+    const double *bytes;
+
+    void
+    operator()(sim::TaskId t, std::uint32_t i, sim::ResourceId res,
+               std::uint32_t epoch, double ready, double start,
+               double fin, double vis)
+    {
+        buf.ops.push_back({t, i, res, epoch, ready, start, fin, vis,
+                           bytes[i]});
+    }
+};
+
+/**
+ * The kernel in rate mode `mode` with trace recording, plus the
+ * overflow watchdog; `what` names the replay in its panic.
+ */
+template <class Rates>
+double
+tracedReplay(const sim::CompiledSchedule &cs,
+             const sim::ReplayRates &rates, const Rates &mode,
+             sim::ReplayScratch &s, TraceBuffer &buf, const char *what)
+{
+    const sim::ScheduleView v = cs.view();
+    buf.reset(v.opCount);
+    buf.makespan = sim::detail::replayKernel(v, rates, mode, s,
+                                             TraceRecorder{buf, v.opBytes});
+    if (!std::isfinite(buf.makespan))
+        panic(std::string(what) + " produced a non-finite makespan: " +
+              sim::detail::nonFiniteOpReport(cs, rates, mode));
+    return buf.makespan;
 }
 
 } // namespace
@@ -38,74 +57,8 @@ replayTraced(const sim::CompiledSchedule &cs,
 {
     if (sim::Error e = cs.checkReplay(rates))
         panic(e.message());
-
-    const sim::ScheduleView v = cs.view();
-    const std::size_t nt = v.taskCount;
-    const std::size_t nr = v.resourceCount;
-    buf.reset(v.opCount);
-
-    if (s.finish.size() < nt)
-        s.finish.resize(nt);
-    s.freeAt.assign(nr, 0.0);
-    s.busy.assign(nr, 0.0);
-    s.jobs.assign(nr, 0);
-
-    const double *bps = rates.bytesPerSec.data();
-    const double w0 = rates.workPerSec[0];
-    const double w1 = rates.workPerSec[1];
-
-    // The replayCore recurrence verbatim — same divides, same max
-    // order, same accumulation — plus one record append per op. Any
-    // drift here is a bug the randomized bit-identity tests exist to
-    // catch.
-    double makespan = 0.0;
-    for (std::size_t t = 0; t < nt; ++t) {
-        double ready = 0.0;
-        for (std::uint32_t i = v.depOff[t]; i < v.depOff[t + 1]; ++i) {
-            const double f = s.finish[v.depIds[i]];
-            if (f > ready)
-                ready = f;
-        }
-        double task_fin = 0.0;
-        for (std::uint32_t i = v.opOff[t]; i < v.opOff[t + 1]; ++i) {
-            const sim::ResourceId res = v.opRes[i];
-            double dur = v.opSec[i];
-            if (v.opWork0[i] != 0.0) {
-                const double da = v.opWork0[i] / w0;
-                if (da > dur)
-                    dur = da;
-            }
-            if (v.opWork1[i] != 0.0) {
-                const double ds = v.opWork1[i] / w1;
-                if (ds > dur)
-                    dur = ds;
-            }
-            if (v.opBytes[i] != 0.0) {
-                const double db = v.opBytes[i] / bps[res];
-                if (db > dur)
-                    dur = db;
-            }
-            const double start =
-                s.freeAt[res] > ready ? s.freeAt[res] : ready;
-            const double fin = start + dur;
-            s.freeAt[res] = fin;
-            s.busy[res] += dur;
-            ++s.jobs[res];
-            const double vis = fin + v.opPost[i];
-            if (vis > task_fin)
-                task_fin = vis;
-            buf.ops.push_back({static_cast<sim::TaskId>(t), i, res, 0,
-                               ready, start, fin, vis, v.opBytes[i]});
-        }
-        s.finish[t] = task_fin;
-        if (task_fin > makespan)
-            makespan = task_fin;
-    }
-    buf.makespan = makespan;
-    if (!std::isfinite(makespan))
-        panic("traced replay produced a non-finite makespan: " +
-              nonFiniteReport(cs, buf));
-    return makespan;
+    return tracedReplay(cs, rates, sim::detail::ConstantRates{}, s, buf,
+                        "traced replay");
 }
 
 double
@@ -124,130 +77,8 @@ replayPiecewiseTraced(const sim::CompiledSchedule &cs,
         panic(e.message());
     if (sim::Error e = cs.checkEpochs(ep))
         panic(e.message());
-
-    const sim::ScheduleView v = cs.view();
-    const std::size_t nt = v.taskCount;
-    const std::size_t nr = v.resourceCount;
-    buf.reset(v.opCount);
-
-    if (s.finish.size() < nt)
-        s.finish.resize(nt);
-    s.freeAt.assign(nr, 0.0);
-    s.busy.assign(nr, 0.0);
-    s.jobs.assign(nr, 0);
-    const bool hasEp = !ep.off.empty();
-    if (hasEp) {
-        s.epoch.assign(nr, 0);
-        for (std::size_t r = 0; r < nr; ++r)
-            s.epoch[r] = ep.off[r];
-    }
-
-    const double *bps = rates.bytesPerSec.data();
-    const double w0 = rates.workPerSec[0];
-    const double w1 = rates.workPerSec[1];
-    const double inf = std::numeric_limits<double>::infinity();
-
-    const auto durAt = [&](std::uint32_t i, sim::ResourceId res,
-                           double m) {
-        double dur = v.opSec[i];
-        if (v.opWork0[i] != 0.0) {
-            const double da = v.opWork0[i] / (w0 * m);
-            if (da > dur)
-                dur = da;
-        }
-        if (v.opWork1[i] != 0.0) {
-            const double ds = v.opWork1[i] / (w1 * m);
-            if (ds > dur)
-                dur = ds;
-        }
-        if (v.opBytes[i] != 0.0) {
-            const double db = v.opBytes[i] / (bps[res] * m);
-            if (db > dur)
-                dur = db;
-        }
-        return dur;
-    };
-
-    // replayPiecewise verbatim, with two observer-only additions: the
-    // epoch index captured after the cursor advance, and the record
-    // append after each op settles.
-    double makespan = 0.0;
-    for (std::size_t t = 0; t < nt; ++t) {
-        if (done != nullptr && done[t] != 0) {
-            s.finish[t] = 0.0;
-            continue;
-        }
-        double ready = 0.0;
-        for (std::uint32_t i = v.depOff[t]; i < v.depOff[t + 1]; ++i) {
-            const double f = s.finish[v.depIds[i]];
-            if (f > ready)
-                ready = f;
-        }
-        double task_fin = 0.0;
-        for (std::uint32_t i = v.opOff[t]; i < v.opOff[t + 1]; ++i) {
-            const sim::ResourceId res = v.opRes[i];
-            const double start =
-                s.freeAt[res] > ready ? s.freeAt[res] : ready;
-            double fin;
-            std::uint32_t issueEpoch = 0;
-            if (!hasEp || ep.off[res] == ep.off[res + 1]) {
-                const double dur = durAt(i, res, 1.0);
-                fin = start + dur;
-                s.busy[res] += dur;
-            } else {
-                const std::uint32_t lo = ep.off[res];
-                const std::uint32_t hi = ep.off[res + 1];
-                std::uint32_t c = s.epoch[res];
-                while (c < hi && ep.at[c] <= start)
-                    ++c;
-                issueEpoch = c - lo;
-                double m = c > lo ? ep.mult[c - 1] : 1.0;
-                double dur = durAt(i, res, m);
-                double nextAt = c < hi ? ep.at[c] : inf;
-                fin = start + dur;
-                if (fin <= nextAt) {
-                    s.busy[res] += dur;
-                } else {
-                    double tcur = start;
-                    double frac = 1.0;
-                    while (true) {
-                        const double rem = frac * dur;
-                        if (c >= hi || tcur + rem <= nextAt) {
-                            fin = tcur + rem;
-                            break;
-                        }
-                        frac -= (nextAt - tcur) / dur;
-                        if (frac < 0.0)
-                            frac = 0.0;
-                        tcur = nextAt;
-                        m = ep.mult[c];
-                        ++c;
-                        dur = durAt(i, res, m);
-                        nextAt = c < hi ? ep.at[c] : inf;
-                    }
-                    s.busy[res] += fin - start;
-                }
-                s.epoch[res] = c;
-            }
-            s.freeAt[res] = fin;
-            ++s.jobs[res];
-            const double vis = fin + v.opPost[i];
-            if (vis > task_fin)
-                task_fin = vis;
-            buf.ops.push_back({static_cast<sim::TaskId>(t), i, res,
-                               issueEpoch, ready, start, fin, vis,
-                               v.opBytes[i]});
-        }
-        s.finish[t] = task_fin;
-        if (task_fin > makespan)
-            makespan = task_fin;
-    }
-    buf.makespan = makespan;
-    if (!std::isfinite(makespan))
-        panic("traced piecewise replay produced a non-finite "
-              "makespan: " +
-              nonFiniteReport(cs, buf));
-    return makespan;
+    return tracedReplay(cs, rates, sim::detail::PiecewiseRates{ep, done},
+                        s, buf, "traced piecewise replay");
 }
 
 } // namespace ciflow::obs

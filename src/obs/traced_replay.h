@@ -2,21 +2,20 @@
  * @file
  * Traced replay: the CompiledSchedule recurrence with an observer.
  *
- * replayTraced() and replayPiecewiseTraced() compute the exact replay
- * recurrence of CompiledSchedule::replay() / replayPiecewise() —
- * the same IEEE divides, maxes and adds in the same order over the
- * ScheduleView — while additionally appending one TraceOp per
- * executed op into a caller-owned TraceBuffer. The results (makespan,
+ * replayTraced() and replayPiecewiseTraced() are recorder
+ * instantiations of the one replay kernel (sim/replay_kernel.h): the
+ * same kernel, in the same rate mode, that CompiledSchedule::replay()
+ * / replayPiecewise() run, with a recorder that appends one TraceOp
+ * per executed op into a caller-owned TraceBuffer. Recording only
+ * reads what the recurrence computed, so the results (makespan,
  * scratch.finish/freeAt/busy/jobs) are bit-identical to the plain
  * paths at every replay point, piecewise epochs and done masks
- * included; tests/test_obs.cpp asserts this on randomized DAGs.
+ * included; tests/test_obs.cpp asserts this on randomized DAGs, and
+ * pins both against a copy of the pre-kernel loops.
  *
- * The observer lives here, in a separate walk, rather than as a hook
- * inside replay(): the plain hot path — the one sweeps and tuners
- * replay millions of times — keeps zero new branches, and tracing
- * stays strictly opt-in. The cost of the duplication is owned by this
- * file's bit-identity tests, the same contract replayMany's lane
- * bodies already carry.
+ * The recorder is a compile-time parameter, so the plain hot path —
+ * the one sweeps and tuners replay millions of times — carries no
+ * recording branch, and tracing stays strictly opt-in.
  */
 
 #ifndef CIFLOW_OBS_TRACED_REPLAY_H

@@ -1,10 +1,9 @@
 #include "sim/compiled_schedule.h"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/logging.h"
+#include "sim/replay_kernel.h"
 
 namespace ciflow::sim
 {
@@ -211,136 +210,20 @@ CompiledSchedule::checkRates(const ReplayRates &rates) const
         panic(e.message());
 }
 
-std::string
-CompiledSchedule::nonFiniteOpReport(const ReplayRates &rates) const
-{
-    // Cold path, called at most once per process (right before a
-    // panic) — re-walk the recurrence with throwaway buffers and name
-    // the first op whose duration or finish leaves the finite range.
-    const std::size_t nt = taskCount();
-    std::vector<double> finish(nt, 0.0);
-    std::vector<double> freeAt(names.size(), 0.0);
-    const double *bps = rates.bytesPerSec.data();
-    const double w0 = rates.workPerSec[0];
-    const double w1 = rates.workPerSec[1];
-    for (std::size_t t = 0; t < nt; ++t) {
-        double ready = 0.0;
-        for (std::uint32_t i = depOff[t]; i < depOff[t + 1]; ++i)
-            ready = finish[depIds[i]] > ready ? finish[depIds[i]]
-                                              : ready;
-        double task_fin = 0.0;
-        for (std::uint32_t i = opOff[t]; i < opOff[t + 1]; ++i) {
-            const ResourceId res = opRes[i];
-            double dur = opSec[i];
-            if (opWork0[i] != 0.0)
-                dur = std::max(dur, opWork0[i] / w0);
-            if (opWork1[i] != 0.0)
-                dur = std::max(dur, opWork1[i] / w1);
-            if (opBytes[i] != 0.0)
-                dur = std::max(dur, opBytes[i] / bps[res]);
-            const double start =
-                freeAt[res] > ready ? freeAt[res] : ready;
-            const double fin = start + dur;
-            const double vis = fin + opPost[i];
-            if (!std::isfinite(vis))
-                return "op " + std::to_string(i) + " of task " +
-                       std::to_string(t) + " (resource " + names[res] +
-                       ")";
-            freeAt[res] = fin;
-            task_fin = vis > task_fin ? vis : task_fin;
-        }
-        finish[t] = task_fin;
-    }
-    return "no offending op found on rescan";
-}
-
-double
-CompiledSchedule::replayCore(const ReplayRates &rates,
-                             ReplayScratch &s) const
-{
-    const std::size_t nt = taskCount();
-    const std::size_t nr = names.size();
-
-    // finish[t] is written before any read (deps point backward), so a
-    // plain resize suffices; the per-resource accumulators need zeroing.
-    if (s.finish.size() < nt)
-        s.finish.resize(nt);
-    s.freeAt.assign(nr, 0.0);
-    s.busy.assign(nr, 0.0);
-    s.jobs.assign(nr, 0);
-
-    const double *bps = rates.bytesPerSec.data();
-    const double w0 = rates.workPerSec[0];
-    const double w1 = rates.workPerSec[1];
-
-    double makespan = 0.0;
-    for (std::size_t t = 0; t < nt; ++t) {
-        double ready = 0.0;
-        for (std::uint32_t i = depOff[t]; i < depOff[t + 1]; ++i) {
-            const double f = s.finish[depIds[i]];
-            if (f > ready)
-                ready = f;
-        }
-        double task_fin = 0.0;
-        for (std::uint32_t i = opOff[t]; i < opOff[t + 1]; ++i) {
-            const ResourceId res = opRes[i];
-            // max over components; all are >= 0 and max is exact, so
-            // the result is bit-identical to evaluating only the
-            // component(s) the op actually carries. Zero numerators
-            // are skipped rather than divided: 0/rate is +0 exactly
-            // and can never raise the max, so an op pays one divide
-            // per component it carries, not one per class.
-            double dur = opSec[i];
-            if (opWork0[i] != 0.0) {
-                const double da = opWork0[i] / w0;
-                if (da > dur)
-                    dur = da;
-            }
-            if (opWork1[i] != 0.0) {
-                const double ds = opWork1[i] / w1;
-                if (ds > dur)
-                    dur = ds;
-            }
-            if (opBytes[i] != 0.0) {
-                const double db = opBytes[i] / bps[res];
-                if (db > dur)
-                    dur = db;
-            }
-            const double start =
-                s.freeAt[res] > ready ? s.freeAt[res] : ready;
-            // The resource frees after the service duration; dependents
-            // additionally wait out the op's propagation delay. With
-            // postSeconds == 0 both times are the same double, so the
-            // pre-latency replay results are reproduced bit-exactly.
-            const double fin = start + dur;
-            s.freeAt[res] = fin;
-            s.busy[res] += dur;
-            ++s.jobs[res];
-            const double vis = fin + opPost[i];
-            if (vis > task_fin)
-                task_fin = vis;
-        }
-        s.finish[t] = task_fin;
-        // Every op finish is bounded by its task finish, so the latest
-        // task finish dominates every resource's freeAt.
-        if (task_fin > makespan)
-            makespan = task_fin;
-    }
-    return makespan;
-}
-
 double
 CompiledSchedule::replay(const ReplayRates &rates,
                          ReplayScratch &s) const
 {
     checkRates(rates);
-    const double makespan = replayCore(rates, s);
+    const double makespan = detail::replayKernel(
+        view(), rates, detail::ConstantRates{}, s, detail::NoRecord{});
     // With rates validated finite-positive and numerators validated at
     // addTask, the only way here is overflow to +inf — still garbage,
     // still reported deterministically.
     if (!std::isfinite(makespan))
         panic("replay produced a non-finite makespan: " +
-              nonFiniteOpReport(rates));
+              detail::nonFiniteOpReport(*this, rates,
+                                        detail::ConstantRates{}));
     return makespan;
 }
 
@@ -350,11 +233,13 @@ CompiledSchedule::tryReplay(const ReplayRates &rates, ReplayScratch &s,
 {
     if (Error e = checkReplay(rates))
         return e;
-    const double makespan = replayCore(rates, s);
+    const double makespan = detail::replayKernel(
+        view(), rates, detail::ConstantRates{}, s, detail::NoRecord{});
     if (!std::isfinite(makespan))
         return {ErrorCode::NonFiniteDuration,
                 "replay produced a non-finite makespan: " +
-                    nonFiniteOpReport(rates)};
+                    detail::nonFiniteOpReport(*this, rates,
+                                              detail::ConstantRates{})};
     out = makespan;
     return {};
 }
@@ -374,161 +259,17 @@ CompiledSchedule::replayPiecewise(const ReplayRates &rates,
     checkRates(rates);
     if (Error e = checkEpochs(ep))
         panic(e.message());
-
-    const std::size_t nt = taskCount();
-    const std::size_t nr = names.size();
-    if (s.finish.size() < nt)
-        s.finish.resize(nt);
-    s.freeAt.assign(nr, 0.0);
-    s.busy.assign(nr, 0.0);
-    s.jobs.assign(nr, 0);
-    const bool hasEp = !ep.off.empty();
-    if (hasEp) {
-        // Per-resource epoch cursors. Op starts on one resource are
-        // non-decreasing (start = max(freeAt, ready) >= the previous
-        // op's finish there), so cursors only ever move forward — the
-        // whole replay advances each resource's epoch list once.
-        s.epoch.assign(nr, 0);
-        for (std::size_t r = 0; r < nr; ++r)
-            s.epoch[r] = ep.off[r];
-    }
-
-    const double *bps = rates.bytesPerSec.data();
-    const double w0 = rates.workPerSec[0];
-    const double w1 = rates.workPerSec[1];
-    const double inf = std::numeric_limits<double>::infinity();
-
-    // Duration of op i when its resource serves at m times its rate:
-    // the same component divides as replayCore with each rate
-    // multiplied once by m (component / (rate * m)). At m == 1 every
-    // product is exact (x * 1.0 == x), so the duration is bit-identical
-    // to the unfaulted one. The fixed seconds component is wall-clock
-    // (issue overhead, link propagation), not service on the degraded
-    // resource, and is deliberately not scaled.
-    const auto durAt = [&](std::uint32_t i, ResourceId res, double m) {
-        double dur = opSec[i];
-        if (opWork0[i] != 0.0) {
-            const double da = opWork0[i] / (w0 * m);
-            if (da > dur)
-                dur = da;
-        }
-        if (opWork1[i] != 0.0) {
-            const double ds = opWork1[i] / (w1 * m);
-            if (ds > dur)
-                dur = ds;
-        }
-        if (opBytes[i] != 0.0) {
-            const double db = opBytes[i] / (bps[res] * m);
-            if (db > dur)
-                dur = db;
-        }
-        return dur;
-    };
-
-    double makespan = 0.0;
-    for (std::size_t t = 0; t < nt; ++t) {
-        if (done != nullptr && done[t] != 0) {
-            // Completed before this (re)play began: dependents see it
-            // immediately and it occupies no resource time. The
-            // failover path uses this to charge only surviving work.
-            s.finish[t] = 0.0;
-            continue;
-        }
-        double ready = 0.0;
-        for (std::uint32_t i = depOff[t]; i < depOff[t + 1]; ++i) {
-            const double f = s.finish[depIds[i]];
-            if (f > ready)
-                ready = f;
-        }
-        double task_fin = 0.0;
-        for (std::uint32_t i = opOff[t]; i < opOff[t + 1]; ++i) {
-            const ResourceId res = opRes[i];
-            const double start =
-                s.freeAt[res] > ready ? s.freeAt[res] : ready;
-            double fin;
-            if (!hasEp || ep.off[res] == ep.off[res + 1]) {
-                // No epochs on this resource: the plain replayCore op
-                // body (m == 1 products are exact).
-                const double dur = durAt(i, res, 1.0);
-                fin = start + dur;
-                s.busy[res] += dur;
-            } else {
-                const std::uint32_t lo = ep.off[res];
-                const std::uint32_t hi = ep.off[res + 1];
-                std::uint32_t c = s.epoch[res];
-                while (c < hi && ep.at[c] <= start)
-                    ++c;
-                double m = c > lo ? ep.mult[c - 1] : 1.0;
-                double dur = durAt(i, res, m);
-                double nextAt = c < hi ? ep.at[c] : inf;
-                fin = start + dur;
-                if (fin <= nextAt) {
-                    // Entirely inside one epoch: a single divide
-                    // chain; at m == 1 exactly the unfaulted op.
-                    s.busy[res] += dur;
-                } else {
-                    // The op spans epoch boundaries. Fractional
-                    // progress: the share of service not yet done when
-                    // the rate changes is re-timed at the new rate, so
-                    // degradation applies mid-op instead of snapping
-                    // to op boundaries.
-                    double tcur = start;
-                    double frac = 1.0;
-                    while (true) {
-                        const double rem = frac * dur;
-                        if (c >= hi || tcur + rem <= nextAt) {
-                            fin = tcur + rem;
-                            break;
-                        }
-                        frac -= (nextAt - tcur) / dur;
-                        // Rounding can push the remaining share a hair
-                        // below zero; clamp so finish never precedes
-                        // the boundary just crossed.
-                        if (frac < 0.0)
-                            frac = 0.0;
-                        tcur = nextAt;
-                        m = ep.mult[c];
-                        ++c;
-                        dur = durAt(i, res, m);
-                        nextAt = c < hi ? ep.at[c] : inf;
-                    }
-                    s.busy[res] += fin - start;
-                }
-                s.epoch[res] = c;
-            }
-            s.freeAt[res] = fin;
-            ++s.jobs[res];
-            const double vis = fin + opPost[i];
-            if (vis > task_fin)
-                task_fin = vis;
-        }
-        s.finish[t] = task_fin;
-        if (task_fin > makespan)
-            makespan = task_fin;
-    }
+    const detail::PiecewiseRates mode{ep, done};
+    const double makespan =
+        detail::replayKernel(view(), rates, mode, s, detail::NoRecord{});
     if (!std::isfinite(makespan))
         panic("piecewise replay produced a non-finite makespan: " +
-              nonFiniteOpReport(rates));
+              detail::nonFiniteOpReport(*this, rates, mode));
     return makespan;
 }
 
 namespace
 {
-
-/** The flattened-schedule pointers one block replay walks. */
-struct BlockView
-{
-    const std::uint32_t *depOff;
-    const TaskId *depIds;
-    const std::uint32_t *opOff;
-    const ResourceId *opRes;
-    const double *opBytes;
-    const double *opWork0;
-    const double *opWork1;
-    const double *opSec;
-    const double *opPost;
-    std::size_t taskCount;
-};
 
 /**
  * One block of up to kBatchLanes point-lanes: the scalar replay() op
@@ -540,7 +281,7 @@ struct BlockView
  * fixed-trip-count, unit-stride loop the vectorizer unrolls flat.
  */
 [[gnu::always_inline]] inline void
-blockBody(const BlockView &v, const std::size_t lanes, BatchScratch &s,
+blockBody(const ScheduleView &v, const std::size_t lanes, BatchScratch &s,
           double *makespans)
 {
     const double *__restrict w0 = s.w0.data();
@@ -656,7 +397,7 @@ laneMax(LaneVec a, LaneVec b)
 [[gnu::target_clones("default", "avx2", "arch=x86-64-v4")]]
 #endif
 void
-blockBodyFull(const BlockView &v, BatchScratch &s, double *makespans)
+blockBodyFull(const ScheduleView &v, BatchScratch &s, double *makespans)
 {
     const LaneVec w0 = *reinterpret_cast<const LaneVec *>(s.w0.data());
     const LaneVec w1 = *reinterpret_cast<const LaneVec *>(s.w1.data());
@@ -704,7 +445,7 @@ blockBodyFull(const BlockView &v, BatchScratch &s, double *makespans)
 #else // !__GNUC__: portable scalar fallback
 
 void
-blockBodyFull(const BlockView &v, BatchScratch &s, double *makespans)
+blockBodyFull(const ScheduleView &v, BatchScratch &s, double *makespans)
 {
     blockBody(v, kBatchLanes, s, makespans);
 }
@@ -713,7 +454,7 @@ blockBodyFull(const BlockView &v, BatchScratch &s, double *makespans)
 
 /** Tail block (< kBatchLanes lanes); runtime width, no clones. */
 void
-blockBodyTail(const BlockView &v, std::size_t lanes, BatchScratch &s,
+blockBodyTail(const ScheduleView &v, std::size_t lanes, BatchScratch &s,
               double *makespans)
 {
     blockBody(v, lanes, s, makespans);
@@ -744,10 +485,7 @@ CompiledSchedule::replayBlock(const ReplayRates *points,
     for (std::size_t r = 0; r < nr; ++r)
         s.jobs[r] = 0;
 
-    const BlockView v{depOff.data(), depIds.data(),  opOff.data(),
-                      opRes.data(),  opBytes.data(), opWork0.data(),
-                      opWork1.data(), opSec.data(),  opPost.data(),
-                      taskCount()};
+    const ScheduleView v = view();
     if (lanes == kBatchLanes)
         blockBodyFull(v, s, makespans);
     else
@@ -787,21 +525,8 @@ CompiledSchedule::replayMany(const ReplayRates *points, std::size_t n,
         if (!std::isfinite(s.makespan[i]))
             panic("replay produced a non-finite makespan at point " +
                   std::to_string(i) + ": " +
-                  nonFiniteOpReport(points[i]));
-}
-
-SimResult
-CompiledSchedule::run(const ReplayRates &rates) const
-{
-    ReplayScratch s;
-    SimResult out;
-    out.makespan = replay(rates, s);
-    s.finish.resize(taskCount());
-    out.taskFinish = std::move(s.finish);
-    out.resources.reserve(names.size());
-    for (std::size_t r = 0; r < names.size(); ++r)
-        out.resources.push_back({names[r], s.busy[r], s.jobs[r]});
-    return out;
+                  detail::nonFiniteOpReport(*this, points[i],
+                                            detail::ConstantRates{}));
 }
 
 } // namespace ciflow::sim

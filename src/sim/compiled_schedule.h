@@ -228,9 +228,11 @@ struct BindingView
 
 /**
  * Read-only snapshot of the compiled CSR arrays, handed out by
- * CompiledSchedule::view() for consumers that walk the schedule
- * without replaying it through the member functions — the obs layer's
- * traced replay and critical-path extraction. Task t's deps are
+ * CompiledSchedule::view(): what every replay walks — the scalar
+ * replay kernel (sim/replay_kernel.h) behind replay(),
+ * replayPiecewise() and the obs layer's traced replays, and the
+ * batched lane bodies of replayMany() — and what the obs layer's
+ * critical-path extraction reads. Task t's deps are
  * depIds[depOff[t]..depOff[t+1]) and its ops index the SoA component
  * arrays over [opOff[t], opOff[t+1)), exactly as inside the class.
  * Pointers are invalidated by anything that mutates the schedule
@@ -401,9 +403,12 @@ class CompiledSchedule
      * boundaries. `done`, when non-null, is a taskCount()-byte mask:
      * tasks with done[t] != 0 are already complete (finish 0, no
      * resource occupancy) — the failover path uses it to replay only
-     * the tasks that survive a mid-run re-placement. With an empty
-     * epoch table and a null mask this delegates to replay() and is
-     * bit-identical to it; with every multiplier 1.0 the piecewise
+     * the tasks that survive a mid-run re-placement. This is the
+     * piecewise instantiation of the one replay kernel
+     * (sim/replay_kernel.h); its watchdog rescans with the same epochs
+     * and mask, so an overflow names the op that overflowed. With an
+     * empty epoch table and a null mask this delegates to replay() and
+     * is bit-identical to it; with every multiplier 1.0 the piecewise
      * arithmetic itself is exact (x * 1.0 == x), so a trivial trace
      * also reproduces replay() bit-for-bit. Thread-safe for concurrent
      * calls with distinct scratch.
@@ -459,12 +464,9 @@ class CompiledSchedule
     void replayMany(const ReplayRates *points, std::size_t n,
                     BatchScratch &scratch) const;
 
-    /** replay() plus SimResult packaging (allocates; for tests/tools). */
-    SimResult run(const ReplayRates &rates) const;
-
     /**
      * Read-only view of the CSR arrays (see ScheduleView). Costs the
-     * pointer loads only; the replay paths never touch it.
+     * pointer loads only; every replay takes one per call.
      */
     ScheduleView
     view() const
@@ -482,23 +484,8 @@ class CompiledSchedule
     void replayBlock(const ReplayRates *points, std::size_t lanes,
                      BatchScratch &s, double *makespans) const;
 
-    /**
-     * The replay() recurrence without rate validation or the finite
-     * watchdog — shared by the aborting replay() and the reporting
-     * tryReplay().
-     */
-    double replayCore(const ReplayRates &rates,
-                      ReplayScratch &scratch) const;
-
     /** Panic unless `rates` covers this schedule's resources. */
     void checkRates(const ReplayRates &rates) const;
-
-    /**
-     * Cold-path rescan after a non-finite makespan: find the first op
-     * whose duration (or finish) went non-finite at `rates` and format
-     * "op <i> (resource <name>)" for the watchdog report.
-     */
-    std::string nonFiniteOpReport(const ReplayRates &rates) const;
 
     // --- binding: rewritten in place by the patch API ---
     std::vector<std::string> names;

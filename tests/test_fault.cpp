@@ -19,6 +19,7 @@
 #include "common/rng.h"
 #include "fault/fault_replay.h"
 #include "fault/monte_carlo.h"
+#include "obs/traced_replay.h"
 #include "rpu/experiment.h"
 #include "shard/placement_search.h"
 #include "sim/compiled_schedule.h"
@@ -386,6 +387,25 @@ TEST(Watchdog, OverflowedDurationNamesTheOp)
               sim::ErrorCode::NonFiniteDuration);
     sim::BatchScratch bs;
     EXPECT_DEATH(cs.replayMany(&tiny, 1, bs), "op 0 of task 0");
+}
+
+TEST(Watchdog, PiecewiseOverflowNamesTheOp)
+{
+    // Each input is legal on its own (a finite numerator, a positive
+    // rate, a finite positive multiplier); only the epoch multiplier
+    // overflows the duration. The watchdog's rescan must replay with
+    // the same epochs to find the op, plain and traced alike.
+    sim::CompiledSchedule cs = oneOpSchedule(1e300);
+    sim::ReplayRates rates = unitRates(1);
+    rates.bytesPerSec[0] = 1e10;
+    const sim::RateEpochs ep = epochsAt({0.0}, {1e-300});
+    ASSERT_TRUE(cs.checkEpochs(ep).ok());
+    sim::ReplayScratch s;
+    EXPECT_DEATH(cs.replayPiecewise(rates, ep, nullptr, s),
+                 "op 0 of task 0");
+    obs::TraceBuffer buf;
+    EXPECT_DEATH(obs::replayPiecewiseTraced(cs, rates, ep, nullptr, s, buf),
+                 "op 0 of task 0");
 }
 
 TEST(TaskGraphErrors, ValidateCheckedMatchesValidate)

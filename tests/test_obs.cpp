@@ -2,7 +2,8 @@
  * @file
  * Tests for the observability layer: bit-identity of the traced
  * replays against the plain paths on randomized DAGs (zero-fault and
- * piecewise, done masks included), hand-computed utilization and
+ * piecewise, done masks included), of both against the pre-kernel
+ * replay loops (tests/legacy_replay.h), hand-computed utilization and
  * bottleneck attribution, exact critical-path extraction (length ==
  * makespan bit-for-bit on chains, diamonds and random DAGs), the
  * metrics registry, and the Chrome trace exporter.
@@ -12,9 +13,11 @@
 
 #include <random>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_replay.h"
+#include "legacy_replay.h"
 #include "obs/analysis.h"
 #include "obs/chrome_trace.h"
 #include "obs/metrics.h"
@@ -121,6 +124,19 @@ expectSameReplayState(const sim::ReplayScratch &a,
     EXPECT_EQ(a.freeAt, b.freeAt);
     EXPECT_EQ(a.busy, b.busy);
     EXPECT_EQ(a.jobs, b.jobs);
+}
+
+/** Trace records carry the oracle's per-op times bit for bit. */
+void
+expectSameOpTimes(const obs::TraceBuffer &buf,
+                  const std::vector<legacy::OpTimes> &ref)
+{
+    ASSERT_EQ(buf.ops.size(), ref.size());
+    for (std::size_t k = 0; k < ref.size(); ++k) {
+        EXPECT_EQ(buf.ops[k].start, ref[k].start) << "record " << k;
+        EXPECT_EQ(buf.ops[k].finish, ref[k].finish) << "record " << k;
+        EXPECT_EQ(buf.ops[k].visible, ref[k].visible) << "record " << k;
+    }
 }
 
 /**
@@ -249,6 +265,58 @@ TEST(TracedReplay, RecordsFollowTheRecurrenceInvariants)
         EXPECT_GE(op.start, lastFinish[op.resource]);
         lastFinish[op.resource] = op.finish;
         EXPECT_EQ(op.epoch, 0u);
+    }
+}
+
+// --- the pre-kernel recurrence as oracle ----------------------------
+
+TEST(TracedReplay, ScalarReplaysMatchTheLegacyLoopsBitForBit)
+{
+    std::mt19937 rng(43);
+    std::uniform_int_distribution<int> coin(0, 1);
+    for (int trial = 0; trial < 24; ++trial) {
+        const std::size_t nr = 2 + trial % 5;
+        const std::size_t nt = 15 + trial * 6;
+        const sim::CompiledSchedule cs = randomSchedule(rng, nt, nr);
+        const sim::ScheduleView v = cs.view();
+        const sim::ReplayRates rates = randomRates(rng, nr);
+
+        sim::ReplayScratch ref, plain, traced;
+        std::vector<legacy::OpTimes> refOps;
+        obs::TraceBuffer buf;
+        const double m = legacy::replayCore(v, rates, ref, &refOps);
+        EXPECT_EQ(cs.replay(rates, plain), m);
+        EXPECT_EQ(obs::replayTraced(cs, rates, traced, buf), m);
+        expectSameReplayState(ref, plain);
+        expectSameReplayState(ref, traced);
+        expectSameOpTimes(buf, refOps);
+
+        // Piecewise: epochs alone, epochs under a done mask, and a
+        // done mask over an empty epoch table.
+        const sim::RateEpochs ep = randomEpochs(rng, nr, m * 1.2);
+        const sim::RateEpochs noEpochs;
+        std::vector<std::uint8_t> done(nt);
+        for (std::uint8_t &d : done)
+            d = static_cast<std::uint8_t>(coin(rng));
+        const std::pair<const sim::RateEpochs *, const std::uint8_t *>
+            cases[] = {{&ep, nullptr},
+                       {&ep, done.data()},
+                       {&noEpochs, done.data()}};
+        for (const auto &[epochs, mask] : cases) {
+            sim::ReplayScratch pref, pplain, ptraced;
+            std::vector<legacy::OpTimes> prefOps;
+            obs::TraceBuffer pbuf;
+            const double pm = legacy::replayPiecewise(v, rates, *epochs,
+                                                      mask, pref, &prefOps);
+            EXPECT_EQ(cs.replayPiecewise(rates, *epochs, mask, pplain),
+                      pm);
+            EXPECT_EQ(obs::replayPiecewiseTraced(cs, rates, *epochs,
+                                                 mask, ptraced, pbuf),
+                      pm);
+            expectSameReplayState(pref, pplain);
+            expectSameReplayState(pref, ptraced);
+            expectSameOpTimes(pbuf, prefOps);
+        }
     }
 }
 
