@@ -1,6 +1,6 @@
 #include "rpu/workload.h"
 
-#include <list>
+#include <algorithm>
 #include <set>
 
 #include "common/logging.h"
@@ -69,6 +69,25 @@ HeWorkload::resnet20(std::size_t rotations, std::size_t distinct,
     return wl;
 }
 
+void
+keyCacheHitMask(const HeWorkload &wl, std::size_t slots,
+                std::vector<long> &lru, std::vector<std::uint8_t> &mask)
+{
+    mask.assign(wl.ops.size(), 0);
+    if (slots == 0)
+        return;
+    for (std::size_t i = 0; i < wl.ops.size(); ++i) {
+        const long id = keyIdOf(wl.ops[i]);
+        const auto it = std::find(lru.begin(), lru.end(), id);
+        mask[i] = it != lru.end() ? 1 : 0;
+        if (mask[i])
+            lru.erase(it);
+        else if (lru.size() >= slots)
+            lru.erase(lru.begin());
+        lru.push_back(id);
+    }
+}
+
 namespace
 {
 
@@ -82,36 +101,20 @@ runWorkload(const HeWorkload &wl, const HksExperiment &miss_exp,
     SimStats miss = miss_exp.simulate(bandwidth_gbps);
     SimStats hit = hit_exp.simulate(bandwidth_gbps);
 
+    // Keys already on chip always hit; streamed ones hit the cache.
     const std::size_t slots =
-        par.evkBytes() ? static_cast<std::size_t>(cache.capacityBytes /
-                                                  par.evkBytes())
-                       : 0;
+        !mem.evkOnChip && par.evkBytes()
+            ? static_cast<std::size_t>(cache.capacityBytes /
+                                       par.evkBytes())
+            : 0;
+    std::vector<long> lru;
+    std::vector<std::uint8_t> hits;
+    keyCacheHitMask(wl, slots, lru, hits);
 
     WorkloadStats ws;
     ws.keySwitches = wl.ops.size();
-    // LRU over distinct key ids.
-    std::list<long> lru; // front = most recent
-    auto touch = [&](long id) -> bool {
-        for (auto it = lru.begin(); it != lru.end(); ++it) {
-            if (*it == id) {
-                lru.erase(it);
-                lru.push_front(id);
-                return true; // hit
-            }
-        }
-        lru.push_front(id);
-        if (lru.size() > slots)
-            lru.pop_back();
-        return false;
-    };
-
-    for (const HeOp &op : wl.ops) {
-        bool is_hit = mem.evkOnChip;
-        if (!mem.evkOnChip && slots > 0)
-            is_hit = touch(keyIdOf(op));
-        else if (!mem.evkOnChip)
-            (void)0; // no cache: always a miss
-        if (is_hit) {
+    for (std::size_t i = 0; i < wl.ops.size(); ++i) {
+        if (mem.evkOnChip || hits[i]) {
             ws.runtime += hit.runtime;
             ws.trafficBytes += hit.trafficBytes;
             ++ws.keyCacheHits;

@@ -107,6 +107,18 @@ struct WorkloadStats
 };
 
 /**
+ * Per-op evk key-cache hit flags of `wl` (mask[i] = 1 when op i's key
+ * is resident) under an LRU over `slots` distinct keys (relin = -1,
+ * rotations by amount), continuing from `lru`, which holds the
+ * resident keys least recent first and is left holding the state after
+ * the last op. slots = 0 caches nothing: every op misses. The workload
+ * and serving layers both price key reuse through this one cache.
+ */
+void keyCacheHitMask(const HeWorkload &wl, std::size_t slots,
+                     std::vector<long> &lru,
+                     std::vector<std::uint8_t> &mask);
+
+/**
  * Simulate a workload: every op runs one HKS of shape `par` under
  * dataflow `d` at the given bandwidth. Streamed keys hit the key cache
  * when the same evk was used before and the cache can hold the working

@@ -1,7 +1,7 @@
 /**
  * @file
- * The admission queue both serving loops (ServingSim::run and
- * FaultServingSim::run) share.
+ * The admission queue of the serving loop (serve/serve_loop.h), which
+ * both ServingSim::run and FaultServingSim::run instantiate.
  *
  * Queued jobs sit in per-class FIFOs, each entry stamped with a global
  * insertion number. The head is the entry with the smallest stamp —

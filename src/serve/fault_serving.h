@@ -1,10 +1,11 @@
 /**
  * @file
- * Fault-aware serving: the PR 9 admission/batching loop composed with
- * the fault layer's primitives, so the serving simulator answers
- * degraded-tail questions — what p99 do tenants see while a chip is
- * degraded, what happens to in-flight jobs when a chip dies, how long
- * does the fleet take to recover.
+ * Fault-aware serving: the fault-aware instantiation of the one
+ * serving loop (serve/serve_loop.h), which composes the healthy
+ * admission/batching loop with the fault layer's primitives, so the
+ * serving simulator answers degraded-tail questions — what p99 do
+ * tenants see while a chip is degraded, what happens to in-flight jobs
+ * when a chip dies, how long does the fleet take to recover.
  *
  * The composition reuses existing machinery rather than re-deriving
  * it:
@@ -58,6 +59,12 @@
 namespace ciflow::serve
 {
 
+namespace detail
+{
+/** Per-class replay assets (defined in serve/serve_loop.h). */
+struct FaultAssets;
+} // namespace detail
+
 /**
  * Retry and deadline policy for jobs salvaged off a failed chip. A
  * salvaged job at attempt a (0-based) re-enters the queue at
@@ -86,8 +93,8 @@ struct RetryPolicy
 sim::Error checkRetryPolicy(const RetryPolicy &policy);
 
 /**
- * Aggregate statistics of one fault-aware serving run: the PR 9
- * ServeStats over the jobs that completed, plus the fault ledger
+ * Aggregate statistics of one fault-aware serving run: the healthy
+ * loop's ServeStats over the jobs that completed, plus the fault ledger
  * (retries, rejections, salvage and failover accounting) and the
  * healthy-window / degraded-window latency split. A job belongs to
  * the degraded window when JobResult::degraded is set — any of its
@@ -99,7 +106,7 @@ sim::Error checkRetryPolicy(const RetryPolicy &policy);
  */
 struct FaultServeStats
 {
-    /** PR 9 aggregate over completed (served) jobs only. */
+    /** The healthy aggregate over completed (served) jobs only. */
     ServeStats done;
     /** Jobs served to completion. */
     std::size_t completedJobs = 0;
@@ -202,10 +209,8 @@ class FaultServingSim
                        const std::string &prefix = "serve_fault.") const;
 
   private:
-    struct Assets;
-
     ServingSim &sim;
-    std::unique_ptr<Assets> assets;
+    std::unique_ptr<detail::FaultAssets> assets;
 
     // Cumulative counters for exportMetrics.
     std::size_t nCompleted = 0, nRejected = 0, nTimedOut = 0, nLost = 0;

@@ -1,17 +1,13 @@
 #include "serve/serving.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <cstdio>
 #include <functional>
-#include <list>
 
 #include "common/logging.h"
-#include "common/stats.h"
 #include "obs/traced_replay.h"
 #include "rpu/experiment.h"
-#include "serve/admission.h"
+#include "serve/serve_loop.h"
 #include "shard/placement_search.h"
 #include "shard/sharded_engine.h"
 
@@ -20,45 +16,6 @@ namespace ciflow::serve
 
 namespace
 {
-
-/** Cache key identifying an evk: relin = -1, rotations by amount
- * (the workload layer's convention). */
-long
-keyIdOf(const HeOp &op)
-{
-    return op.kind == HeOpKind::Multiply ? -1 : op.rotation;
-}
-
-/**
- * One job's key-cache hit mask under LRU with `slots` resident keys,
- * continuing from the caller's `lru` state (front = most recent).
- * Called twice per class: once from an empty cache (the cold mask) and
- * once more on the same state (the steady-state warm mask — what a
- * job sees when the previous job on the chip ran the same class).
- */
-void
-lruMask(const HeWorkload &wl, std::size_t slots, std::list<long> &lru,
-        std::vector<std::uint8_t> &mask)
-{
-    mask.assign(wl.ops.size(), 0);
-    if (slots == 0)
-        return;
-    for (std::size_t i = 0; i < wl.ops.size(); ++i) {
-        const long id = keyIdOf(wl.ops[i]);
-        bool hit = false;
-        for (auto it = lru.begin(); it != lru.end(); ++it) {
-            if (*it == id) {
-                lru.erase(it);
-                hit = true;
-                break;
-            }
-        }
-        lru.push_front(id);
-        if (lru.size() > slots)
-            lru.pop_back();
-        mask[i] = hit ? 1 : 0;
-    }
-}
 
 /**
  * Whether an estimator point is representable as a tune::EvalKey,
@@ -153,12 +110,17 @@ checkSpec(const ServeSpec &spec)
     if (anyGang && !spec.fleet.chip.channelGBps.empty())
         return bad("gang-scheduled classes require symmetric DRAM "
                    "channels");
-    if (anyGang)
+    if (anyGang) {
         if (const sim::Error err =
                 shard::checkInterconnect(spec.fleet.interconnect))
             return bad("gang-scheduled classes need a valid "
                        "interconnect: " +
                        err.context);
+        // The partitioner's load cap; +inf means no cap.
+        if (std::isnan(spec.fleet.imbalanceTol) ||
+            spec.fleet.imbalanceTol < 0.0)
+            return bad("gang-scheduled classes need imbalanceTol >= 0");
+    }
     if (ovr.empty() && !(std::isfinite(spec.fleet.chip.bandwidthGBps) &&
                          spec.fleet.chip.bandwidthGBps > 0.0) &&
         spec.fleet.chip.channelGBps.empty())
@@ -224,9 +186,11 @@ ServingSim::buildModels(ExperimentRunner &runner, tune::EvalCache *cache)
         const std::size_t slots =
             evk ? static_cast<std::size_t>(sp.fleet.keyCacheBytes / evk)
                 : 0;
-        std::list<long> lru;
-        lruMask(jc.workload, slots, lru, m.coldMask);
-        lruMask(jc.workload, slots, lru, m.warmMask);
+        // Cold from an empty cache, then warm: one more job on the
+        // same state (the previous job on the chip ran this class).
+        std::vector<long> lru;
+        keyCacheHitMask(jc.workload, slots, lru, m.coldMask);
+        keyCacheHitMask(jc.workload, slots, lru, m.warmMask);
         for (std::uint8_t h : m.coldMask)
             m.coldHits += h;
         for (std::uint8_t h : m.warmMask)
@@ -402,172 +366,11 @@ ServingSim::run(const std::vector<JobArrival> &arrivals,
                 std::vector<JobResult> &out, ServeStats &stats,
                 obs::ScenarioTrace *viz)
 {
-    const sim::Error err = checkArrivals(arrivals, sp.classes.size());
-    if (err)
+    if (sim::Error err = checkArrivals(arrivals, sp.classes.size()))
         return err;
-    if (viz)
-        buildViz(runnerRef);
-
-    out.assign(arrivals.size(), JobResult{});
-    stats = ServeStats{};
-    if (viz) {
-        *viz = obs::ScenarioTrace{};
-        if (viz_ && !viz_->names.empty())
-            for (std::size_t c = 0; c < sp.fleet.chips; ++c)
-                for (const std::string &n : viz_->names)
-                    viz->resourceNames.push_back(
-                        "chip" + std::to_string(c) + "/" + n);
-    }
-
-    struct ChipState
-    {
-        double freeAt = 0.0;
-        std::int64_t lastClass = -1;
-    };
-    std::vector<ChipState> chips(sp.fleet.chips);
-    AdmissionQueue queue;
-    queue.reset(sp.classes.size());
-    std::size_t next = 0;
-    std::uint32_t batchSeq = 0;
-    std::vector<std::size_t> chosen;
-    std::vector<std::uint32_t> batchIds;
-    const auto admit = [&] {
-        queue.push(arrivals[next].klass,
-                   {arrivals[next].atSec, static_cast<std::uint32_t>(next)});
-        ++next;
-    };
-
-    while (next < arrivals.size() || !queue.empty()) {
-        if (queue.empty())
-            admit();
-        const std::uint32_t k = queue.headClass();
-        const AdmissionQueue::Item head = queue.front(k);
-        const ClassModel &m = models[k];
-
-        // The m.shards least-loaded chips, ties to the lowest id.
-        chosen.assign(sp.fleet.chips, 0);
-        for (std::size_t c = 0; c < sp.fleet.chips; ++c)
-            chosen[c] = c;
-        std::sort(chosen.begin(), chosen.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      if (chips[a].freeAt != chips[b].freeAt)
-                          return chips[a].freeAt < chips[b].freeAt;
-                      return a < b;
-                  });
-        chosen.resize(m.shards);
-        double start = head.ready;
-        for (std::size_t c : chosen)
-            start = std::max(start, chips[c].freeAt);
-        // Jobs arriving while the gang drains are admission
-        // candidates: they may join this batch.
-        while (next < arrivals.size() && arrivals[next].atSec <= start)
-            admit();
-        stats.maxQueueDepth = std::max(stats.maxQueueDepth, queue.size());
-
-        const std::size_t bwIdx =
-            m.shards > 1 ? 0
-                         : chipBw[*std::min_element(chosen.begin(),
-                                                    chosen.end())];
-        bool warmCtx = true;
-        for (std::size_t c : chosen)
-            warmCtx = warmCtx &&
-                      chips[c].lastClass == static_cast<std::int64_t>(k);
-
-        // p4db-style target batch: coalesce queued same-class jobs
-        // behind the head until the size target or the estimated
-        // batch duration is reached.
-        queue.takeBatch(
-            k, sp.batch, warmCtx ? m.warmSvc[bwIdx] : m.coldSvc[bwIdx],
-            m.warmSvc[bwIdx], [](std::uint32_t) { return false; },
-            batchIds);
-
-        // Execute the batch: the leader runs cold unless the gang is
-        // already warm on this class; followers inherit a warmed key
-        // cache.
-        const std::uint32_t firstChip = static_cast<std::uint32_t>(
-            *std::min_element(chosen.begin(), chosen.end()));
-        double t = start;
-        for (std::size_t b = 0; b < batchIds.size(); ++b) {
-            const std::uint32_t j = batchIds[b];
-            const bool warm = b > 0 || warmCtx;
-            const std::vector<std::uint8_t> &mask =
-                warm ? m.warmMask : m.coldMask;
-            const double jobStart = t;
-            for (std::size_t i = 0; i < mask.size(); ++i) {
-                const double dur =
-                    mask[i] ? m.hitRt[bwIdx] : m.missRt[bwIdx];
-                if (viz && viz_ && m.shards == 1) {
-                    obs::TraceSegment seg;
-                    seg.baseSec = t;
-                    seg.resourceBase = static_cast<std::uint32_t>(
-                        firstChip * viz_->perChip);
-                    seg.buf = viz_->bufs[k][mask[i] ? 1 : 0][bwIdx];
-                    viz->segments.push_back(std::move(seg));
-                }
-                t += dur;
-            }
-            JobResult &res = out[j];
-            res.arriveSec = arrivals[j].atSec;
-            res.startSec = jobStart;
-            res.finishSec = t;
-            res.klass = k;
-            res.tenant = arrivals[j].tenant;
-            res.chip = firstChip;
-            res.batch = batchSeq;
-            res.warmStart = warm;
-            stats.warmJobs += warm ? 1 : 0;
-            stats.keyCacheHitOps += warm ? m.warmHits : m.coldHits;
-            stats.totalOps += mask.size();
-        }
-        for (std::size_t c : chosen) {
-            chips[c].freeAt = t;
-            chips[c].lastClass = static_cast<std::int64_t>(k);
-        }
-        if (viz) {
-            char label[128];
-            std::snprintf(label, sizeof label,
-                          "batch %u: %zux %s @chip%u%s", batchSeq,
-                          batchIds.size(),
-                          sp.classes[k].name.c_str(), firstChip,
-                          m.shards > 1 ? " (gang)" : "");
-            viz->marks.push_back({label, start, t - start});
-        }
-        ++batchSeq;
-        ++stats.batches;
-        if (batchIds.size() > 1)
-            stats.batchedJobs += batchIds.size();
-    }
-
-    // Aggregate: nearest-rank latency percentiles plus sustained QPS.
-    stats.jobs = out.size();
-    if (!out.empty()) {
-        std::vector<double> lat;
-        lat.reserve(out.size());
-        double sum = 0.0;
-        for (const JobResult &r : out) {
-            lat.push_back(r.latencySec());
-            sum += r.latencySec();
-            stats.makespanSec =
-                std::max(stats.makespanSec, r.finishSec);
-        }
-        std::sort(lat.begin(), lat.end());
-        stats.meanLatencySec = sum / static_cast<double>(lat.size());
-        stats.p50LatencySec = stats::percentileSorted(lat, 0.50);
-        stats.p99LatencySec = stats::percentileSorted(lat, 0.99);
-        stats.p999LatencySec = stats::percentileSorted(lat, 0.999);
-        stats.maxLatencySec = lat.back();
-        if (stats.makespanSec > 0.0)
-            stats.qps = static_cast<double>(stats.jobs) /
-                        stats.makespanSec;
-    }
-
-    if (viz)
-        for (const JobResult &r : out)
-            viz->marks.push_back(
-                {"arrive " + sp.classes[r.klass].name + " t" +
-                     std::to_string(r.tenant),
-                 r.arriveSec, 0.0});
-
+    FaultServeStats all;
+    serveLoop<false>(arrivals, out, all, viz, nullptr);
+    stats = all.done;
     nJobs += stats.jobs;
     nBatches += stats.batches;
     nBatchedJobs += stats.batchedJobs;

@@ -98,7 +98,8 @@ struct FleetConfig
     /** Partitioner for gang-scheduled classes. */
     shard::PartitionStrategy strategy =
         shard::PartitionStrategy::MinCutGreedy;
-    /** Partitioner load cap (see shard::ShardSpec::imbalanceTol). */
+    /** Partitioner load cap for gang-scheduled classes (see
+     * shard::ShardSpec::imbalanceTol): >= 0, +inf = no cap. */
     double imbalanceTol = 0.10;
 };
 
@@ -203,13 +204,23 @@ struct ServeStats
  * Non-aborting spec validation: BadServeSpec when the class table is
  * empty or holds an empty workload, a gang width exceeds the fleet,
  * per-chip bandwidth overrides are malformed or combined with
- * features they exclude, or the batch policy is degenerate.
+ * features they exclude, a gang class meets an invalid interconnect
+ * or a NaN or negative imbalanceTol, or the batch policy is
+ * degenerate.
  * ServingSim's constructor panics through this check.
  */
 sim::Error checkSpec(const ServeSpec &spec);
 
 /** Forward declaration for trySimulateServing's signature. */
 class ServingSim;
+/** Forward declaration for the serving loop's signature. */
+struct FaultServeStats;
+
+namespace detail
+{
+/** Forward declaration for the serving loop's signature. */
+struct FaultRun;
+} // namespace detail
 
 /**
  * Non-panicking end-to-end serving run, mirroring sim::tryReplay:
@@ -290,8 +301,9 @@ class ServingSim
     /**
      * Per-class duration model: key-cache hit masks plus per-op
      * hit/miss runtimes at every distinct chip bandwidth, and their
-     * ordered sums. Defined here (not in serving.cpp) so the
-     * fault-aware serving loop prices through the identical model.
+     * ordered sums. Both instantiations of the serving loop
+     * (serve/serve_loop.h) price from it, and FaultServingSim seeds
+     * its gang bindings' clean prices from it.
      */
     struct ClassModel
     {
@@ -311,9 +323,8 @@ class ServingSim
     };
     /** Lazily built Chrome-trace assets (see buildViz): the clean
      * per-op replay of every (single-chip class, variant, bandwidth),
-     * copied into fleet-placed segments at render time. Defined here
-     * so the fault-aware serving loop reuses the identical buffers for
-     * its healthy ops. */
+     * copied into fleet-placed segments at render time by the serving
+     * loop, for every op priced clean in either instantiation. */
     struct VizAssets
     {
         /** Resources per chip block (channels + pipes). */
@@ -326,6 +337,16 @@ class ServingSim
     };
     friend class FaultServingSim;
 
+    /**
+     * The serving loop (defined in serve/serve_loop.h): serves a
+     * checked stream into `out` and `stats`. Faults = false is run()'s
+     * healthy loop (fills stats.done only; `fr` is null); Faults = true
+     * is FaultServingSim::run's, driven by `fr`.
+     */
+    template <bool Faults>
+    void serveLoop(const std::vector<JobArrival> &arrivals,
+                   std::vector<JobResult> &out, FaultServeStats &stats,
+                   obs::ScenarioTrace *viz, detail::FaultRun *fr);
     void buildModels(ExperimentRunner &runner, tune::EvalCache *cache);
     void buildViz(ExperimentRunner &runner);
     /** The chip configuration replayed at uniqBw[bwIdx]. */

@@ -411,6 +411,43 @@ TEST(FaultServe, ZeroFaultRunIsBitIdenticalToHealthyServing)
         EXPECT_FALSE(r.rejected);
         EXPECT_FALSE(r.degraded);
     }
+
+    // With viz attached, both runs keep their results and emit the
+    // same Chrome trace: track names, one clean segment per
+    // single-chip op, and the batch and arrival marks.
+    obs::ScenarioTrace hviz, fviz;
+    std::vector<JobResult> hv, fv;
+    ServeStats hvst;
+    FaultServeStats fvst;
+    ASSERT_TRUE(sim.run(arr, hv, hvst, &hviz).ok());
+    ASSERT_TRUE(fs.run(arr, fault::FaultTrace{}, RetryPolicy{}, fv, fvst,
+                       &fviz)
+                    .ok());
+    EXPECT_TRUE(sameFaultResults(healthy, hv));
+    EXPECT_TRUE(sameFaultResults(healthy, fv));
+    EXPECT_TRUE(sameServeStats(hst, hvst));
+    EXPECT_TRUE(sameServeStats(hst, fvst.done));
+    EXPECT_FALSE(hviz.resourceNames.empty());
+    EXPECT_EQ(hviz.resourceNames, fviz.resourceNames);
+    ASSERT_FALSE(hviz.segments.empty());
+    ASSERT_EQ(hviz.segments.size(), fviz.segments.size());
+    for (std::size_t i = 0; i < hviz.segments.size(); ++i) {
+        const obs::TraceSegment &a = hviz.segments[i];
+        const obs::TraceSegment &b = fviz.segments[i];
+        EXPECT_EQ(a.baseSec, b.baseSec) << "segment " << i;
+        EXPECT_EQ(a.resourceBase, b.resourceBase) << "segment " << i;
+        EXPECT_TRUE(a.epochs.empty()) << "segment " << i;
+        EXPECT_TRUE(b.epochs.empty()) << "segment " << i;
+        EXPECT_EQ(a.buf.makespan, b.buf.makespan) << "segment " << i;
+    }
+    ASSERT_FALSE(hviz.marks.empty());
+    ASSERT_EQ(hviz.marks.size(), fviz.marks.size());
+    for (std::size_t i = 0; i < hviz.marks.size(); ++i) {
+        EXPECT_EQ(hviz.marks[i].label, fviz.marks[i].label) << "mark " << i;
+        EXPECT_EQ(hviz.marks[i].atSec, fviz.marks[i].atSec) << "mark " << i;
+        EXPECT_EQ(hviz.marks[i].durSec, fviz.marks[i].durSec)
+            << "mark " << i;
+    }
 }
 
 TEST(FaultServe, ZeroFaultIdentityOnHeterogeneousFleet)

@@ -8,7 +8,9 @@
  * replica), cross-layer agreement with simulateWorkload for a lone
  * cold job, gang-scheduled classes against a sharded-replay
  * reference, traced per-job segments, the batching throughput win at
- * saturation, and EvalCache sharing across simulators.
+ * saturation, EvalCache sharing across simulators, and the healthy
+ * loop against the pre-merge loop kept in tests/legacy_serving.h on
+ * randomized fleets.
  */
 
 #include <gtest/gtest.h>
@@ -18,8 +20,11 @@
 #include <cstdio>
 #include <list>
 #include <limits>
+#include <random>
 #include <string>
 #include <vector>
+
+#include "legacy_serving.h"
 
 #include "obs/chrome_trace.h"
 #include "rpu/experiment.h"
@@ -213,6 +218,25 @@ TEST(Serve, CheckSpecRejectsDegenerateSpecs)
     EXPECT_EQ(err.code, sim::ErrorCode::BadServeSpec);
     EXPECT_NE(err.context.find("link latency"), std::string::npos)
         << err.context;
+
+    // Gang classes partition with the fleet's load cap: NaN or a
+    // negative tolerance is rejected, +inf (no cap) is valid, and a
+    // fleet with no gang never reads it.
+    ServeSpec badTol = sp;
+    badTol.fleet.chips = 2;
+    badTol.fleet.imbalanceTol = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_TRUE(checkSpec(badTol).ok());
+    badTol.classes[0].shards = 2;
+    const sim::Error nanTol = checkSpec(badTol);
+    EXPECT_EQ(nanTol.code, sim::ErrorCode::BadServeSpec);
+    EXPECT_NE(nanTol.context.find("imbalanceTol"), std::string::npos)
+        << nanTol.context;
+    badTol.fleet.imbalanceTol = -5.0;
+    EXPECT_EQ(checkSpec(badTol).code, sim::ErrorCode::BadServeSpec);
+    badTol.fleet.imbalanceTol = std::numeric_limits<double>::infinity();
+    EXPECT_TRUE(checkSpec(badTol).ok());
+    badTol.fleet.imbalanceTol = 0.0;
+    EXPECT_TRUE(checkSpec(badTol).ok());
 }
 
 TEST(Serve, LoneColdJobMatchesWorkloadLayer)
@@ -515,6 +539,201 @@ TEST(Serve, EvalCacheSharedAcrossSimulators)
                       second.classServiceSec(k, warm))
                 << "class " << k << " warm " << warm;
     EXPECT_GE(cache.hits(), 4u);
+}
+
+/**
+ * The price table the pre-merge healthy loop read, rebuilt from public
+ * APIs: per-op runtimes from HksExperiment::simulateRuntime at every
+ * distinct chip bandwidth (gang classes: the sharded compiled replay
+ * of the partitioned graph), key-cache masks from an LRU replica run
+ * cold and then once more on the same state, and whole-job service
+ * sums accumulated in op order.
+ */
+legacy::Prices
+referencePrices(const ServeSpec &sp, ExperimentRunner &runner)
+{
+    std::vector<double> uniqBw = sp.fleet.chipBandwidthGBps;
+    if (uniqBw.empty())
+        uniqBw.push_back(sp.fleet.chip.bandwidthGBps);
+    std::sort(uniqBw.begin(), uniqBw.end());
+    uniqBw.erase(std::unique(uniqBw.begin(), uniqBw.end()), uniqBw.end());
+    legacy::Prices p;
+    p.chipBw.assign(sp.fleet.chips, 0);
+    for (std::size_t c = 0; c < sp.fleet.chipBandwidthGBps.size(); ++c)
+        p.chipBw[c] = static_cast<std::size_t>(
+            std::lower_bound(uniqBw.begin(), uniqBw.end(),
+                             sp.fleet.chipBandwidthGBps[c]) -
+            uniqBw.begin());
+
+    const MemoryConfig missMem{sp.fleet.chip.dataMemBytes, false};
+    MemoryConfig hitMem = missMem;
+    hitMem.evkOnChip = true;
+    for (const JobClass &jc : sp.classes) {
+        legacy::ClassPrices m;
+        m.shards = jc.shards;
+        const std::size_t slots = static_cast<std::size_t>(
+            sp.fleet.keyCacheBytes / jc.params.evkBytes());
+        std::list<long> lru; // front = most recent
+        for (std::vector<std::uint8_t> *mask : {&m.coldMask, &m.warmMask})
+            for (const HeOp &op : jc.workload.ops) {
+                const long id =
+                    op.kind == HeOpKind::Multiply ? -1L : op.rotation;
+                const auto it = std::find(lru.begin(), lru.end(), id);
+                const bool hit = it != lru.end();
+                if (hit)
+                    lru.erase(it);
+                lru.push_front(id);
+                if (lru.size() > slots)
+                    lru.pop_back();
+                mask->push_back(hit ? 1 : 0);
+            }
+        for (std::uint8_t h : m.coldMask)
+            m.coldHits += h;
+        for (std::uint8_t h : m.warmMask)
+            m.warmHits += h;
+        for (int variant = 0; variant < 2; ++variant) {
+            const auto exp = runner.experiment(jc.params, jc.dataflow,
+                                               variant ? hitMem : missMem);
+            std::vector<double> &rt = variant ? m.hitRt : m.missRt;
+            for (double bw : uniqBw) {
+                RpuConfig cfg = sp.fleet.chip;
+                cfg.bandwidthGBps = bw;
+                if (jc.shards == 1) {
+                    rt.push_back(exp->simulateRuntime(cfg));
+                    continue;
+                }
+                const shard::Partition part = shard::partitionGraph(
+                    exp->graph(),
+                    shard::placementShardSpec(jc.params, jc.shards,
+                                              sp.fleet.strategy,
+                                              sp.fleet.imbalanceTol),
+                    shard::taskWeights(exp->graph(), cfg));
+                const shard::ShardedEngine eng(cfg, sp.fleet.interconnect);
+                rt.push_back(eng.replayRuntime(eng.compile(*exp, part)));
+            }
+        }
+        m.coldSvc.assign(uniqBw.size(), 0.0);
+        m.warmSvc.assign(uniqBw.size(), 0.0);
+        for (std::size_t b = 0; b < uniqBw.size(); ++b)
+            for (std::size_t i = 0; i < m.coldMask.size(); ++i) {
+                m.coldSvc[b] += m.coldMask[i] ? m.hitRt[b] : m.missRt[b];
+                m.warmSvc[b] += m.warmMask[i] ? m.hitRt[b] : m.missRt[b];
+            }
+        p.models.push_back(std::move(m));
+    }
+    return p;
+}
+
+TEST(Serve, HealthyLoopMatchesLegacyLoopOnRandomFleets)
+{
+    // Random fleets of 1-4 chips, heterogeneous bandwidths or a gang
+    // class, batch targets 1-8 with and without a duration cap, at
+    // offered loads from light to overloaded, with and without job
+    // deadlines: every JobResult and ServeStats field equals the
+    // pre-merge loop's, bit for bit.
+    const HksParams &ark = benchmarkByName("ARK");
+    const HksParams &bts = benchmarkByName("BTS1");
+    const std::vector<HeWorkload> shapes{
+        HeWorkload::reduction(2), HeWorkload::reduction(8),
+        HeWorkload::matVec(3), HeWorkload::matVec(4)};
+    const std::vector<double> bws{4.0, 8.0, 16.0};
+    std::mt19937_64 rng(20261017);
+    const auto pick = [&](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    ExperimentRunner runner(2);
+    bool sawGang = false, sawHetero = false, sawCap = false;
+    bool sawDeadlines = false;
+    for (int trial = 0; trial < 16; ++trial) {
+        ServeSpec sp;
+        sp.fleet.chips = 1 + pick(4);
+        sp.fleet.chip.bandwidthGBps = bws[pick(bws.size())];
+        const bool hetero = sp.fleet.chips > 1 && pick(2) == 1;
+        if (hetero)
+            for (std::size_t c = 0; c < sp.fleet.chips; ++c)
+                sp.fleet.chipBandwidthGBps.push_back(bws[pick(bws.size())]);
+        const std::size_t classes = 1 + pick(3);
+        for (std::size_t k = 0; k < classes; ++k) {
+            const bool onArk = pick(2) == 1;
+            sp.classes.push_back({std::to_string(k),
+                                  shapes[pick(shapes.size())],
+                                  onArk ? ark : bts,
+                                  onArk ? Dataflow::OC : Dataflow::MP, 1});
+        }
+        if (!hetero && sp.fleet.chips > 1 && pick(2) == 1)
+            sp.classes.push_back({"gang", HeWorkload::reduction(4), bts,
+                                  Dataflow::MP, 2 + pick(sp.fleet.chips - 1)});
+        sp.fleet.keyCacheBytes = ark.evkBytes() * pick(9);
+        sp.batch.targetBatch = 1 + pick(8);
+        const legacy::Prices p = referencePrices(sp, runner);
+        if (pick(2) == 1)
+            sp.batch.targetBatchSec =
+                static_cast<double>(1 + pick(4)) * p.models[0].warmSvc[0];
+
+        // Offered load 0.5-2x of the fleet's cold-service capacity,
+        // about 150 jobs.
+        double meanSvc = 0.0;
+        for (const legacy::ClassPrices &m : p.models)
+            meanSvc += m.coldSvc[0] / static_cast<double>(p.models.size());
+        const double load = 0.5 + 0.5 * static_cast<double>(pick(4));
+        const double rate =
+            load * static_cast<double>(sp.fleet.chips) / meanSvc;
+        ArrivalSpec as;
+        as.horizonSec = 150.0 / rate;
+        for (std::uint32_t tn = 0; tn < 2; ++tn)
+            as.tenants.push_back(
+                {rate / 2.0, std::vector<double>(sp.classes.size(), 1.0)});
+        std::vector<JobArrival> arr = poissonArrivals(as, rng());
+        ASSERT_FALSE(arr.empty());
+        // The healthy loop ignores deadlines, however tight.
+        const bool deadlines = pick(2) == 1;
+        if (deadlines)
+            for (JobArrival &a : arr)
+                a.deadlineSec = 1e-9;
+
+        ServingSim sim(sp, runner);
+        std::vector<JobResult> out, ref;
+        ServeStats st, rst;
+        ASSERT_TRUE(sim.run(arr, out, st).ok());
+        legacy::serveRun(sp, p, arr, ref, rst);
+
+        SCOPED_TRACE(testing::Message() << "trial " << trial);
+        ASSERT_EQ(out.size(), ref.size());
+        for (std::size_t j = 0; j < out.size(); ++j) {
+            const JobResult &a = out[j], &b = ref[j];
+            const bool same =
+                a.arriveSec == b.arriveSec && a.startSec == b.startSec &&
+                a.finishSec == b.finishSec && a.klass == b.klass &&
+                a.tenant == b.tenant && a.chip == b.chip &&
+                a.batch == b.batch && a.warmStart == b.warmStart &&
+                a.retries == b.retries && a.rejected == b.rejected &&
+                a.degraded == b.degraded;
+            ASSERT_TRUE(same) << "job " << j;
+        }
+        EXPECT_EQ(st.jobs, rst.jobs);
+        EXPECT_EQ(st.batches, rst.batches);
+        EXPECT_EQ(st.batchedJobs, rst.batchedJobs);
+        EXPECT_EQ(st.warmJobs, rst.warmJobs);
+        EXPECT_EQ(st.keyCacheHitOps, rst.keyCacheHitOps);
+        EXPECT_EQ(st.totalOps, rst.totalOps);
+        EXPECT_EQ(st.maxQueueDepth, rst.maxQueueDepth);
+        EXPECT_EQ(st.makespanSec, rst.makespanSec);
+        EXPECT_EQ(st.qps, rst.qps);
+        EXPECT_EQ(st.meanLatencySec, rst.meanLatencySec);
+        EXPECT_EQ(st.p50LatencySec, rst.p50LatencySec);
+        EXPECT_EQ(st.p99LatencySec, rst.p99LatencySec);
+        EXPECT_EQ(st.p999LatencySec, rst.p999LatencySec);
+        EXPECT_EQ(st.maxLatencySec, rst.maxLatencySec);
+        sawGang = sawGang || sp.classes.back().shards > 1;
+        sawHetero = sawHetero || hetero;
+        sawCap = sawCap || sp.batch.targetBatchSec > 0.0;
+        sawDeadlines = sawDeadlines || deadlines;
+    }
+    // The seed covers every axis.
+    EXPECT_TRUE(sawGang);
+    EXPECT_TRUE(sawHetero);
+    EXPECT_TRUE(sawCap);
+    EXPECT_TRUE(sawDeadlines);
 }
 
 } // namespace
