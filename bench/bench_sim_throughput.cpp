@@ -36,6 +36,13 @@
  * bit-identical makespan and scratch state at every point. CI gates
  * trace_overhead (plain/traced throughput ratio) <= 2x and
  * traced_identical == true.
+ *
+ * The bisection section runs bandwidthToMatch, which resolves three
+ * bisection steps per batched replay block, and a copy of the
+ * one-replay-per-step loop it replaced on each row's experiment
+ * against the Table IV baseline runtime. CI gates bisect_identical ==
+ * true; the two per-call times (bisect_us, bisect_scalar_us) are
+ * reported only.
  */
 
 #include <algorithm>
@@ -43,6 +50,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -82,6 +90,33 @@ bisectionPoints()
             lo = mid;
     }
     return bws;
+}
+
+/**
+ * The bisection bandwidthToMatch ran before it resolved three steps
+ * per batched replay block: one scalar replay per step. The batched
+ * walk must return the same double.
+ */
+double
+scalarBandwidthToMatch(const HksExperiment &exp, double target_runtime,
+                       double lo_gbps = 1.0, double hi_gbps = 2000.0,
+                       double modops_mult = 1.0, double tol = 1e-3)
+{
+    if (exp.simulateRuntime(hi_gbps, modops_mult) >
+        target_runtime * (1 + tol)) {
+        return std::numeric_limits<double>::infinity();
+    }
+    double lo = lo_gbps, hi = hi_gbps;
+    for (int iter = 0; iter < 60 && (hi - lo) > 1e-6 * hi; ++iter) {
+        double mid = 0.5 * (lo + hi);
+        if (exp.simulateRuntime(mid, modops_mult) <=
+            target_runtime * (1 + tol)) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    return hi;
 }
 
 struct PathTiming
@@ -156,6 +191,10 @@ struct Row
     PathTiming rebuild, compiled, replayOnly, batched;
     /** Plain replay and traced replay over precomputed rate points. */
     PathTiming tracedPlain, traced;
+    /** bandwidthToMatch and the scalar bisection, calls per second. */
+    PathTiming bisect, bisectScalar;
+    /** The bandwidth both bisections matched (GB/s). */
+    double bisectGbps = 0.0;
     double compileMs = 0.0;
     double channelRepatchMs = 0.0;
     double shardCompileMs = 0.0;
@@ -166,6 +205,7 @@ struct Row
     bool identical = true;
     bool tracedIdentical = true;
     bool shardBindIdentical = true;
+    bool bisectIdentical = true;
 
     double
     speedup() const
@@ -344,6 +384,29 @@ main()
                         obs::replayTraced(cs, r, tracedS, buf);
                     (void)m;
                 }
+            });
+        }
+
+        // Bisection: the batched walk must return the scalar loop's
+        // double on the Table IV target; then the cost of each.
+        {
+            const double target = baselineRuntime(b);
+            row.bisectGbps = bandwidthToMatch(exp, target);
+            if (row.bisectGbps != scalarBandwidthToMatch(exp, target)) {
+                std::fprintf(stderr,
+                             "FAIL: %s: bandwidthToMatch and the scalar "
+                             "bisection differ\n",
+                             name);
+                row.identical = false;
+                row.bisectIdentical = false;
+            }
+            row.bisect = timeBatchLoop(1, kBudget, [&] {
+                volatile double bw = bandwidthToMatch(exp, target);
+                (void)bw;
+            });
+            row.bisectScalar = timeBatchLoop(1, kBudget, [&] {
+                volatile double bw = scalarBandwidthToMatch(exp, target);
+                (void)bw;
             });
         }
 
@@ -551,6 +614,27 @@ main()
     std::printf("traced = obs::replayTraced (one TraceOp per op into a "
                 "reused TraceBuffer)\n");
 
+    std::printf("\n");
+    benchutil::header("Bisection: bandwidthToMatch vs the one-step "
+                      "scalar loop (Table IV baseline target)");
+    std::printf("%-9s | %10s | %10s %10s | %s\n", "Benchmark",
+                "GB/s", "batched", "scalar", "identical");
+    benchutil::rule();
+    bool all_bisect_identical = true;
+    for (const Row &r : rows) {
+        std::printf("%-9s | %10.4f | %8.1fus %8.1fus | %s\n",
+                    r.name.c_str(), r.bisectGbps,
+                    1e6 / r.bisect.simsPerSec,
+                    1e6 / r.bisectScalar.simsPerSec,
+                    r.bisectIdentical ? "yes" : "NO");
+        all_bisect_identical = all_bisect_identical && r.bisectIdentical;
+    }
+    benchutil::rule();
+    std::printf("batched = bandwidthToMatch (three bisection steps per "
+                "%zu-lane replayMany block)\n",
+                sim::kBatchLanes);
+    std::printf("scalar  = one simulateRuntime per bisection step\n");
+
     // Metrics block for the artifact: what the traced loops actually
     // recorded, plus the worst observer overhead seen.
     obs::MetricsRegistry metrics;
@@ -570,6 +654,7 @@ main()
         w.field("batch_lanes", sim::kBatchLanes);
         w.field("traced_identical", all_traced_identical);
         w.field("shard_bind_identical", all_shard_bind_identical);
+        w.field("bisect_identical", all_bisect_identical);
         w.beginArray("rows");
         for (const Row &r : rows) {
             w.beginObject();
@@ -592,6 +677,9 @@ main()
             w.field("traced_sims_per_sec", r.traced.simsPerSec);
             w.field("trace_overhead", r.traceOverhead());
             w.field("traced_identical", r.tracedIdentical);
+            w.field("bisect_us", 1e6 / r.bisect.simsPerSec);
+            w.field("bisect_scalar_us", 1e6 / r.bisectScalar.simsPerSec);
+            w.field("bisect_identical", r.bisectIdentical);
             w.field("bit_identical", r.identical);
             w.endObject();
         }

@@ -127,10 +127,11 @@ criticalPath(const sim::CompiledSchedule &cs, const TraceBuffer &buf)
                 break;
             }
         }
-        panicIf(next == none,
-                "no tight edge at op " + std::to_string(rec.op) +
-                    " of task " + std::to_string(rec.task) +
-                    " (start " + std::to_string(rec.start) + ")");
+        // Branch, not panicIf: the message must not be built per step.
+        if (next == none)
+            panic("no tight edge at op " + std::to_string(rec.op) +
+                  " of task " + std::to_string(rec.task) + " (start " +
+                  std::to_string(rec.start) + ")");
         cur = next;
         viaResource = false;
     }

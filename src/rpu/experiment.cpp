@@ -1,5 +1,6 @@
 #include "rpu/experiment.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -250,18 +251,56 @@ bandwidthToMatch(const HksExperiment &exp, double target_runtime,
                  double lo_gbps, double hi_gbps, double modops_mult,
                  double tol)
 {
-    if (exp.simulateRuntime(hi_gbps, modops_mult) >
-        target_runtime * (1 + tol)) {
-        return std::numeric_limits<double>::infinity();
-    }
+    // Blocks replay midpoints the walk may never visit. All of them
+    // lie inside the initial bracket, so a non-negative lo keeps every
+    // one a valid bandwidth.
+    if (!(lo_gbps >= 0.0))
+        fatal("bandwidthToMatch: lo_gbps must be a non-negative number");
+    // The bisection, three levels per replay block. A block replays
+    // the 7 midpoints the next three steps can visit, heap-ordered:
+    // node i's children are node 2i+1 (the bracket after hi = mid) and
+    // node 2i+2 (after lo = mid), each midpoint computed exactly as
+    // the walk below will compute it. The walk then takes the one
+    // step per level that a one-point-at-a-time bisection takes, with
+    // the same guard and the same mid, so it returns the same double.
+    // Lane 7 of the first block is the hi_gbps feasibility probe;
+    // later blocks leave it to replayMany's padding.
+    constexpr std::size_t kNodes = sim::kBatchLanes - 1;
+    const double thr = target_runtime * (1 + tol);
+    double bw[sim::kBatchLanes], mult[sim::kBatchLanes];
+    double blo[kNodes], bhi[kNodes], rt[sim::kBatchLanes];
+    std::fill_n(mult, sim::kBatchLanes, modops_mult);
     double lo = lo_gbps, hi = hi_gbps;
-    for (int iter = 0; iter < 60 && (hi - lo) > 1e-6 * hi; ++iter) {
-        double mid = 0.5 * (lo + hi);
-        if (exp.simulateRuntime(mid, modops_mult) <=
-            target_runtime * (1 + tol)) {
-            hi = mid;
-        } else {
-            lo = mid;
+    int iter = 0;
+    for (bool first = true;
+         first || (iter < 60 && (hi - lo) > 1e-6 * hi); first = false) {
+        blo[0] = lo;
+        bhi[0] = hi;
+        for (std::size_t i = 0; i < kNodes; ++i) {
+            bw[i] = 0.5 * (blo[i] + bhi[i]);
+            if (2 * i + 2 < kNodes) {
+                blo[2 * i + 1] = blo[i];
+                bhi[2 * i + 1] = bw[i];
+                blo[2 * i + 2] = bw[i];
+                bhi[2 * i + 2] = bhi[i];
+            }
+        }
+        bw[kNodes] = hi_gbps;
+        exp.simulateRuntimeMany(bw, mult, first ? kNodes + 1 : kNodes,
+                                rt);
+        if (first && rt[kNodes] > thr)
+            return std::numeric_limits<double>::infinity();
+        for (std::size_t node = 0;
+             node < kNodes && iter < 60 && (hi - lo) > 1e-6 * hi;
+             ++iter) {
+            const double mid = 0.5 * (lo + hi);
+            if (rt[node] <= thr) {
+                hi = mid;
+                node = 2 * node + 1;
+            } else {
+                lo = mid;
+                node = 2 * node + 2;
+            }
         }
     }
     return hi;

@@ -271,95 +271,6 @@ CompiledSchedule::replayPiecewise(const ReplayRates &rates,
 namespace
 {
 
-/**
- * One block of up to kBatchLanes point-lanes: the scalar replay() op
- * body evaluated per lane over lane-contiguous buffers — the same
- * divides in the same max order, so every lane is bit-identical to
- * its scalar replay. Marked always_inline so the `lanes` argument
- * constant-propagates when the full-block wrapper below passes the
- * compile-time kBatchLanes, turning every lane loop into a
- * fixed-trip-count, unit-stride loop the vectorizer unrolls flat.
- */
-[[gnu::always_inline]] inline void
-blockBody(const ScheduleView &v, const std::size_t lanes, BatchScratch &s,
-          double *makespans)
-{
-    const double *__restrict w0 = s.w0.data();
-    const double *__restrict w1 = s.w1.data();
-    double ready[kBatchLanes];
-    double dur[kBatchLanes];
-    double task_fin[kBatchLanes];
-    double makespan[kBatchLanes] = {};
-
-    for (std::size_t t = 0; t < v.taskCount; ++t) {
-        for (std::size_t l = 0; l < lanes; ++l) {
-            ready[l] = 0.0;
-            task_fin[l] = 0.0;
-        }
-        for (std::uint32_t i = v.depOff[t]; i < v.depOff[t + 1]; ++i) {
-            const double *df = &s.finish[v.depIds[i] * lanes];
-            for (std::size_t l = 0; l < lanes; ++l)
-                if (df[l] > ready[l])
-                    ready[l] = df[l];
-        }
-        for (std::uint32_t i = v.opOff[t]; i < v.opOff[t + 1]; ++i) {
-            const ResourceId res = v.opRes[i];
-            const double bytes = v.opBytes[i];
-            const double work0 = v.opWork0[i];
-            const double work1 = v.opWork1[i];
-            const double sec = v.opSec[i];
-            const double post = v.opPost[i];
-            const double *__restrict bp = &s.bps[res * lanes];
-            double *__restrict fa = &s.freeAt[res * lanes];
-            double *__restrict bz = &s.busy[res * lanes];
-            // Component maxes in staged lane loops; zero numerators
-            // are skipped exactly as in scalar replay() (0/rate is +0
-            // and never raises the max), and the branch is per-op —
-            // uniform across lanes — so each stage stays branch-free
-            // vector code.
-            for (std::size_t l = 0; l < lanes; ++l)
-                dur[l] = sec;
-            if (work0 != 0.0)
-                for (std::size_t l = 0; l < lanes; ++l) {
-                    const double da = work0 / w0[l];
-                    if (da > dur[l])
-                        dur[l] = da;
-                }
-            if (work1 != 0.0)
-                for (std::size_t l = 0; l < lanes; ++l) {
-                    const double ds = work1 / w1[l];
-                    if (ds > dur[l])
-                        dur[l] = ds;
-                }
-            if (bytes != 0.0)
-                for (std::size_t l = 0; l < lanes; ++l) {
-                    const double db = bytes / bp[l];
-                    if (db > dur[l])
-                        dur[l] = db;
-                }
-            for (std::size_t l = 0; l < lanes; ++l) {
-                const double start =
-                    fa[l] > ready[l] ? fa[l] : ready[l];
-                const double fin = start + dur[l];
-                fa[l] = fin;
-                bz[l] += dur[l];
-                const double vis = fin + post;
-                if (vis > task_fin[l])
-                    task_fin[l] = vis;
-            }
-            ++s.jobs[res];
-        }
-        double *tf = &s.finish[t * lanes];
-        for (std::size_t l = 0; l < lanes; ++l) {
-            tf[l] = task_fin[l];
-            if (task_fin[l] > makespan[l])
-                makespan[l] = task_fin[l];
-        }
-    }
-    for (std::size_t l = 0; l < lanes; ++l)
-        makespans[l] = makespan[l];
-}
-
 #if defined(__GNUC__)
 
 // laneMax passes 64-byte vectors by value, which GCC flags (-Wpsabi)
@@ -388,10 +299,13 @@ laneMax(LaneVec a, LaneVec b)
 }
 
 /**
- * Full-width block with per-ISA clones: the resolver picks the widest
- * vector unit the host has (AVX-512, AVX2, or baseline SSE2) at load
- * time. Every clone runs the identical IEEE operations — ISA width
- * changes how many lanes one instruction covers, never a result bit.
+ * One block of kBatchLanes point-lanes: the scalar replay() op body
+ * evaluated per lane over lane-contiguous buffers — the same divides
+ * in the same max order, so every lane is bit-identical to its scalar
+ * replay. Per-ISA clones: the resolver picks the widest vector unit
+ * the host has (AVX-512, AVX2, or baseline SSE2) at load time. Every
+ * clone runs the identical IEEE operations — ISA width changes how
+ * many lanes one instruction covers, never a result bit.
  */
 #if defined(__x86_64__)
 [[gnu::target_clones("default", "avx2", "arch=x86-64-v4")]]
@@ -444,21 +358,93 @@ blockBodyFull(const ScheduleView &v, BatchScratch &s, double *makespans)
 
 #else // !__GNUC__: portable scalar fallback
 
+/**
+ * The same block as per-lane loops over the same buffers, for
+ * compilers without GCC vector extensions: the same operations in the
+ * same order, so every lane is still bit-identical to its scalar
+ * replay. Each stage is a fixed-trip-count, unit-stride loop left to
+ * the auto-vectorizer.
+ */
 void
 blockBodyFull(const ScheduleView &v, BatchScratch &s, double *makespans)
 {
-    blockBody(v, kBatchLanes, s, makespans);
+    const double *__restrict w0 = s.w0.data();
+    const double *__restrict w1 = s.w1.data();
+    double ready[kBatchLanes];
+    double dur[kBatchLanes];
+    double task_fin[kBatchLanes];
+    double makespan[kBatchLanes] = {};
+
+    for (std::size_t t = 0; t < v.taskCount; ++t) {
+        for (std::size_t l = 0; l < kBatchLanes; ++l) {
+            ready[l] = 0.0;
+            task_fin[l] = 0.0;
+        }
+        for (std::uint32_t i = v.depOff[t]; i < v.depOff[t + 1]; ++i) {
+            const double *df = &s.finish[v.depIds[i] * kBatchLanes];
+            for (std::size_t l = 0; l < kBatchLanes; ++l)
+                if (df[l] > ready[l])
+                    ready[l] = df[l];
+        }
+        for (std::uint32_t i = v.opOff[t]; i < v.opOff[t + 1]; ++i) {
+            const ResourceId res = v.opRes[i];
+            const double bytes = v.opBytes[i];
+            const double work0 = v.opWork0[i];
+            const double work1 = v.opWork1[i];
+            const double sec = v.opSec[i];
+            const double post = v.opPost[i];
+            const double *__restrict bp = &s.bps[res * kBatchLanes];
+            double *__restrict fa = &s.freeAt[res * kBatchLanes];
+            double *__restrict bz = &s.busy[res * kBatchLanes];
+            // Component maxes in staged lane loops; zero numerators
+            // are skipped exactly as in scalar replay() (0/rate is +0
+            // and never raises the max), and the branch is per-op —
+            // uniform across lanes — so each stage stays branch-free
+            // vector code.
+            for (std::size_t l = 0; l < kBatchLanes; ++l)
+                dur[l] = sec;
+            if (work0 != 0.0)
+                for (std::size_t l = 0; l < kBatchLanes; ++l) {
+                    const double da = work0 / w0[l];
+                    if (da > dur[l])
+                        dur[l] = da;
+                }
+            if (work1 != 0.0)
+                for (std::size_t l = 0; l < kBatchLanes; ++l) {
+                    const double ds = work1 / w1[l];
+                    if (ds > dur[l])
+                        dur[l] = ds;
+                }
+            if (bytes != 0.0)
+                for (std::size_t l = 0; l < kBatchLanes; ++l) {
+                    const double db = bytes / bp[l];
+                    if (db > dur[l])
+                        dur[l] = db;
+                }
+            for (std::size_t l = 0; l < kBatchLanes; ++l) {
+                const double start =
+                    fa[l] > ready[l] ? fa[l] : ready[l];
+                const double fin = start + dur[l];
+                fa[l] = fin;
+                bz[l] += dur[l];
+                const double vis = fin + post;
+                if (vis > task_fin[l])
+                    task_fin[l] = vis;
+            }
+            ++s.jobs[res];
+        }
+        double *tf = &s.finish[t * kBatchLanes];
+        for (std::size_t l = 0; l < kBatchLanes; ++l) {
+            tf[l] = task_fin[l];
+            if (task_fin[l] > makespan[l])
+                makespan[l] = task_fin[l];
+        }
+    }
+    for (std::size_t l = 0; l < kBatchLanes; ++l)
+        makespans[l] = makespan[l];
 }
 
 #endif
-
-/** Tail block (< kBatchLanes lanes); runtime width, no clones. */
-void
-blockBodyTail(const ScheduleView &v, std::size_t lanes, BatchScratch &s,
-              double *makespans)
-{
-    blockBody(v, lanes, s, makespans);
-}
 
 } // namespace
 
@@ -470,26 +456,32 @@ CompiledSchedule::replayBlock(const ReplayRates *points,
     const std::size_t nr = names.size();
 
     // Transpose the block's rates into lane-contiguous layout so the
-    // per-op lane loops read them with unit stride.
-    for (std::size_t l = 0; l < lanes; ++l) {
+    // per-op lane loops read them with unit stride. A tail block
+    // (lanes < kBatchLanes) repeats its last point in the spare
+    // lanes: a full-width block costs about one scalar replay, while
+    // a narrower one would need a runtime-width lane loop costing
+    // several. The spare lanes replay validated rates and their
+    // makespans are dropped.
+    for (std::size_t l = 0; l < lanes; ++l)
         checkRates(points[l]);
+    for (std::size_t l = 0; l < kBatchLanes; ++l) {
+        const ReplayRates &p = points[l < lanes ? l : lanes - 1];
         for (std::size_t r = 0; r < nr; ++r)
-            s.bps[r * lanes + l] = points[l].bytesPerSec[r];
-        s.w0[l] = points[l].workPerSec[0];
-        s.w1[l] = points[l].workPerSec[1];
+            s.bps[r * kBatchLanes + l] = p.bytesPerSec[r];
+        s.w0[l] = p.workPerSec[0];
+        s.w1[l] = p.workPerSec[1];
     }
-    for (std::size_t i = 0; i < nr * lanes; ++i) {
+    for (std::size_t i = 0; i < nr * kBatchLanes; ++i) {
         s.freeAt[i] = 0.0;
         s.busy[i] = 0.0;
     }
     for (std::size_t r = 0; r < nr; ++r)
         s.jobs[r] = 0;
 
-    const ScheduleView v = view();
-    if (lanes == kBatchLanes)
-        blockBodyFull(v, s, makespans);
-    else
-        blockBodyTail(v, lanes, s, makespans);
+    double block[kBatchLanes];
+    blockBodyFull(view(), s, block);
+    for (std::size_t l = 0; l < lanes; ++l)
+        makespans[l] = block[l];
 }
 
 void

@@ -178,11 +178,12 @@ struct ReplayScratch
  * ReplayScratch, buffers grow on first use and are then reused — one
  * instance per thread makes batched parallel sweeps allocation free.
  *
- * Per-lane layouts index as [t * lanes + lane] / [r * lanes + lane],
- * where `lanes` <= kBatchLanes is the width of the block. After a
- * replayMany() call the per-lane buffers hold the *last* block's
- * state (sweeps of up to kBatchLanes points see all their lanes);
- * `makespan` always covers every submitted point.
+ * Per-lane layouts always index as [t * kBatchLanes + lane] /
+ * [r * kBatchLanes + lane]: every block runs at full width, a tail
+ * block of fewer points repeating its last point in the spare lanes.
+ * After a replayMany() call the per-lane buffers hold the *last*
+ * block's state (sweeps of up to kBatchLanes points see all their
+ * lanes); `makespan` always covers every submitted point.
  */
 struct BatchScratch
 {
@@ -196,7 +197,7 @@ struct BatchScratch
     std::vector<double> busy;
     /** Jobs per resource (rate-independent, so lane-invariant). */
     std::vector<std::size_t> jobs;
-    /** Lane-transposed byte rates: bps[r * lanes + lane]. */
+    /** Lane-transposed byte rates: bps[r * kBatchLanes + lane]. */
     std::vector<double> bps;
     /** Per-lane work-class rates. */
     std::vector<double> w0, w1;
@@ -458,8 +459,11 @@ class CompiledSchedule
      * memory traffic over the compiled arrays — is amortized across
      * the batch. Every lane performs the exact divides and maxes of a
      * scalar replay() at that point, so scratch.makespan[i] is
-     * bit-identical to replay(points[i], ...) for every i. Thread-safe
-     * for concurrent calls with distinct scratch.
+     * bit-identical to replay(points[i], ...) for every i. A final
+     * block of fewer than kBatchLanes points is padded with copies of
+     * its last point, so it costs the same full-width walk as any
+     * other block. Thread-safe for concurrent calls with distinct
+     * scratch.
      */
     void replayMany(const ReplayRates *points, std::size_t n,
                     BatchScratch &scratch) const;
@@ -480,7 +484,10 @@ class CompiledSchedule
     }
 
   private:
-    /** One <= kBatchLanes-wide block of replayMany. */
+    /**
+     * One block of replayMany: `lanes` <= kBatchLanes points, padded
+     * to full width with copies of the last; writes `lanes` makespans.
+     */
     void replayBlock(const ReplayRates *points, std::size_t lanes,
                      BatchScratch &s, double *makespans) const;
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <vector>
 
@@ -518,6 +519,26 @@ TEST(BatchedReplay, DegenerateAndTailBatchWidths)
             sim::ReplayScratch scalar;
             EXPECT_EQ(batch.makespan[i], cs.replay(pts[i], scalar))
                 << "n=" << n << " point " << i;
+        }
+        // The tail block runs at full width: its lane buffers keep the
+        // kBatchLanes stride, the real lanes hold their points' scalar
+        // state and the spare lanes repeat the last point.
+        const std::size_t base =
+            (n - 1) / sim::kBatchLanes * sim::kBatchLanes;
+        for (std::size_t l = 0; l < sim::kBatchLanes; ++l) {
+            const std::size_t i = std::min(base + l, n - 1);
+            sim::ReplayScratch scalar;
+            cs.replay(pts[i], scalar);
+            for (std::size_t t = 0; t < nt; ++t)
+                ASSERT_EQ(batch.finish[t * sim::kBatchLanes + l],
+                          scalar.finish[t])
+                    << "n=" << n << " lane " << l << " task " << t;
+            for (std::size_t r = 0; r < nr; ++r) {
+                ASSERT_EQ(batch.busy[r * sim::kBatchLanes + l],
+                          scalar.busy[r])
+                    << "n=" << n << " lane " << l << " resource " << r;
+                ASSERT_EQ(batch.jobs[r], scalar.jobs[r]);
+            }
         }
     }
 }

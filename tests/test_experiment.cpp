@@ -24,6 +24,33 @@ paperMem(bool evk_on_chip)
     return {32ull << 20, evk_on_chip};
 }
 
+/**
+ * The bisection bandwidthToMatch ran before it resolved three steps
+ * per batched replay block, copied verbatim: one scalar replay per
+ * step. The batched walk must return the very same double.
+ */
+double
+scalarBandwidthToMatch(const HksExperiment &exp, double target_runtime,
+                       double lo_gbps, double hi_gbps, double modops_mult,
+                       double tol)
+{
+    if (exp.simulateRuntime(hi_gbps, modops_mult) >
+        target_runtime * (1 + tol)) {
+        return std::numeric_limits<double>::infinity();
+    }
+    double lo = lo_gbps, hi = hi_gbps;
+    for (int iter = 0; iter < 60 && (hi - lo) > 1e-6 * hi; ++iter) {
+        double mid = 0.5 * (lo + hi);
+        if (exp.simulateRuntime(mid, modops_mult) <=
+            target_runtime * (1 + tol)) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    return hi;
+}
+
 } // namespace
 
 TEST(Experiment, BaselineIsMpAt64)
@@ -81,6 +108,91 @@ TEST(Experiment, BandwidthToMatchInfeasible)
     // No bandwidth makes MP beat a target below its compute floor.
     double bw = bandwidthToMatch(mp, 1e-6);
     EXPECT_TRUE(std::isinf(bw));
+}
+
+TEST(Experiment, BandwidthToMatchEqualsScalarBisection)
+{
+    // Every paper benchmark x dataflow x evk residency at 32 MiB, at
+    // the Table IV target and at a target met at 100 GB/s, over both
+    // MODOPS multipliers, the brackets the paper studies use and the
+    // default and exact tolerances.
+    const std::pair<double, double> ranges[] = {
+        {1.0, 2000.0}, {1.0, 4000.0}, {1.0, 8000.0}};
+    std::size_t calls = 0, feasible = 0;
+    for (const HksParams &b : paperBenchmarks()) {
+        const double baseline = baselineRuntime(b);
+        for (Dataflow d : allDataflows())
+            for (bool onChip : {false, true}) {
+                if (paperMem(onChip).dataCapacityBytes <
+                    minDataCapacity(b, d))
+                    continue;
+                HksExperiment exp(b, d, paperMem(onChip));
+                for (double mult : {1.0, 2.0}) {
+                    const double at100 = exp.simulateRuntime(100.0, mult);
+                    for (double target : {baseline, at100})
+                        for (const auto &[lo, hi] : ranges)
+                            for (double tol : {1e-3, 0.0}) {
+                                const double want = scalarBandwidthToMatch(
+                                    exp, target, lo, hi, mult, tol);
+                                EXPECT_EQ(bandwidthToMatch(exp, target, lo,
+                                                           hi, mult, tol),
+                                          want)
+                                    << b.name << " " << dataflowName(d)
+                                    << (onChip ? " on-chip" : " streamed")
+                                    << " x" << mult << " [" << lo << ", "
+                                    << hi << "] tol " << tol;
+                                ++calls;
+                                feasible += std::isfinite(want);
+                            }
+                }
+            }
+    }
+    // The matrix must mostly walk, not stop at the feasibility probe.
+    EXPECT_GE(calls, 300u);
+    EXPECT_GE(feasible, calls / 2);
+
+    const HksParams &b = benchmarkByName("BTS3");
+    HksExperiment oc(b, Dataflow::OC, paperMem(false));
+    const double inf = std::numeric_limits<double>::infinity();
+    // Infeasible: no bandwidth beats the compute floor.
+    EXPECT_EQ(bandwidthToMatch(oc, 1e-6), inf);
+    EXPECT_EQ(scalarBandwidthToMatch(oc, 1e-6, 1.0, 2000.0, 1.0, 1e-3), inf);
+    // A target met only in the top half of [1, 64]: the hi probe, not
+    // the first midpoint, decides feasibility.
+    const double top = oc.simulateRuntime(60.0);
+    ASSERT_GT(oc.simulateRuntime(32.5), top);
+    EXPECT_EQ(bandwidthToMatch(oc, top, 1.0, 64.0, 1.0, 0.0),
+              scalarBandwidthToMatch(oc, top, 1.0, 64.0, 1.0, 0.0));
+    // Narrow brackets: the walk stops after 0 to 5 steps, so inside
+    // the first block, at its end, or inside the second.
+    for (double hi : {100.0, 100.00005, 100.0003, 100.0007, 100.0015,
+                      100.003}) {
+        const double target = oc.simulateRuntime(100.0 + 0.4 * (hi - 100.0));
+        for (double tol : {1e-3, 0.0})
+            EXPECT_EQ(bandwidthToMatch(oc, target, 100.0, hi, 1.0, tol),
+                      scalarBandwidthToMatch(oc, target, 100.0, hi, 1.0,
+                                             tol))
+                << "hi " << hi << " tol " << tol;
+    }
+    // From lo = 0 with a target every bandwidth meets, the width never
+    // drops below 1e-6 of hi: the walk runs into the 60-step cap.
+    EXPECT_EQ(bandwidthToMatch(oc, 1e30, 0.0, 2000.0, 1.0, 0.0),
+              scalarBandwidthToMatch(oc, 1e30, 0.0, 2000.0, 1.0, 0.0));
+    EXPECT_EQ(bandwidthToMatch(oc, 1e30, 0.0, 2000.0, 1.0, 0.0),
+              std::ldexp(2000.0, -60));
+}
+
+TEST(Experiment, BandwidthToMatchRejectsNegativeOrNanLo)
+{
+    // The batched walk replays midpoints the one-step walk may never
+    // visit; from a negative lo some of them are negative bandwidths.
+    const HksParams &b = benchmarkByName("BTS1");
+    HksExperiment oc(b, Dataflow::OC, paperMem(true));
+    const double target = baselineRuntime(b);
+    for (double lo : {-1.0, std::numeric_limits<double>::quiet_NaN()})
+        EXPECT_EXIT(bandwidthToMatch(oc, target, lo, 5.0),
+                    ::testing::ExitedWithCode(1), "lo_gbps")
+            << lo;
 }
 
 TEST(Experiment, StreamingEvkCostsBoundedBandwidth)
