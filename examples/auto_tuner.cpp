@@ -9,8 +9,9 @@
  * Defaults: ARK cd stream 1. Tunes the joint (dataflow, capacity,
  * bandwidth, channels, MODOPS) space — plus shard count and topology
  * when max_shards > 1 — and prints the best configuration, the
- * evaluation accounting, and the Pareto frontier over
- * (runtime, aggregate bandwidth, aggregate capacity).
+ * evaluation accounting (with the multi-chip cuts computed and the
+ * ones reused from the tuner's partition memo), and the Pareto
+ * frontier over (runtime, aggregate bandwidth, aggregate capacity).
  */
 
 #include <algorithm>
@@ -75,9 +76,11 @@ main(int argc, char **argv)
                                 r.best.m.capacityBytes))
                     .c_str());
     std::printf("  evaluated %zu of %zu points (%.1f%%), %zu cache "
-                "hits, %zu rounds\n\n",
+                "hits, %zu rounds, %zu partitions, %zu partition "
+                "hits\n\n",
                 r.evaluations, r.spaceSize, r.evalFraction() * 100.0,
-                r.cacheHits, r.rounds);
+                r.cacheHits, r.rounds, tuner.partitions(),
+                tuner.partitionHits());
 
     std::printf("Pareto frontier (runtime vs aggregate bandwidth vs "
                 "capacity), fastest first:\n");

@@ -16,8 +16,8 @@ resourceUtilization(const TraceBuffer &buf, std::size_t resourceCount)
     for (std::size_t r = 0; r < resourceCount; ++r)
         out[r].resource = static_cast<sim::ResourceId>(r);
     for (const TraceOp &rec : buf.ops) {
-        panicIf(rec.resource >= resourceCount,
-                "trace record targets an unknown resource");
+        if (rec.resource >= resourceCount)
+            panic("trace record targets an unknown resource");
         ResourceUtilization &u = out[rec.resource];
         u.busySeconds += rec.finish - rec.start;
         u.queueWaitSeconds += rec.start - rec.ready;

@@ -113,9 +113,9 @@ struct RpuConfig
     bytesPerSec() const
     {
         if (!channelGBps.empty()) {
-            panicIf(channelGBps.size() != channelCount(),
-                    "channelGBps must have one entry per memory "
-                    "channel");
+            if (channelGBps.size() != channelCount())
+                panic("channelGBps must have one entry per memory "
+                      "channel");
             double sum = 0.0;
             for (double g : channelGBps)
                 sum += gbps(g);
@@ -147,9 +147,10 @@ struct RpuConfig
     {
         if (channelGBps.empty())
             return channelBytesPerSec();
-        panicIf(channelGBps.size() != channelCount(),
-                "channelGBps must have one entry per memory channel");
-        panicIf(c >= channelGBps.size(), "channel index out of range");
+        if (channelGBps.size() != channelCount())
+            panic("channelGBps must have one entry per memory channel");
+        if (c >= channelGBps.size())
+            panic("channel index out of range");
         return gbps(channelGBps[c]);
     }
 

@@ -109,10 +109,10 @@ HksExperiment::simulateRuntimeMany(const RpuConfig *cfgs, std::size_t n,
         tls.rates.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
         const RpuConfig cfg = normalized(cfgs[i]);
-        panicIf(!(RpuLayout::of(cfg) == layout),
-                "batched replay points must share one compiled "
-                "layout; fall back to scalar simulate() for "
-                "layout-changing sweeps");
+        if (!(RpuLayout::of(cfg) == layout))
+            panic("batched replay points must share one compiled "
+                  "layout; fall back to scalar simulate() for "
+                  "layout-changing sweeps");
         RpuEngine(cfg).rates(cs, tls.rates[i]);
     }
     cs.replayMany(tls.rates.data(), n, tls.scratch);
@@ -144,15 +144,14 @@ HksExperiment::simulateRuntimeMany(const RpuConfig *cfgs, std::size_t n,
         }
 
         const std::size_t run = j - i;
-        if (run < sim::kBatchLanes / 2) {
-            // A lane block costs roughly a full kBatchLanes-wide walk
-            // regardless of occupancy, so short runs — the pure
-            // layout-axis case of one point per layout — replay
-            // scalar. Bit-identical either way (replayMany lanes
-            // equal scalar replays).
-            for (std::size_t k = 0; k < run; ++k)
-                out[i + k] = RpuEngine(normalized(cfgs[i + k]))
-                                 .replayRuntime(sweep.ps.schedule);
+        if (run == 1) {
+            // A padded lane block costs a little more than one scalar
+            // replay at any width, so a lone point — the pure
+            // layout-axis case of one point per layout — replays
+            // scalar, and every run of two or more rides one block
+            // per kBatchLanes points. Bit-identical either way
+            // (replayMany lanes equal scalar replays).
+            out[i] = RpuEngine(first).replayRuntime(sweep.ps.schedule);
         } else {
             if (tls.rates.size() < run)
                 tls.rates.resize(run);

@@ -51,7 +51,7 @@ struct LayoutSweep
     /** Points replayed on a patched (revision > 0) binding. */
     std::size_t patchedEvals = 0;
     /** Points replayed through kBatchLanes-wide replayMany blocks
-     * (short same-layout runs fall back to scalar replay and are not
+     * (a lone point between layout changes replays scalar and is not
      * counted). */
     std::size_t batchedPoints = 0;
     /**

@@ -1,7 +1,8 @@
 #include "shard/partition.h"
 
-#include <algorithm>
-#include <unordered_map>
+#include <bit>
+#include <optional>
+#include <span>
 
 #include "common/logging.h"
 #include "rpu/engine.h"
@@ -60,6 +61,29 @@ taskWeights(const TaskGraph &g, const RpuConfig &chip)
     return w;
 }
 
+bool
+WeightKey::operator==(const WeightKey &o) const
+{
+    return std::bit_cast<std::uint64_t>(channelBytesPerSec) ==
+               std::bit_cast<std::uint64_t>(o.channelBytesPerSec) &&
+           std::bit_cast<std::uint64_t>(modopsPerSec) ==
+               std::bit_cast<std::uint64_t>(o.modopsPerSec) &&
+           std::bit_cast<std::uint64_t>(shuffleElemsPerSec) ==
+               std::bit_cast<std::uint64_t>(o.shuffleElemsPerSec) &&
+           vectorLen == o.vectorLen;
+}
+
+WeightKey
+weightKey(const RpuConfig &chip)
+{
+    WeightKey k;
+    k.channelBytesPerSec = chip.channelBytesPerSec();
+    k.modopsPerSec = chip.modopsPerSec();
+    k.shuffleElemsPerSec = chip.shuffleElemsPerSec();
+    k.vectorLen = chip.vectorLen;
+    return k;
+}
+
 std::uint64_t
 edgePayloadBytes(const Task &producer, const ShardSpec &spec)
 {
@@ -69,6 +93,62 @@ edgePayloadBytes(const Task &producer, const ShardSpec &spec)
 
 namespace
 {
+
+/**
+ * The dependency structure MinCutGreedy walks, flattened once per
+ * call into CSR arrays so the greedy, every refinement visit and both
+ * cut collections read contiguous memory instead of each Task and its
+ * heap dep vector.
+ */
+struct FlatDeps
+{
+    /** deps[depOff[t], depOff[t + 1]): t's deps in graph order,
+     * duplicates kept — the greedy counts payload per occurrence. */
+    std::vector<std::uint32_t> depOff, deps;
+    /** uniq[uniqOff[t], uniqOff[t + 1]): t's distinct deps in
+     * first-occurrence order. */
+    std::vector<std::uint32_t> uniqOff, uniq;
+    /** edgePayloadBytes of each task as a producer. */
+    std::vector<double> payload;
+
+    FlatDeps(const TaskGraph &g, const ShardSpec &spec)
+    {
+        const std::size_t n = g.size();
+        depOff.reserve(n + 1);
+        uniqOff.reserve(n + 1);
+        payload.reserve(n);
+        depOff.push_back(0);
+        uniqOff.push_back(0);
+        // mark[d] == t + 1: d is already among t's distinct deps.
+        std::vector<std::uint32_t> mark(n, 0);
+        for (std::uint32_t t = 0; t < n; ++t) {
+            const Task &task = g[t];
+            for (std::uint32_t d : task.deps) {
+                deps.push_back(d);
+                if (mark[d] != t + 1) {
+                    mark[d] = t + 1;
+                    uniq.push_back(d);
+                }
+            }
+            depOff.push_back(static_cast<std::uint32_t>(deps.size()));
+            uniqOff.push_back(static_cast<std::uint32_t>(uniq.size()));
+            payload.push_back(
+                static_cast<double>(edgePayloadBytes(task, spec)));
+        }
+    }
+
+    std::span<const std::uint32_t>
+    depsOf(std::size_t t) const
+    {
+        return {deps.data() + depOff[t], deps.data() + depOff[t + 1]};
+    }
+
+    std::span<const std::uint32_t>
+    uniqOf(std::size_t t) const
+    {
+        return {uniq.data() + uniqOff[t], uniq.data() + uniqOff[t + 1]};
+    }
+};
 
 /** Contiguous equal-work chunks of the schedule order. */
 void
@@ -99,7 +179,7 @@ assignContiguous(const TaskGraph &g, std::size_t k,
  * hard load cap. Ties break to the lighter shard, then the lower id.
  */
 void
-assignMinCutGreedy(const TaskGraph &g, const ShardSpec &spec,
+assignMinCutGreedy(const FlatDeps &f, const ShardSpec &spec,
                    const std::vector<double> &w,
                    std::vector<std::uint32_t> &shard_of)
 {
@@ -112,13 +192,11 @@ assignMinCutGreedy(const TaskGraph &g, const ShardSpec &spec,
 
     std::vector<double> load(k, 0.0);
     std::vector<double> coloc(k, 0.0);
-    for (std::size_t t = 0; t < g.size(); ++t) {
-        const Task &task = g[static_cast<std::uint32_t>(t)];
+    for (std::size_t t = 0; t < shard_of.size(); ++t) {
         for (std::size_t s = 0; s < k; ++s)
             coloc[s] = 0.0;
-        for (std::uint32_t d : task.deps)
-            coloc[shard_of[d]] += static_cast<double>(
-                edgePayloadBytes(g[d], spec));
+        for (std::uint32_t d : f.depsOf(t))
+            coloc[shard_of[d]] += f.payload[d];
 
         std::size_t best = k; // none yet
         double best_score = -1.0;
@@ -150,32 +228,40 @@ assignMinCutGreedy(const TaskGraph &g, const ShardSpec &spec,
  * (producer, destination shard), ordered by first consumer. The
  * single encoding of the cut objective — the final Partition fields,
  * the pre-refinement measurement, and the never-worse guard all go
- * through it.
+ * through it. Reads `flat`'s distinct deps when the caller built
+ * them, else each task's own dep vector; a repeated dep adds no edge
+ * either way, so both walks give the same edges in the same order.
  */
 void
-collectCut(const TaskGraph &g, const ShardSpec &spec,
+collectCut(const TaskGraph &g, const ShardSpec &spec, const FlatDeps *flat,
            const std::vector<std::uint32_t> &shard_of,
            std::vector<CutEdge> &edges, std::uint64_t &bytes)
 {
     edges.clear();
     bytes = 0;
-    std::unordered_map<std::uint64_t, std::size_t> seen;
+    const std::size_t k = spec.shards;
+    // seen[d*k + s]: the edge (d, s) is already in the cut.
+    std::vector<std::uint8_t> seen(g.size() * k, 0);
     for (std::size_t t = 0; t < g.size(); ++t) {
-        for (std::uint32_t d : g[static_cast<std::uint32_t>(t)].deps) {
-            if (shard_of[d] == shard_of[t])
+        const std::uint32_t to = shard_of[t];
+        const std::span<const std::uint32_t> deps =
+            flat ? flat->uniqOf(t)
+                 : std::span<const std::uint32_t>(
+                       g[static_cast<std::uint32_t>(t)].deps);
+        for (std::uint32_t d : deps) {
+            if (shard_of[d] == to)
                 continue;
-            const std::uint64_t key =
-                static_cast<std::uint64_t>(d) * spec.shards +
-                shard_of[t];
-            if (seen.emplace(key, edges.size()).second) {
-                CutEdge e;
-                e.src = d;
-                e.fromShard = shard_of[d];
-                e.toShard = shard_of[t];
-                e.bytes = edgePayloadBytes(g[d], spec);
-                bytes += e.bytes;
-                edges.push_back(e);
-            }
+            std::uint8_t &s = seen[static_cast<std::size_t>(d) * k + to];
+            if (s)
+                continue;
+            s = 1;
+            CutEdge e;
+            e.src = d;
+            e.fromShard = shard_of[d];
+            e.toShard = to;
+            e.bytes = edgePayloadBytes(g[d], spec);
+            bytes += e.bytes;
+            edges.push_back(e);
         }
     }
 }
@@ -189,12 +275,12 @@ collectCut(const TaskGraph &g, const ShardSpec &spec,
  * ties break to the lowest destination shard.
  */
 void
-refineBoundary(const TaskGraph &g, const ShardSpec &spec,
+refineBoundary(const FlatDeps &f, const ShardSpec &spec,
                const std::vector<double> &w,
                std::vector<std::uint32_t> &shard_of)
 {
     const std::size_t k = spec.shards;
-    const std::size_t n = g.size();
+    const std::size_t n = shard_of.size();
     double total = 0.0;
     for (double x : w)
         total += x;
@@ -207,29 +293,16 @@ refineBoundary(const TaskGraph &g, const ShardSpec &spec,
     // consumers[d*k + s]: distinct consumer tasks of d on shard s —
     // the dedup state a move must update exactly.
     std::vector<std::uint32_t> consumers(n * k, 0);
-    std::vector<std::uint32_t> uniq; // dedup of one task's dep list
-    auto uniqueDeps = [&](std::uint32_t t) -> const
-        std::vector<std::uint32_t> & {
-        uniq.clear();
-        for (std::uint32_t d : g[t].deps)
-            if (std::find(uniq.begin(), uniq.end(), d) == uniq.end())
-                uniq.push_back(d);
-        return uniq;
-    };
     for (std::size_t t = 0; t < n; ++t)
-        for (std::uint32_t d : uniqueDeps(static_cast<std::uint32_t>(t)))
+        for (std::uint32_t d : f.uniqOf(t))
             ++consumers[static_cast<std::size_t>(d) * k + shard_of[t]];
-
-    const auto payload = [&](std::uint32_t task) {
-        return static_cast<double>(edgePayloadBytes(g[task], spec));
-    };
 
     for (std::size_t pass = 0; pass < spec.refinePasses; ++pass) {
         bool moved = false;
         for (std::size_t ti = 0; ti < n; ++ti) {
             const std::uint32_t t = static_cast<std::uint32_t>(ti);
             const std::uint32_t a = shard_of[t];
-            const auto &deps = uniqueDeps(t);
+            const std::span<const std::uint32_t> deps = f.uniqOf(t);
 
             std::uint32_t best = a;
             double best_delta = 0.0;
@@ -242,16 +315,16 @@ refineBoundary(const TaskGraph &g, const ShardSpec &spec,
                     const std::size_t row =
                         static_cast<std::size_t>(d) * k;
                     if (shard_of[d] != a && consumers[row + a] == 1)
-                        delta -= payload(d); // edge (d, a) disappears
+                        delta -= f.payload[d]; // edge (d, a) disappears
                     if (shard_of[d] != b && consumers[row + b] == 0)
-                        delta += payload(d); // edge (d, b) appears
+                        delta += f.payload[d]; // edge (d, b) appears
                 }
                 // Producer side: edges t ships to its consumer shards.
                 const std::size_t row = static_cast<std::size_t>(t) * k;
                 if (consumers[row + a] > 0)
-                    delta += payload(t); // t now remote from shard a
+                    delta += f.payload[t]; // t now remote from shard a
                 if (consumers[row + b] > 0)
-                    delta -= payload(t); // t now local to shard b
+                    delta -= f.payload[t]; // t now local to shard b
                 // Strictly-better only; b ascends, so ties keep the
                 // lowest destination shard.
                 if (delta < best_delta) {
@@ -293,17 +366,20 @@ partitionGraph(const TaskGraph &g, const ShardSpec &spec,
 
     bool refined = false;
     std::uint64_t greedy_cut = 0;
+    std::optional<FlatDeps> flat;
     if (spec.shards > 1) {
         switch (spec.strategy) {
         case PartitionStrategy::ContiguousByLevel:
             assignContiguous(g, spec.shards, weights, p.shardOf);
             break;
         case PartitionStrategy::MinCutGreedy:
-            assignMinCutGreedy(g, spec, weights, p.shardOf);
+            flat.emplace(g, spec);
+            assignMinCutGreedy(*flat, spec, weights, p.shardOf);
             if (spec.refinePasses > 0) {
                 std::vector<CutEdge> scratch;
-                collectCut(g, spec, p.shardOf, scratch, greedy_cut);
-                refineBoundary(g, spec, weights, p.shardOf);
+                collectCut(g, spec, &*flat, p.shardOf, scratch,
+                           greedy_cut);
+                refineBoundary(*flat, spec, weights, p.shardOf);
                 refined = true;
             }
             break;
@@ -314,7 +390,8 @@ partitionGraph(const TaskGraph &g, const ShardSpec &spec,
     for (std::size_t t = 0; t < g.size(); ++t)
         p.shardWork[p.shardOf[t]] += weights[t];
 
-    collectCut(g, spec, p.shardOf, p.cutEdges, p.cutBytes);
+    collectCut(g, spec, flat ? &*flat : nullptr, p.shardOf, p.cutEdges,
+               p.cutBytes);
     panicIf(refined && p.cutBytes > greedy_cut,
             "boundary refinement increased the cut");
     return p;
@@ -331,8 +408,8 @@ assignmentPartition(const TaskGraph &g, const ShardSpec &spec,
     panicIf(weights.size() != g.size(),
             "partition weights do not cover the graph");
     for (std::uint32_t s : shardOf)
-        panicIf(s >= spec.shards,
-                "assignment uses an out-of-range shard");
+        if (s >= spec.shards)
+            panic("assignment uses an out-of-range shard");
 
     Partition p;
     p.shards = spec.shards;
@@ -341,7 +418,7 @@ assignmentPartition(const TaskGraph &g, const ShardSpec &spec,
     p.shardWork.assign(spec.shards, 0.0);
     for (std::size_t t = 0; t < g.size(); ++t)
         p.shardWork[p.shardOf[t]] += weights[t];
-    collectCut(g, spec, p.shardOf, p.cutEdges, p.cutBytes);
+    collectCut(g, spec, nullptr, p.shardOf, p.cutEdges, p.cutBytes);
     return p;
 }
 

@@ -26,9 +26,23 @@
  *    load cap, taking only strictly improving moves — the refined cut
  *    is never worse than the greedy one (asserted).
  *
+ * MinCutGreedy first flattens the graph into CSR arrays: every
+ * task's deps in graph order (duplicates kept, since the greedy counts
+ * payload once per occurrence), its distinct deps in first-occurrence
+ * order, and its edgePayloadBytes. The greedy, every refinement visit
+ * and both cut collections read those arrays, and the cut deduplicates
+ * through a flat (producer, shard) seen array. The arithmetic and its
+ * order are the ones the per-Task walk used, so every shardOf,
+ * shardWork and cut edge is unchanged (tests/legacy_partition.h keeps
+ * that walk as the oracle). ContiguousByLevel and assignmentPartition
+ * read the graph directly: they walk the deps once.
+ *
  * Balance weights are estimated per-task *seconds* at a reference chip
  * configuration (taskWeights), so memory-bound and compute-bound tasks
- * trade off in one unit.
+ * trade off in one unit. They depend on the chip only through four
+ * rates, its WeightKey: chips with equal keys (say, a channel-policy
+ * move, or 32 GB/s over two channels against 16 GB/s over one) get
+ * the same weights and therefore the same cut.
  */
 
 #ifndef CIFLOW_SHARD_PARTITION_H
@@ -127,6 +141,31 @@ struct Partition
  * bandwidth for memory tasks) — the balance weights for partitioning.
  */
 std::vector<double> taskWeights(const TaskGraph &g, const RpuConfig &chip);
+
+/**
+ * Everything of a chip that taskWeights reads: the mean channel rate,
+ * MODOPS, the shuffle rate and the vector length. Equal keys give
+ * bit-identical weights on every graph, so a cache of cuts may key on
+ * it instead of on the weight vector. Bandwidth, channel count and
+ * skew enter only through channelBytesPerSec; channel policy, pipe
+ * split and memory capacity do not enter at all.
+ */
+struct WeightKey
+{
+    double channelBytesPerSec = 0.0;
+    double modopsPerSec = 0.0;
+    double shuffleElemsPerSec = 0.0;
+    std::size_t vectorLen = 0;
+
+    /**
+     * Bitwise on the doubles: -0.0 and +0.0 divide to opposite
+     * infinities, so they must not alias.
+     */
+    bool operator==(const WeightKey &o) const;
+};
+
+/** The WeightKey of `chip`. */
+WeightKey weightKey(const RpuConfig &chip);
 
 /** Transfer payload of a cut edge produced by `producer`. */
 std::uint64_t edgePayloadBytes(const Task &producer,

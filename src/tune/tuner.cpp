@@ -1,6 +1,7 @@
 #include "tune/tuner.h"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <limits>
 #include <map>
@@ -250,6 +251,71 @@ Tuner::evaluateBatch(const std::vector<std::size_t> &members,
     }
 }
 
+std::size_t
+Tuner::PartitionKeyHash::operator()(const PartitionKey &k) const
+{
+    auto mix = [](std::size_t seed, std::uint64_t v) {
+        v += 0x9e3779b97f4a7c15ull + seed;
+        v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9ull;
+        v = (v ^ (v >> 27)) * 0x94d049bb133111ebull;
+        return static_cast<std::size_t>(v ^ (v >> 31));
+    };
+    std::size_t h = ExperimentKeyHash{}(k.graph);
+    h = mix(h, k.shards);
+    h = mix(h, static_cast<std::uint64_t>(k.strategy));
+    h = mix(h, std::bit_cast<std::uint64_t>(k.weights.channelBytesPerSec));
+    h = mix(h, std::bit_cast<std::uint64_t>(k.weights.modopsPerSec));
+    h = mix(h, std::bit_cast<std::uint64_t>(k.weights.shuffleElemsPerSec));
+    h = mix(h, k.weights.vectorLen);
+    return h;
+}
+
+const shard::Partition &
+Tuner::partitionOf(const TunePoint &p, const HksExperiment &exp,
+                   const RpuConfig &cfg)
+{
+    PartitionKey key;
+    key.graph = ExperimentKey::of(par, p.dataflow, sp.memoryConfig(p));
+    key.shards = p.shards;
+    key.strategy = p.strategy;
+    key.weights = shard::weightKey(cfg);
+    PartitionSlot *slot = nullptr;
+    {
+        std::lock_guard<std::mutex> lk(memoMu);
+        const auto [it, inserted] = memo.try_emplace(key);
+        slot = &it->second;
+        // Counted at insertion: each key misses exactly once whichever
+        // thread ends up computing it, so the counters do not depend
+        // on the runner's width.
+        ++(inserted ? nparts : npartHits);
+    }
+    // Only requesters of this key wait here; the cut is a pure
+    // function of the key (partitionGraph is deterministic and the
+    // weights depend on the chip only through its WeightKey).
+    std::call_once(slot->once, [&] {
+        slot->part = shard::partitionGraph(
+            exp.graph(),
+            shard::placementShardSpec(par, p.shards, p.strategy,
+                                      sp.imbalanceTol),
+            shard::taskWeights(exp.graph(), cfg));
+    });
+    return slot->part;
+}
+
+std::size_t
+Tuner::partitions() const
+{
+    std::lock_guard<std::mutex> lk(memoMu);
+    return nparts;
+}
+
+std::size_t
+Tuner::partitionHits() const
+{
+    std::lock_guard<std::mutex> lk(memoMu);
+    return npartHits;
+}
+
 void
 Tuner::exportMetrics(obs::MetricsRegistry &m,
                      const std::string &prefix) const
@@ -257,6 +323,8 @@ Tuner::exportMetrics(obs::MetricsRegistry &m,
     m.count(prefix + "evaluations", cache.misses());
     m.count(prefix + "cache_hits", cache.hits());
     m.count(prefix + "patched_evals", cache.patchedEvals());
+    m.count(prefix + "partitions", partitions());
+    m.count(prefix + "partition_hits", partitionHits());
     const std::size_t pts = cache.batchedPoints();
     const std::size_t slots = cache.batchLaneSlots();
     m.count(prefix + "batched_points", pts);
@@ -292,6 +360,10 @@ Tuner::evaluateUncached(const TunePoint &p)
             par, p.shards, p.strategy, sp.imbalanceTol);
         const shard::Partition part =
             shard::partitionGraph(exp->graph(), sspec, w);
+        {
+            std::lock_guard<std::mutex> lk(memoMu);
+            ++nparts;
+        }
         shard::InterconnectConfig net = sp.interconnect;
         net.topology = p.topology;
         fault::FaultSim fs(exp->graph(), sspec, w, part, cfg, net);
@@ -316,19 +388,14 @@ Tuner::evaluateUncached(const TunePoint &p)
 
     // Multi-chip points delegate to the sharding layer through the
     // same per-point helpers searchPlacements uses, so a tuner shard
-    // axis and a placement search agree bit-identically. The point
-    // binds from the experiment's compiled schedule into a per-thread
-    // buffer: no graph lowering per point.
-    const std::vector<double> w = shard::taskWeights(exp->graph(), cfg);
-    const shard::Partition part = shard::partitionGraph(
-        exp->graph(),
-        shard::placementShardSpec(par, p.shards, p.strategy,
-                                  sp.imbalanceTol),
-        w);
+    // axis and a placement search agree bit-identically. The cut comes
+    // from the partition memo; the point binds from the experiment's
+    // compiled schedule into a per-thread buffer: no graph lowering
+    // per point.
     shard::InterconnectConfig net = sp.interconnect;
     net.topology = p.topology;
-    const shard::PlacementEval e =
-        shard::evaluatePlacement(*exp, part, cfg, net);
+    const shard::PlacementEval e = shard::evaluatePlacement(
+        *exp, partitionOf(p, *exp, cfg), cfg, net);
     m.runtime = e.runtime;
     m.cutBytes = e.cutBytes;
     m.transferTasks = e.transferTasks;

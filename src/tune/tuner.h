@@ -26,6 +26,17 @@
  * function of (graph, config) and all selection rules are total
  * orders, so parallel searches equal serial ones.
  *
+ * Multi-chip points also share a partition memo that lives and dies
+ * with the Tuner, like the EvalCache. It keys each cut by graph, shard
+ * count, partition strategy and the chip's shard::WeightKey (the four
+ * rates taskWeights reads), so points that differ only in topology,
+ * channel policy, or in bandwidth and channel count with an equal
+ * per-channel share reuse one cut instead of pricing weights and
+ * partitioning again. Each key is computed exactly once, whatever the
+ * runner's width; the memo holds one Partition per key, 6–25 KB on
+ * the paper benchmarks (40–62 cuts, under 1.2 MB, per perfbench
+ * `tune` query).
+ *
  * Results come back as a Pareto frontier over (runtime, aggregate
  * bandwidth, aggregate capacity), not just an argmin: the paper's
  * Table IV/V question is "what is the cheapest memory system that
@@ -36,7 +47,9 @@
 #define CIFLOW_TUNE_TUNER_H
 
 #include <cstdint>
+#include <mutex>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "fault/fault_trace.h"
@@ -184,7 +197,8 @@ class Tuner
      * (recompileChannels) instead of one compile per layout, counted
      * by patchedEvals(). Multi-chip points fall back to scalar
      * per-point jobs — their partitions change the compiled layout
-     * point by point. Batched, patched, and scalar evaluations are
+     * point by point — and take their cut from the partition memo.
+     * Batched, patched, and scalar evaluations are
      * bit-identical, so strategies and cache contents are unaffected
      * by the grouping.
      */
@@ -208,13 +222,20 @@ class Tuner
      * much of the search ran without a fresh compile.
      */
     std::size_t patchedEvals() const { return cache.patchedEvals(); }
+    /**
+     * partitionGraph calls since construction: one per distinct cut
+     * the multi-chip points needed, plus one per fault-objective point.
+     */
+    std::size_t partitions() const;
+    /** Multi-chip evaluations whose cut came from the partition memo. */
+    std::size_t partitionHits() const;
 
     /**
      * Export search counters into `m` under `prefix`: evaluations,
-     * cache_hits, patched_evals, batched_points, batch_lane_slots
-     * (counters) and batch_lane_occupancy (gauge, points per
-     * provisioned lane slot; 0 when nothing ran batched). The
-     * machine-readable half of the bench_tuner story.
+     * cache_hits, patched_evals, batched_points, batch_lane_slots,
+     * partitions, partition_hits (counters) and batch_lane_occupancy
+     * (gauge, points per provisioned lane slot; 0 when nothing ran
+     * batched). The machine-readable half of the bench_tuner story.
      */
     void exportMetrics(obs::MetricsRegistry &m,
                        const std::string &prefix = "tuner.") const;
@@ -234,11 +255,58 @@ class Tuner
                        const std::vector<std::vector<std::size_t>> &pts,
                        std::vector<Measurement> &res);
 
+    /**
+     * The cut of multi-chip point `p` (chip `cfg`, graph `exp`), from
+     * the partition memo. The first request for a key computes
+     * taskWeights and partitionGraph; concurrent requests for the same
+     * key wait for it, and later ones reuse it.
+     */
+    const shard::Partition &partitionOf(const TunePoint &p,
+                                        const HksExperiment &exp,
+                                        const RpuConfig &cfg);
+
+    /**
+     * Everything a multi-chip cut depends on inside one Tuner: the
+     * graph, the shard count and strategy (which fix the ShardSpec,
+     * since the benchmark and load cap are the Tuner's), and the
+     * chip's WeightKey.
+     */
+    struct PartitionKey
+    {
+        ExperimentKey graph;
+        std::size_t shards = 0;
+        shard::PartitionStrategy strategy =
+            shard::PartitionStrategy::MinCutGreedy;
+        shard::WeightKey weights;
+
+        bool operator==(const PartitionKey &) const = default;
+    };
+    struct PartitionKeyHash
+    {
+        std::size_t operator()(const PartitionKey &k) const;
+    };
+    /** A memo entry, filled exactly once through `once`. */
+    struct PartitionSlot
+    {
+        std::once_flag once;
+        shard::Partition part;
+    };
+
     ExperimentRunner &runner;
     HksParams par;
     TuneSpace sp;
     EvalCache cache;
     std::optional<FaultObjective> fobj;
+
+    /**
+     * The partition memo (see the class comment) and its counters.
+     * Nodes never move and are never erased: partitionOf hands slots
+     * out by reference.
+     */
+    mutable std::mutex memoMu;
+    std::unordered_map<PartitionKey, PartitionSlot, PartitionKeyHash> memo;
+    std::size_t nparts = 0;
+    std::size_t npartHits = 0;
 };
 
 /**

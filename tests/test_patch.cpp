@@ -233,8 +233,9 @@ TEST(Patch, ChannelRepatchMatchesFreshCompileOnRandomDags)
 }
 
 // The layout-crossing sweep entry point: patched runtimes must equal
-// scalar evaluation at every point, long same-layout runs ride the
-// replayMany lanes, and the sweep counters report the patches.
+// scalar evaluation at every point, same-layout runs of two or more
+// points ride the replayMany lanes, and the sweep counters report the
+// patches and the lane blocks.
 TEST(Patch, LayoutSweepMatchesScalarAcrossLanes)
 {
     const HksParams &par = benchmarkByName("BTS1");
@@ -263,9 +264,11 @@ TEST(Patch, LayoutSweepMatchesScalarAcrossLanes)
         EXPECT_EQ(out[i], exp.simulateRuntime(cfgs[i])) << i;
     EXPECT_EQ(sweep.patches, 5u); // 6 layouts, first is the compile
     EXPECT_EQ(sweep.patchedEvals, 25u); // 5 per patched layout
+    EXPECT_EQ(sweep.batchedPoints, 30u); // one block per layout
+    EXPECT_EQ(sweep.laneSlots, 6 * sim::kBatchLanes);
 
-    // Short runs (below the lane threshold) replay scalar; exercise
-    // that path too by interleaving layouts point by point.
+    // Lone points between layout changes replay scalar; exercise that
+    // path too by interleaving layouts point by point.
     std::vector<RpuConfig> alt;
     for (double bw : {32.0, 64.0, 128.0})
         for (std::size_t ch : {2, 4}) {
@@ -281,6 +284,35 @@ TEST(Patch, LayoutSweepMatchesScalarAcrossLanes)
                             sweep);
     for (std::size_t i = 0; i < alt.size(); ++i)
         EXPECT_EQ(alt_out[i], exp.simulateRuntime(alt[i])) << i;
+    EXPECT_EQ(sweep.batchedPoints, 30u); // scalar points not counted
+    EXPECT_EQ(sweep.laneSlots, 6 * sim::kBatchLanes);
+
+    // Runs of two and three points each ride one padded lane block; a
+    // lone point between them stays scalar.
+    std::vector<RpuConfig> runs;
+    for (const auto &[ch, n] : {std::pair<std::size_t, std::size_t>{2, 2},
+                               {4, 3},
+                               {1, 1},
+                               {2, 3}})
+        for (std::size_t k = 0; k < n; ++k) {
+            RpuConfig cfg;
+            cfg.dataMemBytes = mem.dataCapacityBytes;
+            cfg.evkOnChip = mem.evkOnChip;
+            cfg.memChannels = ch;
+            cfg.bandwidthGBps = 32.0 * static_cast<double>(k + 1);
+            cfg.modopsMult = k == 2 ? 2.0 : 1.0;
+            runs.push_back(cfg);
+        }
+    LayoutSweep short_runs;
+    std::vector<double> runs_out(runs.size());
+    exp.simulateRuntimeMany(runs.data(), runs.size(), runs_out.data(),
+                            short_runs);
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        EXPECT_EQ(runs_out[i], exp.simulateRuntime(runs[i])) << i;
+    EXPECT_EQ(short_runs.patches, 3u);
+    EXPECT_EQ(short_runs.batchedPoints, 2u + 3u + 3u);
+    EXPECT_EQ(short_runs.laneSlots, 3 * sim::kBatchLanes);
+    EXPECT_EQ(short_runs.patchedEvals, 3u + 1u + 3u);
 }
 
 // A sequence of single-task partition moves, each applied with

@@ -1,7 +1,9 @@
 /**
  * @file
  * Tests for the multi-RPU sharding subsystem: partition invariants and
- * hand-computed assignments, cut-edge deduplication, degenerate-case
+ * hand-computed assignments, the flat partition pass against the
+ * per-Task reference (legacy_partition.h), the weight key,
+ * cut-edge deduplication, degenerate-case
  * equivalences (K=1 bit-identity, free interconnect), interconnect
  * queueing (bus vs point-to-point, pipelined latency) and its
  * validation, and the placement search.
@@ -9,12 +11,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 
+#include "common/rng.h"
+#include "legacy_partition.h"
 #include "rpu/experiment.h"
 #include "shard/placement_search.h"
 #include "shard/sharded_engine.h"
+#include "tune/tuner.h"
 
 using namespace ciflow;
 using namespace ciflow::shard;
@@ -79,6 +86,85 @@ freeInterconnect(Topology topo = Topology::PointToPoint)
     return net;
 }
 
+/** Every Partition field equal, doubles by ==, edges in order. */
+testing::AssertionResult
+samePartition(const Partition &a, const Partition &b)
+{
+    if (a.shards != b.shards || a.strategy != b.strategy)
+        return testing::AssertionFailure() << "shards/strategy differ";
+    if (a.shardOf != b.shardOf)
+        return testing::AssertionFailure() << "shardOf differs";
+    if (a.shardWork.size() != b.shardWork.size())
+        return testing::AssertionFailure() << "shardWork size differs";
+    for (std::size_t s = 0; s < a.shardWork.size(); ++s)
+        if (!(a.shardWork[s] == b.shardWork[s]))
+            return testing::AssertionFailure()
+                   << "shardWork[" << s << "] " << a.shardWork[s]
+                   << " vs " << b.shardWork[s];
+    if (a.cutEdges.size() != b.cutEdges.size())
+        return testing::AssertionFailure()
+               << "cut edges " << a.cutEdges.size() << " vs "
+               << b.cutEdges.size();
+    for (std::size_t i = 0; i < a.cutEdges.size(); ++i) {
+        const CutEdge &x = a.cutEdges[i];
+        const CutEdge &y = b.cutEdges[i];
+        if (x.src != y.src || x.fromShard != y.fromShard ||
+            x.toShard != y.toShard || x.bytes != y.bytes)
+            return testing::AssertionFailure() << "cut edge " << i;
+    }
+    if (a.cutBytes != b.cutBytes)
+        return testing::AssertionFailure() << "cutBytes differs";
+    return testing::AssertionSuccess();
+}
+
+/**
+ * A seeded random DAG: memory and compute tasks with random payloads,
+ * up to five deps each drawn from earlier tasks with repeats (a
+ * quarter of the tasks list one dep twice on purpose).
+ */
+TaskGraph
+randomDag(Rng &rng, std::size_t n)
+{
+    TaskGraph g;
+    for (std::size_t t = 0; t < n; ++t) {
+        Task task;
+        switch (rng.uniform(3)) {
+        case 0:
+            task.kind = TaskKind::MemLoad;
+            break;
+        case 1:
+            task.kind = TaskKind::MemStore;
+            break;
+        default:
+            task.kind = TaskKind::Compute;
+            break;
+        }
+        task.bytes = 1 + rng.uniform(1u << 20);
+        if (t > 0) {
+            const std::size_t nd = rng.uniform(6);
+            for (std::size_t i = 0; i < nd; ++i)
+                task.deps.push_back(
+                    static_cast<std::uint32_t>(rng.uniform(t)));
+            if (!task.deps.empty() && rng.uniform(4) == 0)
+                task.deps.push_back(task.deps.front());
+        }
+        g.push(std::move(task));
+    }
+    return g;
+}
+
+/** Random weights, about one in five exactly zero. */
+std::vector<double>
+randomWeights(Rng &rng, std::size_t n)
+{
+    std::vector<double> w(n);
+    for (double &x : w)
+        x = rng.uniform(5) == 0
+                ? 0.0
+                : static_cast<double>(1 + rng.uniform(1u << 20)) / 7e9;
+    return w;
+}
+
 } // namespace
 
 TEST(Partitioner, TaskWeightsAreEngineSeconds)
@@ -88,6 +174,175 @@ TEST(Partitioner, TaskWeightsAreEngineSeconds)
     ASSERT_EQ(w.size(), 6u);
     for (std::size_t t = 0; t < w.size(); ++t)
         EXPECT_NEAR(w[t], t % 2 == 0 ? 1e-6 : 0.5e-6, 1e-15) << t;
+}
+
+// The flat-array pass must reproduce the per-Task reference
+// partitioner bit for bit: every shardOf, every shardWork double, every
+// cut edge in order and the cut bytes — on random DAGs with repeated
+// deps and zero weights across shard counts, strategies, refinement
+// depths and load caps; on the HKS graphs of perfbench's tune space
+// under each of its chip weight vectors; and for explicit assignments.
+TEST(Partitioner, FlatPassMatchesLegacyPartitioner)
+{
+    Rng rng(0xc0ffee);
+    for (std::size_t trial = 0; trial < 24; ++trial) {
+        const std::size_t n = 1 + rng.uniform(160);
+        const TaskGraph g = randomDag(rng, n);
+        const std::vector<double> w = randomWeights(rng, n);
+        for (std::size_t k : {2, 3, 4, 8})
+            for (PartitionStrategy st : allStrategies())
+                for (std::size_t passes : {0, 1, 2, 4})
+                    for (double tol : {0.0, 0.1, 0.5}) {
+                        ShardSpec spec;
+                        spec.shards = k;
+                        spec.strategy = st;
+                        spec.refinePasses = passes;
+                        spec.imbalanceTol = tol;
+                        spec.computeOutputBytes = 1 + rng.uniform(1u << 19);
+                        EXPECT_TRUE(
+                            samePartition(partitionGraph(g, spec, w),
+                                          legacy::partitionGraph(g, spec, w)))
+                            << "trial " << trial << " n=" << n << " K=" << k
+                            << " " << strategyName(st) << " passes="
+                            << passes << " tol=" << tol;
+                    }
+        for (std::size_t k : {1, 2, 5}) {
+            ShardSpec spec;
+            spec.shards = k;
+            std::vector<std::uint32_t> assign(n);
+            for (std::uint32_t &s : assign)
+                s = static_cast<std::uint32_t>(rng.uniform(k));
+            EXPECT_TRUE(samePartition(
+                assignmentPartition(g, spec, assign, w),
+                legacy::assignmentPartition(g, spec, assign, w)))
+                << "trial " << trial << " K=" << k;
+        }
+    }
+
+    std::size_t graphs = 0;
+    for (const HksParams &par : paperBenchmarks()) {
+        const tune::TuneSpace sp = tune::paperJointSpace(par);
+        for (Dataflow df : sp.dataflows)
+            for (std::uint64_t cap : sp.capacities) {
+                const MemoryConfig mem{cap, sp.evkOnChip};
+                const TaskGraph g = buildHksGraph(par, df, mem);
+                ++graphs;
+                std::vector<std::vector<double>> seen;
+                for (double bw : {8.0, 16.0, 32.0, 64.0})
+                    for (std::size_t ch : sp.channelCounts)
+                        for (double mult : sp.modopsMults) {
+                            RpuConfig chip;
+                            chip.dataMemBytes = cap;
+                            chip.evkOnChip = sp.evkOnChip;
+                            chip.bandwidthGBps = bw;
+                            chip.memChannels = ch;
+                            chip.modopsMult = mult;
+                            const std::vector<double> w =
+                                taskWeights(g, chip);
+                            // Equal per-channel shares repeat a weight
+                            // vector; each distinct one is checked once.
+                            if (std::find(seen.begin(), seen.end(), w) !=
+                                seen.end())
+                                continue;
+                            seen.push_back(w);
+                            for (PartitionStrategy st : allStrategies()) {
+                                const ShardSpec spec = placementShardSpec(
+                                    par, 2, st, sp.imbalanceTol);
+                                EXPECT_TRUE(samePartition(
+                                    partitionGraph(g, spec, w),
+                                    legacy::partitionGraph(g, spec, w)))
+                                    << par.name << " " << dataflowName(df)
+                                    << " " << (cap >> 20) << " MiB " << bw
+                                    << " GB/s x" << ch << " MODOPS x"
+                                    << mult << " " << strategyName(st);
+                            }
+                        }
+            }
+    }
+    EXPECT_EQ(graphs, 36u);
+}
+
+// taskWeights may depend on the chip only through weightKey(): chips
+// spanning every knob TuneSpace::chipConfig sets, grouped by key, must
+// price two HKS graphs bit-identically within each group. The chip set
+// holds equal-key pairs that differ in bandwidth and channel count,
+// and pairs that differ in channel policy, so the check is not vacuous.
+TEST(Partitioner, WeightKeyDeterminesTaskWeights)
+{
+    const HksParams &par = benchmarkByName("ARK");
+    std::vector<TaskGraph> graphs;
+    for (Dataflow df : {Dataflow::MP, Dataflow::OC})
+        graphs.push_back(
+            buildHksGraph(par, df, MemoryConfig{32ull << 20, false}));
+
+    std::vector<RpuConfig> chips;
+    for (double bw : {8.0, 16.0, 32.0})
+        for (std::size_t ch : {1, 2, 4})
+            for (ChannelPolicy pol :
+                 {ChannelPolicy::Interleave, ChannelPolicy::EvkDedicated,
+                  ChannelPolicy::LeastLoaded})
+                for (double skew : {1.0, 1.5})
+                    for (double mult : {1.0, 2.0})
+                        for (bool split : {false, true})
+                            for (std::uint64_t cap :
+                                 {32ull << 20, 64ull << 20})
+                                for (bool evk : {false, true}) {
+                                    tune::TuneSpace sp;
+                                    sp.chip.splitComputePipes = split;
+                                    sp.evkOnChip = evk;
+                                    tune::TunePoint p;
+                                    p.bandwidthGBps = bw;
+                                    p.memChannels = ch;
+                                    p.channelPolicy = pol;
+                                    p.channelSkew = skew;
+                                    p.modopsMult = mult;
+                                    p.dataMemBytes = cap;
+                                    chips.push_back(sp.chipConfig(p));
+                                }
+
+    // The first chip seen with each key, and its weights per graph;
+    // every later chip with that key must price bit-identically.
+    struct Priced
+    {
+        RpuConfig chip;
+        WeightKey key;
+        std::vector<std::vector<double>> w;
+    };
+    std::vector<Priced> reps;
+    std::size_t same = 0, bwAndChannels = 0, policy = 0;
+    for (const RpuConfig &chip : chips) {
+        Priced e{chip, weightKey(chip), {}};
+        for (const TaskGraph &g : graphs)
+            e.w.push_back(taskWeights(g, chip));
+        const auto rep =
+            std::find_if(reps.begin(), reps.end(),
+                         [&](const Priced &r) { return r.key == e.key; });
+        if (rep == reps.end()) {
+            reps.push_back(std::move(e));
+            continue;
+        }
+        ++same;
+        for (std::size_t gi = 0; gi < graphs.size(); ++gi)
+            ASSERT_EQ(std::memcmp(e.w[gi].data(), rep->w[gi].data(),
+                                  e.w[gi].size() * sizeof(double)),
+                      0)
+                << "graph " << gi;
+        if (chip.bandwidthGBps != rep->chip.bandwidthGBps &&
+            chip.memChannels != rep->chip.memChannels)
+            ++bwAndChannels;
+        if (chip.channelPolicy != rep->chip.channelPolicy)
+            ++policy;
+    }
+    EXPECT_GT(same, 0u);
+    EXPECT_GT(bwAndChannels, 0u);
+    EXPECT_GT(policy, 0u);
+
+    // The doubles compare bitwise: signed zeros divide to opposite
+    // infinities and must not share a key.
+    WeightKey pos, neg;
+    neg.channelBytesPerSec = -0.0;
+    EXPECT_FALSE(pos == neg);
+    EXPECT_TRUE(pos == WeightKey{});
 }
 
 TEST(Partitioner, ContiguousSplitsScheduleOrderByWork)

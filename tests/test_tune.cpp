@@ -4,7 +4,8 @@
  * exhaustive-grid optimum (bit-identical runtimes), evaluation-cache
  * hit accounting, Pareto-frontier correctness on a hand-built
  * 3-point space, shard-axis delegation to the placement helpers (bit
- * for bit against the graph-lowering evaluatePlacement), and
+ * for bit against the graph-lowering evaluatePlacement), the K>1
+ * partition memo against fresh partitions at two runner widths, and
  * OCbase bit-identity with the rpu-layer grid scan.
  */
 
@@ -336,6 +337,110 @@ TEST(Tuner, ShardAxisPointsMatchGraphLoweringPlacement)
         EXPECT_EQ(t.evaluate(tp.idx).runtime, tp.m.runtime);
     EXPECT_EQ(t.evaluations(), canonical);
     EXPECT_EQ(t.cacheHits(), hits0 + ex.spaceSize);
+}
+
+// The partition memo hands K>1 points a cut computed for an earlier
+// point with the same (graph, K, strategy, weight key). Every K>1 point
+// must still equal a memo-free taskWeights -> partitionGraph ->
+// evaluatePlacement bit for bit; policy moves and equal per-channel
+// shares must hit; every K>1 evaluation is a partition or a hit; and
+// runner widths 1 and 4 must agree on every result and counter.
+TEST(Tuner, PartitionMemoMatchesFreshPartitions)
+{
+    const HksParams &par = benchmarkByName("BTS1");
+    TuneSpace sp;
+    sp.dataflows = {Dataflow::OC};
+    sp.bandwidths = {8.0, 16.0, 32.0};
+    sp.shardCounts = {1, 2, 4};
+    sp.topologies = {shard::Topology::SharedBus,
+                     shard::Topology::PointToPoint};
+    sp.strategies = shard::allStrategies();
+    sp.channelCounts = {1, 2, 4};
+    sp.channelPolicies = {ChannelPolicy::Interleave,
+                          ChannelPolicy::EvkDedicated,
+                          ChannelPolicy::LeastLoaded};
+    sp.modopsMults = {1.0, 2.0};
+
+    struct Run
+    {
+        TuneResult r;
+        std::size_t partitions = 0;
+        std::size_t hits = 0;
+    };
+    std::vector<Run> runs;
+    for (std::size_t width : {1, 4}) {
+        ExperimentRunner runner(width);
+        Tuner t(runner, par, sp);
+        Run run;
+        run.r = t.tune({.strategy = Strategy::ExhaustiveGrid});
+        run.partitions = t.partitions();
+        run.hits = t.partitionHits();
+        obs::MetricsRegistry reg;
+        t.exportMetrics(reg);
+        std::size_t exported = 0;
+        for (const obs::Metric &m : reg.snapshot()) {
+            if (m.name == "tuner.partitions") {
+                EXPECT_EQ(m.count, run.partitions);
+                ++exported;
+            }
+            if (m.name == "tuner.partition_hits") {
+                EXPECT_EQ(m.count, run.hits);
+                ++exported;
+            }
+        }
+        EXPECT_EQ(exported, 2u);
+
+        // Canonical K>1 points: per (bandwidth, MODOPS), 2 K x 2
+        // topologies x 2 strategies x 7 channel layouts. Their cuts
+        // depend only on (K, strategy, per-channel share, MODOPS):
+        // shares {2, 4, 8, 16, 32} GB/s give 2 x 2 x 5 x 2 distinct
+        // cuts.
+        const std::size_t shardEvals = 3 * 2 * 2 * 2 * 2 * 7;
+        EXPECT_EQ(run.r.evaluations, 3 * 2 * 7 + shardEvals);
+        EXPECT_EQ(run.partitions + run.hits, shardEvals);
+        EXPECT_EQ(run.partitions, 2u * 2 * 5 * 2);
+        EXPECT_GT(run.hits, 0u);
+
+        for (const TunedPoint &tp : run.r.evaluated) {
+            if (tp.point.shards < 2)
+                continue;
+            const RpuConfig chip = sp.chipConfig(tp.point);
+            const auto exp = runner.experiment(par, tp.point.dataflow,
+                                               sp.memoryConfig(tp.point));
+            const shard::Partition part = shard::partitionGraph(
+                exp->graph(),
+                shard::placementShardSpec(par, tp.point.shards,
+                                          tp.point.strategy,
+                                          sp.imbalanceTol),
+                shard::taskWeights(exp->graph(), chip));
+            shard::InterconnectConfig net = sp.interconnect;
+            net.topology = tp.point.topology;
+            const shard::PlacementEval e =
+                shard::evaluatePlacement(*exp, part, chip, net);
+            EXPECT_EQ(tp.m.runtime, e.runtime) << tp.point.describe();
+            EXPECT_EQ(tp.m.cutBytes, e.cutBytes) << tp.point.describe();
+            EXPECT_EQ(tp.m.transferTasks, e.transferTasks)
+                << tp.point.describe();
+        }
+        runs.push_back(std::move(run));
+    }
+
+    const Run &a = runs[0];
+    const Run &b = runs[1];
+    EXPECT_EQ(a.partitions, b.partitions);
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.r.evaluations, b.r.evaluations);
+    ASSERT_EQ(a.r.evaluated.size(), b.r.evaluated.size());
+    for (std::size_t i = 0; i < a.r.evaluated.size(); ++i) {
+        const TunedPoint &x = a.r.evaluated[i];
+        const TunedPoint &y = b.r.evaluated[i];
+        EXPECT_EQ(x.idx, y.idx);
+        EXPECT_EQ(x.m.runtime, y.m.runtime) << x.point.describe();
+        EXPECT_EQ(x.m.aggregateGBps, y.m.aggregateGBps);
+        EXPECT_EQ(x.m.capacityBytes, y.m.capacityBytes);
+        EXPECT_EQ(x.m.cutBytes, y.m.cutBytes) << x.point.describe();
+        EXPECT_EQ(x.m.transferTasks, y.m.transferTasks);
+    }
 }
 
 TEST(Tuner, OcBaseGridIsBitIdenticalToRpuHelper)
