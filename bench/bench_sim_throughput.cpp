@@ -18,16 +18,13 @@
  * (target >= 3x). Exits nonzero on any equivalence mismatch.
  *
  * The patch_vs_recompile section measures the incremental-compile
- * paths against the fresh compiles they replace: rebinding a
- * PatchableSchedule to a new channel layout (recompileChannels) vs
- * RpuEngine::compile, and rebinding a 4-shard schedule after a
- * one-task partition move (recompilePartition) vs a from-scratch
- * ShardedEngine::compile — after asserting the patched schedules
- * replay bit-identically to fresh compiles of the same target. CI
- * gates patchSpeedup (compile_ms / channel_repatch_ms) >= 5x. It also
- * times the bind a placement search or tuner pays per point: binding
- * the experiment's compiled schedule into a reused output
- * (shard_bind_ms), after asserting it replays exactly like
+ * path against the fresh compile it replaces: rebinding a 4-shard
+ * schedule after a one-task partition move (recompilePartition) vs a
+ * from-scratch ShardedEngine::compile — after asserting the patched
+ * schedule replays bit-identically to a fresh compile of the same
+ * partition. It also times the bind a placement search or tuner pays
+ * per point: binding the experiment's compiled schedule into a reused
+ * output (shard_bind_ms), after asserting it replays exactly like
  * compile(g, p); CI gates shard_bind_identical == true.
  *
  * The traced-replay section measures the opt-in observer
@@ -196,7 +193,6 @@ struct Row
     /** The bandwidth both bisections matched (GB/s). */
     double bisectGbps = 0.0;
     double compileMs = 0.0;
-    double channelRepatchMs = 0.0;
     double shardCompileMs = 0.0;
     double shardBindMs = 0.0;
     double shardMoveRepatchMs = 0.0;
@@ -217,12 +213,6 @@ struct Row
     batchedSpeedup() const
     {
         return batched.simsPerSec / replayOnly.simsPerSec;
-    }
-
-    double
-    patchSpeedup() const
-    {
-        return compileMs / channelRepatchMs;
     }
 
     double
@@ -410,46 +400,9 @@ main()
             });
         }
 
-        // patch_vs_recompile 1: rebind to a new channel layout in
-        // place vs one fresh compile per layout. Alternate two layouts
-        // the way a tuner's channel-axis sweep does, after asserting
-        // the patched binding replays bit-identically to a fresh
-        // compile of the same target layout.
-        {
-            RpuConfig cfgA;
-            cfgA.dataMemBytes = mem.dataCapacityBytes;
-            cfgA.evkOnChip = mem.evkOnChip;
-            cfgA.memChannels = 4;
-            cfgA.channelPolicy = ChannelPolicy::EvkDedicated;
-            RpuConfig cfgB = cfgA;
-            cfgB.memChannels = 2;
-            cfgB.channelPolicy = ChannelPolicy::Interleave;
-
-            PatchableSchedule ps =
-                RpuEngine(cfgA).compilePatchable(exp.graph());
-            RpuEngine(cfgB).recompileChannels(ps);
-            const sim::CompiledSchedule fresh =
-                RpuEngine(cfgB).compile(exp.graph());
-            if (RpuEngine(cfgB).replayRuntime(ps.schedule) !=
-                RpuEngine(cfgB).replayRuntime(fresh)) {
-                std::fprintf(stderr,
-                             "FAIL: %s: channel-repatched schedule and "
-                             "fresh compile replay differently\n",
-                             name);
-                row.identical = false;
-            }
-
-            const int reps = 40;
-            const Clock::time_point t0 = Clock::now();
-            for (int i = 0; i < reps; ++i)
-                RpuEngine(i % 2 == 0 ? cfgA : cfgB)
-                    .recompileChannels(ps);
-            row.channelRepatchMs = secondsSince(t0) * 1e3 / reps;
-        }
-
-        // patch_vs_recompile 2: rebind a 4-shard schedule after a
+        // patch_vs_recompile: rebind a 4-shard schedule after a
         // one-task partition move vs a from-scratch sharded compile,
-        // again asserting bit-identity first.
+        // asserting bit-identity first.
         {
             RpuConfig chip;
             chip.dataMemBytes = mem.dataCapacityBytes;
@@ -563,26 +516,18 @@ main()
     std::printf("\n");
     benchutil::header("patch_vs_recompile: in-place rebinding vs "
                       "fresh compiles");
-    std::printf("%-9s | %8s %9s %8s | %9s %9s %9s %8s\n", "Benchmark",
-                "compile", "chrepatch", "speedup", "shardcomp",
+    std::printf("%-9s | %9s %9s %9s %8s\n", "Benchmark", "shardcomp",
                 "shardbind", "moverepatch", "speedup");
     benchutil::rule();
-    bool meets_patch_target = true;
     bool all_shard_bind_identical = true;
     for (const Row &r : rows) {
-        std::printf("%-9s | %6.2fms %7.3fms %7.1fx | %7.2fms %7.3fms "
-                    "%7.3fms %7.1fx\n",
-                    r.name.c_str(), r.compileMs, r.channelRepatchMs,
-                    r.patchSpeedup(), r.shardCompileMs, r.shardBindMs,
+        std::printf("%-9s | %7.2fms %7.3fms %9.3fms %7.1fx\n",
+                    r.name.c_str(), r.shardCompileMs, r.shardBindMs,
                     r.shardMoveRepatchMs, r.shardMoveSpeedup());
         all_shard_bind_identical =
             all_shard_bind_identical && r.shardBindIdentical;
-        meets_patch_target =
-            meets_patch_target && r.patchSpeedup() >= 5.0;
     }
     benchutil::rule();
-    std::printf("chrepatch   = RpuEngine::recompileChannels (rebind "
-                "channels in place, alternating two layouts)\n");
     std::printf("shardcomp   = ShardedEngine::compile at K=4 (the cost "
                 "a partition move used to pay)\n");
     std::printf("shardbind   = ShardedEngine::bind from the experiment's "
@@ -667,8 +612,6 @@ main()
             w.field("batched_sims_per_sec", r.batched.simsPerSec);
             w.field("speedup", r.speedup());
             w.field("batchedSpeedup", r.batchedSpeedup());
-            w.field("channel_repatch_ms", r.channelRepatchMs);
-            w.field("patchSpeedup", r.patchSpeedup());
             w.field("shard_compile_ms", r.shardCompileMs);
             w.field("shard_bind_ms", r.shardBindMs);
             w.field("shard_bind_identical", r.shardBindIdentical);
@@ -701,9 +644,6 @@ main()
         std::fprintf(stderr, "warning: batched-replay speedup below "
                              "the 3x target on this machine (CI gates "
                              "at 2x)\n");
-    if (!meets_patch_target)
-        std::fprintf(stderr, "warning: channel-repatch speedup below "
-                             "the 5x CI gate on this machine\n");
     if (!meets_trace_target)
         std::fprintf(stderr, "warning: traced-replay overhead above "
                              "the 2x CI gate on this machine\n");

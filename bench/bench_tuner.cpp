@@ -17,14 +17,18 @@
  * (tune::ocBaseBandwidth over ocBaseSpace()) and requires it to equal
  * the rpu-layer grid scan bit-identically.
  *
- * The layout-axis section measures how fast the tuner can explore the
- * channel-layout axes (memChannels x channelPolicy): one fresh
- * compile + replay per layout point (what a layout move cost before
- * incremental compile) vs the patch path (one schedule rebound in
- * place between layouts, HksExperiment::simulateRuntimeMany with a
- * LayoutSweep) — after asserting the patched runtimes are
- * bit-identical to scalar evaluation. CI gates layout_axis_speedup
- * >= 10x.
+ * The layout-axis section checks and times how the tuner explores
+ * the channel-layout axes (memChannels x channelPolicy): every layout
+ * point replays the experiment's layout cache, which compiles each
+ * layout once. It first asserts layout_cache_exact: each cached
+ * runtime equals a fresh compile + replay of its layout bit for bit,
+ * and a second sweep gets the same cached schedules back, one per
+ * distinct layout (10 for the 12 points: the one-channel policies
+ * share one). CI gates layout_cache_exact == true. It then reports,
+ * ungated, layout points per second through the cache (one-point
+ * batches, as the tuner replays a lone layout) against one fresh
+ * compile + replay per point: the ratio measures the host's
+ * compile-to-replay cost, not the design, so no floor reads it.
  *
  * Emits BENCH_tune.json for the CI artifact trail and exits nonzero
  * when any benchmark misses a gate — the tuner failing to rediscover
@@ -36,6 +40,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -79,20 +84,22 @@ struct Row
     std::string bestConfig;
     bool pass = false;
 
-    /** Evaluations the cd+hc tuner served through the patch path. */
-    std::size_t patchedEvals = 0;
     /** Layout points in the layout-axis sweep. */
     std::size_t layoutPoints = 0;
+    /** Distinct cached schedules the layout points replay. */
+    std::size_t layoutSchedules = 0;
+    /** Cached runtimes exact, and the cache returns stable objects. */
+    bool layoutCacheExact = false;
     /** Layout-axis evals/sec, one fresh compile per point. */
     double layoutFreshPerSec = 0.0;
-    /** Layout-axis evals/sec through the patch path. */
-    double layoutPatchedPerSec = 0.0;
+    /** Layout-axis evals/sec replaying the layout cache. */
+    double layoutCachedPerSec = 0.0;
 
     double
     layoutAxisSpeedup() const
     {
         return layoutFreshPerSec > 0.0
-                   ? layoutPatchedPerSec / layoutFreshPerSec
+                   ? layoutCachedPerSec / layoutFreshPerSec
                    : 0.0;
     }
 };
@@ -128,7 +135,10 @@ layoutAxisConfigs(const MemoryConfig &mem)
     return cfgs;
 }
 
-/** Measure the layout-axis fresh vs patched rates for one row. */
+/** Distinct layouts among layoutAxisConfigs(): 4 x 3 - 2. */
+constexpr std::size_t kLayoutSchedules = 10;
+
+/** Check the layout cache and time the layout axis for one row. */
 void
 measureLayoutAxis(const HksParams &par, Row &r)
 {
@@ -138,25 +148,40 @@ measureLayoutAxis(const HksParams &par, Row &r)
     r.layoutPoints = cfgs.size();
     std::vector<double> out(cfgs.size());
 
-    // Correctness first: the patched sweep must reproduce scalar
-    // evaluation bit-identically at every layout.
-    LayoutSweep sweep;
-    exp.simulateRuntimeMany(cfgs.data(), cfgs.size(), out.data(),
-                            sweep);
-    for (std::size_t i = 0; i < cfgs.size(); ++i) {
-        if (out[i] != exp.simulateRuntime(cfgs[i])) {
-            std::fprintf(stderr,
-                         "FAIL: %s: patched layout sweep differs from "
-                         "scalar evaluation at point %zu\n",
-                         par.name.c_str(), i);
-            r.pass = false;
-        }
+    // Exactness first. The first sweep fills the layout cache, and
+    // every cached runtime must equal a fresh compile + replay of its
+    // layout bit for bit; a second sweep must get the same cached
+    // objects back, one per distinct layout.
+    r.layoutCacheExact = true;
+    std::vector<const sim::CompiledSchedule *> first;
+    for (const RpuConfig &cfg : cfgs) {
+        const RpuEngine eng(cfg);
+        if (exp.simulateRuntime(cfg) !=
+            eng.replayRuntime(eng.compile(exp.graph())))
+            r.layoutCacheExact = false;
+        first.push_back(&exp.compiled(cfg));
+    }
+    for (std::size_t i = 0; i < cfgs.size(); ++i)
+        if (&exp.compiled(cfgs[i]) != first[i])
+            r.layoutCacheExact = false;
+    r.layoutSchedules =
+        std::set<const sim::CompiledSchedule *>(first.begin(), first.end())
+            .size();
+    if (r.layoutSchedules != kLayoutSchedules)
+        r.layoutCacheExact = false;
+    if (!r.layoutCacheExact) {
+        std::fprintf(stderr,
+                     "FAIL: %s: the layout cache does not reproduce "
+                     "fresh compiles, or does not return one stable "
+                     "schedule per layout (%zu schedules)\n",
+                     par.name.c_str(), r.layoutSchedules);
+        r.pass = false;
     }
 
     const double kBudget = 0.3; // seconds per timed path
 
-    // Fresh path: every layout move pays a full compile, as the tuner
-    // did before incremental compile (first visit of each layout).
+    // Fresh path: every layout visit pays a full compile, as a tuner
+    // without the layout cache would.
     {
         std::size_t evals = 0;
         const Clock::time_point t0 = Clock::now();
@@ -175,18 +200,19 @@ measureLayoutAxis(const HksParams &par, Row &r)
         r.layoutFreshPerSec = static_cast<double>(evals) / elapsed;
     }
 
-    // Patch path: one schedule rebound in place between layouts.
+    // Cached path: every layout visit replays its cached schedule as
+    // a one-point batch, the call the tuner makes for a lone layout.
     {
         std::size_t evals = 0;
         const Clock::time_point t0 = Clock::now();
         double elapsed = 0.0;
         do {
-            exp.simulateRuntimeMany(cfgs.data(), cfgs.size(),
-                                    out.data(), sweep);
+            for (std::size_t i = 0; i < cfgs.size(); ++i)
+                exp.simulateRuntimeMany(&cfgs[i], 1, &out[i]);
             evals += cfgs.size();
             elapsed = secondsSince(t0);
         } while (elapsed < kBudget);
-        r.layoutPatchedPerSec = static_cast<double>(evals) / elapsed;
+        r.layoutCachedPerSec = static_cast<double>(evals) / elapsed;
     }
 }
 
@@ -256,11 +282,10 @@ main()
                      2 * r.cdEvals < r.spacePoints &&
                      r.hcBestMs == r.exhaustiveBestMs &&
                      r.ocbaseGbps == r.ocbaseRefGbps;
-            r.patchedEvals = search.patchedEvals();
         });
     runner.runAll(jobs);
 
-    // Timed layout-axis study, serial so the pool is quiet.
+    // Layout-axis study, serial so the pool is quiet while it times.
     for (std::size_t i = 0; i < benches.size(); ++i)
         measureLayoutAxis(benches[i], rows[i]);
 
@@ -284,40 +309,41 @@ main()
                     r.bestConfig.c_str());
     for (const Row &r : rows)
         std::printf("%-9s eval cache (cd+hc): %zu hits / %zu misses "
-                    "(%.0f%% hit rate), %zu patched evals\n",
+                    "(%.0f%% hit rate)\n",
                     r.benchmark.c_str(), r.cacheHits, r.cacheMisses,
-                    r.cacheHitRate() * 100.0, r.patchedEvals);
+                    r.cacheHitRate() * 100.0);
     std::printf("\ncd/hc must match the exhaustive optimum "
                 "bit-identically; cd must evaluate < 50%% of the "
                 "grid; OCbase must equal the rpu-layer grid scan.\n");
 
     std::printf("\n");
     benchutil::header("Layout-axis exploration: fresh compile per "
-                      "layout vs incremental patch");
-    std::printf("%-9s | %6s | %11s %13s | %8s\n", "Benchmark",
-                "points", "fresh ev/s", "patched ev/s", "speedup");
+                      "layout vs the experiment's layout cache");
+    std::printf("%-9s | %6s %9s | %11s %12s | %6s | %s\n", "Benchmark",
+                "points", "schedules", "fresh ev/s", "cached ev/s",
+                "ratio", "exact");
     benchutil::rule();
-    bool meets_layout_target = true;
+    bool layout_cache_exact = true;
     for (const Row &r : rows) {
-        std::printf("%-9s | %6zu | %11.0f %13.0f | %7.1fx\n",
+        std::printf("%-9s | %6zu %9zu | %11.0f %12.0f | %5.1fx | %s\n",
                     r.benchmark.c_str(), r.layoutPoints,
-                    r.layoutFreshPerSec, r.layoutPatchedPerSec,
-                    r.layoutAxisSpeedup());
-        meets_layout_target =
-            meets_layout_target && r.layoutAxisSpeedup() >= 10.0;
+                    r.layoutSchedules, r.layoutFreshPerSec,
+                    r.layoutCachedPerSec, r.layoutAxisSpeedup(),
+                    r.layoutCacheExact ? "yes" : "NO");
+        layout_cache_exact = layout_cache_exact && r.layoutCacheExact;
     }
     benchutil::rule();
-    std::printf("fresh   = RpuEngine::compile + replayRuntime per "
-                "layout point (pre-patch tuner cost)\n");
-    std::printf("patched = simulateRuntimeMany + LayoutSweep "
-                "(recompileChannels between layouts)\n");
-    if (!meets_layout_target)
-        std::fprintf(stderr,
-                     "warning: layout-axis speedup below the 10x CI "
-                     "gate on this machine\n");
+    std::printf("fresh  = RpuEngine::compile + replayRuntime per layout "
+                "point\n");
+    std::printf("cached = one-point simulateRuntimeMany per layout point "
+                "from HksExperiment::compiled(cfg)\n");
+    std::printf("exact  = cached runtimes equal fresh compiles and the "
+                "cache returns %zu stable schedules (CI-gated; the ratio "
+                "is not)\n",
+                kLayoutSchedules);
 
     // Metrics block: the runner's graph cache plus each benchmark's
-    // cd+hc tuner (evaluations, cache hits, patched evals, batch-lane
+    // cd+hc tuner (evaluations, cache hits, partition memo, batch-lane
     // occupancy), exported serially for a deterministic artifact.
     obs::MetricsRegistry metrics;
     runner.exportMetrics(metrics);
@@ -329,6 +355,7 @@ main()
     if (jf) {
         benchutil::JsonWriter w(jf);
         w.field("bench", "tuner");
+        w.field("layout_cache_exact", layout_cache_exact);
         w.beginArray("rows");
         for (const Row &r : rows) {
             w.beginObject();
@@ -345,11 +372,11 @@ main()
             w.field("eval_cache_misses", r.cacheMisses);
             w.field("eval_cache_hit_rate", r.cacheHitRate());
             w.field("pareto_points", r.paretoPoints);
-            w.field("patched_evals", r.patchedEvals);
             w.field("layout_points", r.layoutPoints);
+            w.field("layout_schedules", r.layoutSchedules);
+            w.field("layout_cache_exact", r.layoutCacheExact);
             w.field("layout_fresh_evals_per_sec", r.layoutFreshPerSec);
-            w.field("layout_patched_evals_per_sec",
-                    r.layoutPatchedPerSec);
+            w.field("layout_cached_evals_per_sec", r.layoutCachedPerSec);
             w.field("layout_axis_speedup", r.layoutAxisSpeedup());
             w.field("ocbase_gbps", r.ocbaseGbps);
             w.field("ocbase_ref_gbps", r.ocbaseRefGbps);

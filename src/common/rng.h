@@ -19,6 +19,21 @@
 namespace ciflow
 {
 
+/**
+ * The splitmix64 finalizer: a bijective 64-bit mix whose every output
+ * bit depends on every input bit. Decorrelates derived stream seeds
+ * (fault::deriveSeed) and folds fields into running hashes as
+ * splitmix64(field + seed).
+ */
+inline std::uint64_t
+splitmix64(std::uint64_t x)
+{
+    x += 0x9E3779B97F4A7C15ull;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+    return x ^ (x >> 31);
+}
+
 /** Seedable pseudo-random source for all HE sampling in ciflow. */
 class Rng
 {

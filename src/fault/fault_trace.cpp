@@ -121,21 +121,12 @@ checkTrace(const FaultTrace &t, const MachineShape &shape)
 namespace
 {
 
-/** splitmix64 finalizer: decorrelates derived stream seeds. */
-std::uint64_t
-mix(std::uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-}
-
 /** Independent Rng for fault class `cls` of resource `res`. */
 Rng
 streamRng(std::uint64_t seed, unsigned cls, std::uint64_t res)
 {
-    return Rng(mix(mix(seed ^ (std::uint64_t{cls} << 56)) ^ res));
+    return Rng(
+        splitmix64(splitmix64(seed ^ (std::uint64_t{cls} << 56)) ^ res));
 }
 
 /** Exponential inter-arrival with mean `mtbf` (in (0, +inf)). */
@@ -153,7 +144,7 @@ expDraw(Rng &rng, double mtbf)
 std::uint64_t
 deriveSeed(std::uint64_t seed, std::uint64_t i)
 {
-    return mix(mix(seed) ^ mix(i + 1));
+    return splitmix64(splitmix64(seed) ^ splitmix64(i + 1));
 }
 
 FaultTrace

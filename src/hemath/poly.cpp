@@ -89,15 +89,6 @@ RnsPoly::mulScalarInPlace(const std::vector<u64> &scalars)
 }
 
 void
-RnsPoly::mulConstInPlace(u64 c)
-{
-    std::vector<u64> scalars(moduli.size());
-    for (std::size_t i = 0; i < moduli.size(); ++i)
-        scalars[i] = c % moduli[i];
-    mulScalarInPlace(scalars);
-}
-
-void
 RnsPoly::toEval(NttContext &ctx)
 {
     if (dom == Domain::Eval)

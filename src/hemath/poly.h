@@ -49,7 +49,6 @@ class RnsPoly
     std::size_t degree() const { return n; }
     std::size_t towerCount() const { return moduli.size(); }
     Domain domain() const { return dom; }
-    void setDomain(Domain d) { dom = d; }
 
     u64 modulus(std::size_t i) const { return moduli[i]; }
     const std::vector<u64> &primes() const { return moduli; }
@@ -71,8 +70,6 @@ class RnsPoly
     void mulPointwiseInPlace(const RnsPoly &o);
     /** Multiply tower i by scalar s_i (one scalar per tower). */
     void mulScalarInPlace(const std::vector<u64> &scalars);
-    /** Multiply every tower by a single small integer constant. */
-    void mulConstInPlace(u64 c);
 
     /** Transform all towers to Eval domain (no-op if already there). */
     void toEval(NttContext &ctx);

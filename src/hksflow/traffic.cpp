@@ -21,17 +21,4 @@ analyzeTraffic(const HksParams &par, Dataflow d, const MemoryConfig &mem)
     return s;
 }
 
-std::vector<TrafficSummary>
-table2Analysis()
-{
-    MemoryConfig mem;
-    mem.dataCapacityBytes = 32ull << 20;
-    mem.evkOnChip = false;
-    std::vector<TrafficSummary> out;
-    for (const auto &bench : paperBenchmarks())
-        for (Dataflow d : allDataflows())
-            out.push_back(analyzeTraffic(bench, d, mem));
-    return out;
-}
-
 } // namespace ciflow

@@ -41,12 +41,6 @@ struct TrafficSummary
 TrafficSummary analyzeTraffic(const HksParams &par, Dataflow d,
                               const MemoryConfig &mem);
 
-/**
- * Reproduce Table II: all paper benchmarks x all dataflows with a 32 MiB
- * data memory and streamed evks.
- */
-std::vector<TrafficSummary> table2Analysis();
-
 } // namespace ciflow
 
 #endif // CIFLOW_HKSFLOW_TRAFFIC_H

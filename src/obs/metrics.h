@@ -3,13 +3,14 @@
  * MetricsRegistry: named counters and gauges for harness telemetry.
  *
  * The bench harnesses already gate perf on a handful of JSON fields;
- * everything else the subsystems know — cache hit rates, patched-eval
- * counts, batch-lane occupancy, fault-scenario outcomes — was either
- * printed as prose or dropped. The registry is the machine-readable
- * middle: components export their counters into one insertion-ordered
- * namespace ("runner.cache_hits", "tuner.patched_evals",
- * "faults.failovers"), and every BENCH_*.json dumps the registry as a
- * `metrics` block so dashboards and jq one-liners read one shape.
+ * everything else the subsystems know — cache hit rates, partition
+ * memo hits, batch-lane occupancy, fault-scenario outcomes — was
+ * either printed as prose or dropped. The registry is the
+ * machine-readable middle: components export their counters into one
+ * insertion-ordered namespace ("runner.cache_hits",
+ * "tuner.partition_hits", "faults.failovers"), and every BENCH_*.json
+ * dumps the registry as a `metrics` block so dashboards and jq
+ * one-liners read one shape.
  *
  * Counters are monotonically accumulated uint64s; gauges are
  * last-write-wins doubles (fractions, ratios). Writes take a mutex —

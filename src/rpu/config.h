@@ -186,10 +186,19 @@ struct RpuLayout
 
     bool operator==(const RpuLayout &) const = default;
 
+    /**
+     * The layout `cfg` compiles to. On one channel every policy places
+     * every memory op on channel 0, so the policy is pinned to
+     * Interleave there: the three policies share one layout (and one
+     * cached schedule).
+     */
     static RpuLayout
     of(const RpuConfig &cfg)
     {
-        return {cfg.channelCount(), cfg.channelPolicy,
+        const std::size_t nchan = cfg.channelCount();
+        return {nchan,
+                nchan == 1 ? ChannelPolicy::Interleave
+                           : cfg.channelPolicy,
                 cfg.splitComputePipes, cfg.vectorLen};
     }
 

@@ -1,7 +1,6 @@
 #include "rpu/engine.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <string>
 
 #include "common/logging.h"
@@ -138,13 +137,13 @@ RpuEngine::lowerTask(const Task &t, const CodeGen &cg,
     }
 }
 
-void
-RpuEngine::compileInto(const TaskGraph &g, sim::CompiledSchedule &cs,
-                       PatchableSchedule *meta) const
+sim::CompiledSchedule
+RpuEngine::compile(const TaskGraph &g) const
 {
     g.validate();
 
     CodeGen cg(cfg.vectorLen);
+    sim::CompiledSchedule cs;
 
     // Channels are registered first, so their ResourceIds are 0..N-1.
     const std::size_t nchan = cfg.channelCount();
@@ -169,10 +168,6 @@ RpuEngine::compileInto(const TaskGraph &g, sim::CompiledSchedule &cs,
             nops += 1;
     }
     cs.reserve(g.size(), ndeps, nops);
-    if (meta) {
-        meta->roles.reserve(nops);
-        meta->memBytes.reserve(nops);
-    }
 
     ChannelPlacer placer(cfg.channelPolicy, nchan);
     std::vector<sim::CompiledOp> ops;
@@ -181,150 +176,9 @@ RpuEngine::compileInto(const TaskGraph &g, sim::CompiledSchedule &cs,
         lowerTask(t, cg, placer, 0, ops);
         cs.addTask(t.deps.data(), t.deps.size(), ops.data(),
                    ops.size());
-        if (meta) {
-            if (t.kind == TaskKind::Compute) {
-                meta->roles.push_back(OpRole::Pipe0);
-                meta->memBytes.push_back(0);
-                if (ops.size() > 1) {
-                    meta->roles.push_back(OpRole::Pipe1);
-                    meta->memBytes.push_back(0);
-                }
-            } else {
-                meta->roles.push_back(t.isEvk ? OpRole::MemEvk
-                                              : OpRole::Mem);
-                meta->memBytes.push_back(t.bytes);
-            }
-        }
     }
     cs.setLayoutTag(RpuLayout::of(cfg).tag());
-}
-
-sim::CompiledSchedule
-RpuEngine::compile(const TaskGraph &g) const
-{
-    sim::CompiledSchedule cs;
-    compileInto(g, cs, nullptr);
     return cs;
-}
-
-PatchableSchedule
-RpuEngine::compilePatchable(const TaskGraph &g) const
-{
-    PatchableSchedule ps;
-    compileInto(g, ps.schedule, &ps);
-    ps.layout = RpuLayout::of(cfg);
-
-    // Role-split index for recompileChannels' tight rebind loops.
-    for (std::size_t i = 0; i < ps.roles.size(); ++i) {
-        switch (ps.roles[i]) {
-        case OpRole::Mem:
-        case OpRole::MemEvk:
-            ps.memIdx.push_back(static_cast<std::uint32_t>(i));
-            ps.memIsEvk.push_back(ps.roles[i] == OpRole::MemEvk ? 1
-                                                                : 0);
-            ps.memIdxBytes.push_back(ps.memBytes[i]);
-            break;
-        case OpRole::Pipe0:
-            ps.pipe0Idx.push_back(static_cast<std::uint32_t>(i));
-            break;
-        case OpRole::Pipe1:
-            ps.pipe1Idx.push_back(static_cast<std::uint32_t>(i));
-            break;
-        }
-    }
-    return ps;
-}
-
-void
-RpuEngine::recompileChannels(PatchableSchedule &ps) const
-{
-    const RpuLayout want = RpuLayout::of(cfg);
-    panicIf(want.splitComputePipes != ps.layout.splitComputePipes ||
-                want.vectorLen != ps.layout.vectorLen,
-            "channel repatch cannot change the pipe split or vector "
-            "length: those shape the skeleton, recompile from the "
-            "graph");
-    panicIf(ps.roles.size() != ps.schedule.opCount(),
-            "patchable schedule metadata does not cover its op stream");
-
-    panicIf(ps.memIdx.size() + ps.pipe0Idx.size() +
-                    ps.pipe1Idx.size() !=
-                ps.roles.size(),
-            "patchable schedule index does not cover its op stream");
-
-    const std::size_t nchan = cfg.channelCount();
-    sim::BindingView b =
-        ps.schedule.patchBegin(nchan + cfg.computePipeCount());
-    const sim::ResourceId pipe0 = static_cast<sim::ResourceId>(nchan);
-
-    // Resource names and pipe bindings depend only on the channel
-    // count; policy-only moves skip both.
-    if (nchan != ps.layout.memChannels) {
-        char name[32];
-        for (std::size_t c = 0; c < nchan; ++c) {
-            std::snprintf(name, sizeof(name), "dram%zu", c);
-            ps.schedule.patchResourceName(
-                static_cast<sim::ResourceId>(c), name);
-        }
-        if (cfg.splitComputePipes) {
-            ps.schedule.patchResourceName(pipe0, "arith");
-            ps.schedule.patchResourceName(pipe0 + 1, "shuffle");
-        } else {
-            ps.schedule.patchResourceName(pipe0, "compute");
-        }
-        for (std::uint32_t i : ps.pipe0Idx)
-            b.opRes[i] = pipe0;
-        for (std::uint32_t i : ps.pipe1Idx)
-            b.opRes[i] = pipe0 + 1;
-    }
-
-    // Re-place the memory ops in op-stream order — the order every
-    // policy's placement sequence is defined over. Each policy runs
-    // as a tight loop over the role-split index instead of a per-op
-    // ChannelPlacer call; the loops reproduce ChannelPlacer's
-    // sequences exactly, and tests/test_patch.cpp pins the patched
-    // binding bit-identical to a fresh compile across policies.
-    const std::size_t nmem = ps.memIdx.size();
-    const std::uint32_t *idx = ps.memIdx.data();
-    sim::ResourceId *res = b.opRes;
-    if (cfg.channelPolicy == ChannelPolicy::LeastLoaded) {
-        std::vector<std::uint64_t> load(nchan, 0);
-        for (std::size_t k = 0; k < nmem; ++k) {
-            std::size_t best = 0;
-            for (std::size_t c = 1; c < nchan; ++c)
-                if (load[c] < load[best])
-                    best = c;
-            load[best] += ps.memIdxBytes[k];
-            res[idx[k]] = static_cast<sim::ResourceId>(best);
-        }
-    } else if (cfg.channelPolicy == ChannelPolicy::EvkDedicated &&
-               nchan >= 2) {
-        // Evk ops pin to the last channel and do not advance the
-        // round-robin cursor (exactly ChannelPlacer's rule).
-        const std::size_t data_chans = nchan - 1;
-        const sim::ResourceId evk_chan =
-            static_cast<sim::ResourceId>(nchan - 1);
-        std::size_t rr = 0;
-        for (std::size_t k = 0; k < nmem; ++k) {
-            if (ps.memIsEvk[k] != 0) {
-                res[idx[k]] = evk_chan;
-            } else {
-                res[idx[k]] = static_cast<sim::ResourceId>(rr);
-                rr = rr + 1 == data_chans ? 0 : rr + 1;
-            }
-        }
-    } else {
-        // Interleave (and EvkDedicated below two channels): plain
-        // round-robin over all channels, evk ops included.
-        std::size_t rr = 0;
-        for (std::size_t k = 0; k < nmem; ++k) {
-            res[idx[k]] = static_cast<sim::ResourceId>(rr);
-            rr = rr + 1 == nchan ? 0 : rr + 1;
-        }
-    }
-
-    ps.schedule.patchCommit(want.tag());
-    ps.layout = want;
 }
 
 void
@@ -332,9 +186,8 @@ RpuEngine::rates(const sim::CompiledSchedule &cs,
                  sim::ReplayRates &r) const
 {
     const std::size_t nchan = cfg.channelCount();
-    // The base tag identifies the layout the *current* binding targets
-    // (patches re-stamp it), so rates built here are valid for exactly
-    // this revision of the schedule.
+    // The base tag names the layout the schedule was compiled for, so
+    // rates built here are valid for exactly that layout.
     panicIf(cs.baseLayoutTag() != RpuLayout::of(cfg).tag(),
             "compiled schedule layout does not match config");
     panicIf(cs.resourceCount() != nchan + cfg.computePipeCount(),

@@ -73,10 +73,11 @@ class ChannelPlacer
     std::size_t place(const Task &t);
 
     /**
-     * Placement from the raw (bytes, isEvk) pair: the patch path's
-     * entry, which replays placement from cached op metadata without
-     * materializing Tasks. place(t) delegates here, so both paths
-     * run one state machine by construction.
+     * Placement from the raw (bytes, isEvk) pair: the shard bind's
+     * entry, which re-places a compiled schedule's memory ops from
+     * per-task payloads without materializing Tasks. place(t)
+     * delegates here, so both paths run one state machine by
+     * construction.
      */
     std::size_t place(std::uint64_t bytes, bool is_evk);
 
@@ -130,53 +131,6 @@ struct SimStats
     double runtimeMs() const { return runtime * 1e3; }
 };
 
-/**
- * What a compiled op was lowered from, as far as rebinding is
- * concerned: enough to re-place memory ops under a new channel layout
- * and recompute pipe ids without consulting the graph or CodeGen.
- */
-enum class OpRole : std::uint8_t {
-    Mem,    ///< memory op; channel chosen by ChannelPlacer
-    MemEvk, ///< memory op of an evk stream (EvkDedicated pins it)
-    Pipe0,  ///< fused pipe, or the split arithmetic pipe
-    Pipe1,  ///< split shuffle pipe
-};
-
-/**
- * A compiled schedule plus the per-op metadata needed to rebind it to
- * a new channel layout in place (RpuEngine::recompileChannels): op
- * roles and exact memory payloads, kept as uint64 so a re-placement's
- * LeastLoaded accounting and tie-breaking are bit-identical to a
- * fresh compile. Produced by compilePatchable(); the schedule member
- * replays exactly like a compile() result.
- */
-struct PatchableSchedule
-{
-    sim::CompiledSchedule schedule;
-    /** Layout the binding currently targets. */
-    RpuLayout layout;
-    /** Role per op, parallel to the schedule's op stream. */
-    std::vector<OpRole> roles;
-    /** Memory-op payload in bytes (0 for pipe ops). */
-    std::vector<std::uint64_t> memBytes;
-
-    // Role-split index of the op stream, derived from `roles` by
-    // compilePatchable so recompileChannels can rebind each class in
-    // a tight loop instead of switching per op. memIdx keeps the mem
-    // ops in stream order — the order every ChannelPolicy's placement
-    // sequence is defined over.
-    /** Op indices of the memory ops, in op-stream order. */
-    std::vector<std::uint32_t> memIdx;
-    /** 1 where memIdx[k] is an evk-stream op (parallel to memIdx). */
-    std::vector<std::uint8_t> memIsEvk;
-    /** Payload of memIdx[k] in bytes (parallel to memIdx). */
-    std::vector<std::uint64_t> memIdxBytes;
-    /** Op indices bound to the fused/arithmetic pipe. */
-    std::vector<std::uint32_t> pipe0Idx;
-    /** Op indices bound to the split shuffle pipe. */
-    std::vector<std::uint32_t> pipe1Idx;
-};
-
 /** Simulates a TaskGraph on an RpuConfig. */
 class RpuEngine
 {
@@ -201,26 +155,6 @@ class RpuEngine
      * be replayed at any rates whose config shares that layout.
      */
     sim::CompiledSchedule compile(const TaskGraph &g) const;
-
-    /**
-     * compile() plus the per-op metadata recompileChannels() needs:
-     * the schedule is built by the same lowering pass (bit-identical
-     * to compile()), with two side arrays recorded along the way.
-     */
-    PatchableSchedule compilePatchable(const TaskGraph &g) const;
-
-    /**
-     * Rebind `ps` to this config's channel layout in place: re-places
-     * every memory op with a fresh ChannelPlacer, renames the channel
-     * resources, and commits a patch revision (distinct layoutTag).
-     * Only the channel axes — memChannels, channelPolicy — may differ
-     * from ps.layout; the pipe split and vector length shape the
-     * skeleton, so changing them panics (recompile from the graph).
-     * No allocation once the resource table has reached its
-     * high-water mark. The patched binding is bit-identical to a
-     * fresh compile() under this config (tests/test_patch.cpp).
-     */
-    void recompileChannels(PatchableSchedule &ps) const;
 
     /**
      * Append the compiled ops of one task, targeting the resource
@@ -268,14 +202,6 @@ class RpuEngine
     const RpuConfig &config() const { return cfg; }
 
   private:
-    /**
-     * Shared lowering pass of compile()/compilePatchable(): builds the
-     * schedule into `cs`, recording patch metadata when `meta` is
-     * non-null, so the two entry points cannot drift.
-     */
-    void compileInto(const TaskGraph &g, sim::CompiledSchedule &cs,
-                     PatchableSchedule *meta) const;
-
     RpuConfig cfg;
 };
 

@@ -27,9 +27,9 @@ HksExperiment::normalized(const RpuConfig &cfg_in) const
 }
 
 const sim::CompiledSchedule &
-HksExperiment::scheduleFor(const RpuLayout &layout,
-                           const RpuConfig &cfg) const
+HksExperiment::compiled(const RpuConfig &cfg) const
 {
+    const RpuLayout layout = RpuLayout::of(cfg);
     if (layout == defLayout)
         return def;
     std::lock_guard<std::mutex> lk(layouts_mu);
@@ -65,8 +65,7 @@ double
 HksExperiment::simulateRuntime(const RpuConfig &cfg_in) const
 {
     const RpuConfig cfg = normalized(cfg_in);
-    return RpuEngine(cfg).replayRuntime(
-        scheduleFor(RpuLayout::of(cfg), cfg));
+    return RpuEngine(cfg).replayRuntime(compiled(cfg));
 }
 
 namespace
@@ -102,7 +101,7 @@ HksExperiment::simulateRuntimeMany(const RpuConfig *cfgs, std::size_t n,
         return;
     const RpuConfig first = normalized(cfgs[0]);
     const RpuLayout layout = RpuLayout::of(first);
-    const sim::CompiledSchedule &cs = scheduleFor(layout, first);
+    const sim::CompiledSchedule &cs = compiled(first);
 
     BatchTls &tls = batchTls();
     if (tls.rates.size() < n)
@@ -111,65 +110,13 @@ HksExperiment::simulateRuntimeMany(const RpuConfig *cfgs, std::size_t n,
         const RpuConfig cfg = normalized(cfgs[i]);
         if (!(RpuLayout::of(cfg) == layout))
             panic("batched replay points must share one compiled "
-                  "layout; fall back to scalar simulate() for "
-                  "layout-changing sweeps");
+                  "layout; split layout-crossing sweeps into one call "
+                  "per run of equal layouts");
         RpuEngine(cfg).rates(cs, tls.rates[i]);
     }
     cs.replayMany(tls.rates.data(), n, tls.scratch);
     for (std::size_t i = 0; i < n; ++i)
         out[i] = tls.scratch.makespan[i];
-}
-
-void
-HksExperiment::simulateRuntimeMany(const RpuConfig *cfgs, std::size_t n,
-                                   double *out, LayoutSweep &sweep) const
-{
-    BatchTls &tls = batchTls();
-    std::size_t i = 0;
-    while (i < n) {
-        // Layout depends only on channel/pipe knobs, which
-        // normalized() never touches, so the raw configs group runs.
-        const RpuLayout layout = RpuLayout::of(cfgs[i]);
-        std::size_t j = i + 1;
-        while (j < n && RpuLayout::of(cfgs[j]) == layout)
-            ++j;
-
-        const RpuConfig first = normalized(cfgs[i]);
-        if (!sweep.compiled) {
-            sweep.ps = RpuEngine(first).compilePatchable(g);
-            sweep.compiled = true;
-        } else if (!(sweep.ps.layout == layout)) {
-            RpuEngine(first).recompileChannels(sweep.ps);
-            ++sweep.patches;
-        }
-
-        const std::size_t run = j - i;
-        if (run == 1) {
-            // A padded lane block costs a little more than one scalar
-            // replay at any width, so a lone point — the pure
-            // layout-axis case of one point per layout — replays
-            // scalar, and every run of two or more rides one block
-            // per kBatchLanes points. Bit-identical either way
-            // (replayMany lanes equal scalar replays).
-            out[i] = RpuEngine(first).replayRuntime(sweep.ps.schedule);
-        } else {
-            if (tls.rates.size() < run)
-                tls.rates.resize(run);
-            for (std::size_t k = 0; k < run; ++k)
-                RpuEngine(normalized(cfgs[i + k]))
-                    .rates(sweep.ps.schedule, tls.rates[k]);
-            sweep.ps.schedule.replayMany(tls.rates.data(), run,
-                                         tls.scratch);
-            for (std::size_t k = 0; k < run; ++k)
-                out[i + k] = tls.scratch.makespan[k];
-            sweep.batchedPoints += run;
-            sweep.laneSlots += (run + sim::kBatchLanes - 1) /
-                               sim::kBatchLanes * sim::kBatchLanes;
-        }
-        if (sweep.ps.schedule.patchRevision() > 0)
-            sweep.patchedEvals += run;
-        i = j;
-    }
 }
 
 void
@@ -212,8 +159,7 @@ SimStats
 HksExperiment::simulate(const RpuConfig &cfg_in) const
 {
     const RpuConfig cfg = normalized(cfg_in);
-    const RpuEngine engine(cfg);
-    return engine.replay(scheduleFor(RpuLayout::of(cfg), cfg), g);
+    return RpuEngine(cfg).replay(compiled(cfg), g);
 }
 
 const std::vector<double> &

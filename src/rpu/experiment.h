@@ -14,7 +14,11 @@
  * a single O(V+E) pass over flat arrays into per-thread scratch, with
  * no allocation on the hot path. Non-default layouts (multi-channel,
  * split pipes, other vector lengths) compile on first use into a small
- * per-experiment cache, so config sweeps pay one compile per layout.
+ * per-experiment layout cache, so config sweeps pay one compile per
+ * layout per experiment. That cache, read through compiled(cfg), is
+ * the one source of this graph's single-chip schedules: the tuner's
+ * batches, the serving simulators and the shard bind all replay from
+ * it.
  */
 
 #ifndef CIFLOW_RPU_EXPERIMENT_H
@@ -31,37 +35,6 @@
 
 namespace ciflow
 {
-
-/**
- * Caller-owned state of a patch-based layout sweep: one patchable
- * compiled schedule that is rebound in place (recompileChannels) as
- * the sweep crosses channel layouts, plus counters reporting how much
- * of the sweep ran incrementally. Compiled lazily on first use, so a
- * default-constructed LayoutSweep can be handed to any experiment;
- * reuse it only with the same experiment.
- */
-struct LayoutSweep
-{
-    /** The reusable schedule, rebound in place across layouts. */
-    PatchableSchedule ps;
-    /** Whether `ps` holds a compiled schedule yet. */
-    bool compiled = false;
-    /** Channel repatches applied so far. */
-    std::size_t patches = 0;
-    /** Points replayed on a patched (revision > 0) binding. */
-    std::size_t patchedEvals = 0;
-    /** Points replayed through kBatchLanes-wide replayMany blocks
-     * (a lone point between layout changes replays scalar and is not
-     * counted). */
-    std::size_t batchedPoints = 0;
-    /**
-     * Lane slots those blocks provisioned: one compiled-array walk
-     * serves kBatchLanes slots whether or not every lane carries a
-     * point, so batchedPoints / laneSlots is the occupancy of the
-     * batched fast path — how much of each walk did useful work.
-     */
-    std::size_t laneSlots = 0;
-};
 
 /** One (benchmark, dataflow, memory) combination, simulated at will. */
 class HksExperiment
@@ -109,26 +82,12 @@ class HksExperiment
      * rate knob: bandwidth, MODOPS, clocks, per-channel skew); the
      * schedule compiled for that layout is then replayed at every
      * point in kBatchLanes-wide blocks. Panics when a configuration
-     * changes the compiled layout — batch only rate-varying points and
-     * fall back to scalar simulate() for layout-changing sweeps.
+     * changes the compiled layout: a layout-crossing sweep orders its
+     * points by layout and makes one call per run of equal layouts,
+     * each served from the layout cache (see compiled(cfg)).
      */
     void simulateRuntimeMany(const RpuConfig *cfgs, std::size_t n,
                              double *out) const;
-
-    /**
-     * Layout-crossing batched simulateRuntime: the points may differ
-     * in the *channel* axes (memChannels, channelPolicy) as well as
-     * every rate knob. Consecutive same-layout points form batched
-     * replayMany runs; between runs the sweep's single schedule is
-     * rebound in place with recompileChannels instead of compiling
-     * from the graph, so a layout move costs one pass over the op
-     * stream. out[i] stays bit-identical to simulateRuntime(cfgs[i]).
-     * Points changing the pipe split or vector length panic (those
-     * reshape the skeleton). Order points by layout for fewest
-     * repatches.
-     */
-    void simulateRuntimeMany(const RpuConfig *cfgs, std::size_t n,
-                             double *out, LayoutSweep &sweep) const;
 
     /**
      * Simulate under a full RPU configuration (channel count and
@@ -141,6 +100,18 @@ class HksExperiment
     /** The schedule compiled for the default RpuLayout. */
     const sim::CompiledSchedule &compiled() const { return def; }
 
+    /**
+     * The schedule compiled for RpuLayout::of(cfg): the default one
+     * for the default layout, otherwise the per-experiment layout
+     * cache's entry, compiled on first use (under a lock, so
+     * concurrent first requests compile once). Every call for one
+     * layout returns the same object, which lives as long as the
+     * experiment, and it equals RpuEngine(cfg).compile(graph()) array
+     * by array. The one source of single-chip schedules for the
+     * tuner, serving and the shard bind.
+     */
+    const sim::CompiledSchedule &compiled(const RpuConfig &cfg) const;
+
     const TaskGraph &graph() const { return g; }
     const HksParams &params() const { return par; }
     Dataflow dataflow() const { return df; }
@@ -149,10 +120,6 @@ class HksExperiment
   private:
     /** Fill in this experiment's memory-system fields. */
     RpuConfig normalized(const RpuConfig &cfg_in) const;
-
-    /** The compiled schedule for `layout` (compiling on first use). */
-    const sim::CompiledSchedule &scheduleFor(const RpuLayout &layout,
-                                             const RpuConfig &cfg) const;
 
     HksParams par;
     Dataflow df;

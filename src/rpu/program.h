@@ -88,7 +88,6 @@ class KernelGen
     Program towerTransfer(bool store) const;
 
     std::size_t vectorLen() const { return vl; }
-    std::size_t ringDegree() const { return n; }
 
   private:
     /** Vector chunks covering `elems` elements. */

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/rng.h"
 
 namespace ciflow
 {
@@ -34,12 +35,9 @@ ExperimentKey::of(const HksParams &par, Dataflow d,
 std::size_t
 ExperimentKeyHash::operator()(const ExperimentKey &k) const
 {
-    // splitmix64-style mixing of each field into a running seed.
+    // splitmix64 mixing of each field into a running seed.
     auto mix = [](std::size_t seed, std::uint64_t v) {
-        v += 0x9e3779b97f4a7c15ull + seed;
-        v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9ull;
-        v = (v ^ (v >> 27)) * 0x94d049bb133111ebull;
-        return static_cast<std::size_t>(v ^ (v >> 31));
+        return static_cast<std::size_t>(splitmix64(v + seed));
     };
     std::size_t h = std::hash<std::string>{}(k.name);
     h = mix(h, k.logN);

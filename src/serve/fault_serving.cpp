@@ -40,12 +40,11 @@ FaultServingSim::FaultServingSim(ServingSim &s)
                     assets->ops[k * 2 + static_cast<std::size_t>(variant)];
                 os.exp = sim.runnerRef.experiment(
                     jc.params, jc.dataflow, variant ? hitMem : missMem);
-                os.cs = RpuEngine(sim.chipAt(0))
-                            .compile(os.exp->graph());
+                os.cs = &os.exp->compiled(sim.chipAt(0));
                 os.rates.resize(sim.uniqBw.size());
                 for (std::size_t b = 0; b < sim.uniqBw.size(); ++b)
                     RpuEngine(sim.chipAt(b))
-                        .rates(os.cs, os.rates[b]);
+                        .rates(*os.cs, os.rates[b]);
             }
             continue;
         }

@@ -149,9 +149,10 @@ struct FaultServeStats
  * Fault-aware serving simulator. Borrows a priced ServingSim (which
  * must outlive it) for the clean per-op scalars — the guarantee that
  * a zero-fault run reproduces ServingSim::run to the bit — and
- * compiles per-class replay assets once at construction: single-chip
- * classes get their (variant, bandwidth) compiled schedules for
- * piecewise degraded pricing, gang classes get patchable sharded
+ * builds per-class replay assets once at construction: single-chip
+ * classes take each key-cache variant's schedule from the
+ * experiment's layout cache, with rates per fleet bandwidth, for
+ * piecewise degraded pricing; gang classes get patchable sharded
  * compiles so chip failures re-place them through the
  * planFailover/recompilePartition patch path. run() may be called
  * many times; equal (arrivals, trace, policy) inputs produce
@@ -160,8 +161,9 @@ struct FaultServeStats
 class FaultServingSim
 {
   public:
-    /** Build replay assets for `sim`'s spec (one compile per (class,
-     * variant), patchable for gang classes). */
+    /** Build replay assets for `sim`'s spec (cached single-chip
+     * schedules; one patchable sharded compile per (gang class,
+     * variant)). */
     explicit FaultServingSim(ServingSim &sim);
     ~FaultServingSim();
 

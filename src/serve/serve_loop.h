@@ -55,12 +55,14 @@ namespace ciflow::serve::detail
 /** Per-class replay assets of one FaultServingSim (see its header). */
 struct FaultAssets
 {
-    /** Single-chip degraded pricing: the class's HKS compiled once,
-     * replayable piecewise at every fleet bandwidth. */
+    /** Single-chip degraded pricing: the class's HKS schedule for the
+     * fleet chip, from the experiment's layout cache, replayable
+     * piecewise at every fleet bandwidth. */
     struct OpSched
     {
         std::shared_ptr<const HksExperiment> exp;
-        sim::CompiledSchedule cs;
+        /** exp->compiled(chip); lives as long as `exp`. */
+        const sim::CompiledSchedule *cs = nullptr;
         /** Replay rates per distinct chip bandwidth. */
         std::vector<sim::ReplayRates> rates;
     };
@@ -576,7 +578,7 @@ ServingSim::serveLoop(const std::vector<JobArrival> &arrivals,
             double edge = kInf;
             if (!g) {
                 edge = fault::probeChipSpans(spans[chosen[0]],
-                                             os->cs.resourceCount(), t, 0,
+                                             os->cs->resourceCount(), t, 0,
                                              at0);
             } else {
                 const std::size_t per = g->psMiss.compiled.perChip;
@@ -595,7 +597,7 @@ ServingSim::serveLoop(const std::vector<JobArrival> &arrivals,
                 return false;
             const sim::CompiledSchedule &cs =
                 g ? (variant ? g->psHit : g->psMiss).compiled.schedule
-                  : os->cs;
+                  : *os->cs;
             const sim::ReplayRates &rates =
                 g ? (variant ? g->rHit : g->rMiss) : os->rates[bwIdx];
             const std::uint64_t sched = g ? cs.layoutTag() : bwIdx;
@@ -615,7 +617,7 @@ ServingSim::serveLoop(const std::vector<JobArrival> &arrivals,
             ep = g ? fault::buildEpochs(remapped, g->psMiss.compiled, t)
                    : fault::buildChipEpochs(
                          fr->trace, static_cast<std::uint32_t>(chosen[0]),
-                         os->cs.resourceCount(), t);
+                         os->cs->resourceCount(), t);
             ++fr->epochTables;
             if (!(detail::firstBoundary(ep) < clean))
                 return false;

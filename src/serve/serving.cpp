@@ -335,9 +335,8 @@ ServingSim::buildViz(ExperimentRunner &runner)
         for (int variant = 0; variant < 2; ++variant) {
             const auto exp = runner.experiment(
                 jc.params, jc.dataflow, variant ? hitMem : missMem);
-            const sim::CompiledSchedule cs =
-                RpuEngine(chipAt(0))
-                    .compile(exp->graph());
+            const sim::CompiledSchedule &cs =
+                exp->compiled(chipAt(0));
             if (va->names.empty()) {
                 va->perChip = cs.resourceCount();
                 for (std::size_t r = 0; r < cs.resourceCount(); ++r)
@@ -409,12 +408,6 @@ ServingSim::classServiceSec(std::size_t klass, bool warm,
     const ClassModel &m = models[klass];
     const std::size_t b = m.shards > 1 ? 0 : chipBw[chip];
     return warm ? m.warmSvc[b] : m.coldSvc[b];
-}
-
-std::size_t
-ServingSim::distinctBandwidths() const
-{
-    return uniqBw.size();
 }
 
 std::size_t

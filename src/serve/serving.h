@@ -290,8 +290,6 @@ class ServingSim
     double classServiceSec(std::size_t klass, bool warm,
                            std::size_t chip = 0) const;
 
-    /** Distinct chip bandwidths the estimator priced. */
-    std::size_t distinctBandwidths() const;
     /** Estimator evaluations that replayed (EvalCache misses). */
     std::size_t estimatorEvals() const;
 

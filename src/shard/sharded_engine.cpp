@@ -267,14 +267,18 @@ ShardedEngine::bind(const TaskGraph &g, const sim::CompiledSchedule &src,
     bindInto(src, p, b, out);
 }
 
+const sim::CompiledSchedule &
+ShardedEngine::sourceOf(const HksExperiment &exp) const
+{
+    return sameSkeleton(cfg, exp.compiled()) ? exp.compiled()
+                                             : exp.compiled(cfg);
+}
+
 void
 ShardedEngine::bind(const HksExperiment &exp, const Partition &p,
                     ShardedCompiled &out) const
 {
-    if (sameSkeleton(cfg, exp.compiled()))
-        bind(exp.graph(), exp.compiled(), p, out);
-    else
-        bind(exp.graph(), RpuEngine(cfg).compile(exp.graph()), p, out);
+    bind(exp.graph(), sourceOf(exp), p, out);
 }
 
 ShardedCompiled
@@ -317,10 +321,7 @@ ShardedPatchable
 ShardedEngine::compilePatchable(const HksExperiment &exp,
                                 const Partition &p) const
 {
-    return patchableOf(sameSkeleton(cfg, exp.compiled())
-                           ? exp.compiled()
-                           : RpuEngine(cfg).compile(exp.graph()),
-                       exp.graph(), p);
+    return patchableOf(sourceOf(exp), exp.graph(), p);
 }
 
 void

@@ -21,7 +21,9 @@
  *
  * compile(g, p) is RpuEngine(chip).compile(g) followed by that bind;
  * the experiment overloads bind from HksExperiment::compiled() when
- * its skeleton matches, skipping the single-chip lowering too;
+ * its skeleton matches and from the experiment's layout cache entry
+ * for the chip otherwise, so they lower nothing the experiment has
+ * not already compiled;
  * recompilePartition() re-runs the same bind over the patchable's
  * kept source. A K=1 partition binds to the identical op stream with
  * no transfer tasks, and its replay is bit-identical to the
@@ -145,9 +147,10 @@ class ShardedEngine
 
     /**
      * compile(exp.graph(), p), bound from exp.compiled() when that
-     * schedule has this chip's pipe split and vector length (no
-     * lowering at all) and from a fresh single-chip compile otherwise.
-     * Bit-identical to compile(exp.graph(), p).
+     * schedule has this chip's pipe split and vector length and from
+     * exp.compiled(chip()) otherwise, so the graph is lowered at most
+     * once per experiment and layout. Bit-identical to
+     * compile(exp.graph(), p).
      */
     ShardedCompiled compile(const HksExperiment &exp,
                             const Partition &p) const;
@@ -227,6 +230,9 @@ class ShardedEngine
     const InterconnectConfig &interconnect() const { return net; }
 
   private:
+    /** The single-chip source the experiment overloads bind from. */
+    const sim::CompiledSchedule &sourceOf(const HksExperiment &exp) const;
+
     /** compilePatchable() around an already chosen source of `g`. */
     ShardedPatchable patchableOf(sim::CompiledSchedule src,
                                  const TaskGraph &g,

@@ -72,12 +72,11 @@ CompiledSchedule::addTask(const std::vector<TaskId> &deps,
                    ops_in.size());
 }
 
-BindingView
+void
 CompiledSchedule::patchBegin(std::size_t resources)
 {
     panicIf(resources == 0, "patch to zero resources");
     names.resize(resources);
-    return BindingView{opRes.data(), opRes.size()};
 }
 
 void

@@ -38,15 +38,13 @@
  * seconds, postSeconds) — depends only on the task graph and the
  * lowering, not on which resource serves each op. The *binding* — the
  * per-op resource ids, the resource name table, and the layout tag —
- * is what a layout change (channel count, placement policy) actually
- * alters. The patch API (patchBegin / patchResourceName / patchCommit)
- * rewrites the binding in place against an untouched skeleton, so a
- * layout move costs one pass over the op stream instead of a full
- * re-lowering; clearTasks() additionally resets the skeleton while
- * keeping array capacity, for patches that change task structure
- * (shard moves). Each commit bumps a revision counter that is mixed
- * into layoutTag(), so stale rate vectors built against an earlier
- * binding still trip the tag-mismatch panic.
+ * is what a placement change alters. The patch API (patchBegin /
+ * patchResourceName / patchCommit) resizes and renames the resource
+ * table in place, and clearTasks() resets the skeleton while keeping
+ * array capacity, so the shard engine rebinds a reused schedule to a
+ * new partition without reallocating. Each commit bumps a revision
+ * counter that is mixed into layoutTag(), so stale rate vectors built
+ * against an earlier binding still trip the tag-mismatch panic.
  */
 
 #ifndef CIFLOW_SIM_COMPILED_SCHEDULE_H
@@ -217,17 +215,6 @@ patchedTag(std::uint64_t base, std::uint64_t rev)
 }
 
 /**
- * Mutable view of a schedule's binding handed out by patchBegin():
- * the per-op resource id array, opCount entries, to be rewritten in
- * place and then sealed with patchCommit().
- */
-struct BindingView
-{
-    ResourceId *opRes = nullptr;
-    std::size_t opCount = 0;
-};
-
-/**
  * Read-only snapshot of the compiled CSR arrays, handed out by
  * CompiledSchedule::view(): what every replay walks — the scalar
  * replay kernel (sim/replay_kernel.h) behind replay(),
@@ -352,15 +339,14 @@ class CompiledSchedule
     std::uint64_t patchRevision() const { return rev; }
 
     /**
-     * Begin an in-place rebind of the op → resource assignment: sizes
-     * the resource table to `resources` entries (existing names keep
-     * their ids; new ids start unnamed — name them with
-     * patchResourceName) and returns the mutable binding. The CSR
-     * skeleton — offsets and cost numerators — is untouched, and no
-     * allocation happens unless the resource table grows. The schedule
-     * must not be replayed between patchBegin and patchCommit.
+     * Begin an in-place rebind: sizes the resource table to
+     * `resources` entries (existing names keep their ids; new ids
+     * start unnamed — name them with patchResourceName). The CSR
+     * skeleton is untouched, and no allocation happens unless the
+     * resource table grows. The schedule must not be replayed between
+     * patchBegin and patchCommit.
      */
-    BindingView patchBegin(std::size_t resources);
+    void patchBegin(std::size_t resources);
 
     /** Rename resource `id` in place (reuses the string's storage). */
     void patchResourceName(ResourceId id, const char *name);

@@ -2,6 +2,8 @@
 
 #include <bit>
 
+#include "common/rng.h"
+
 namespace ciflow::tune
 {
 
@@ -19,10 +21,7 @@ std::size_t
 EvalKeyHash::operator()(const EvalKey &k) const
 {
     auto mix = [](std::size_t seed, std::uint64_t v) {
-        v += 0x9e3779b97f4a7c15ull + seed;
-        v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9ull;
-        v = (v ^ (v >> 27)) * 0x94d049bb133111ebull;
-        return static_cast<std::size_t>(v ^ (v >> 31));
+        return static_cast<std::size_t>(splitmix64(v + seed));
     };
     std::size_t h = ExperimentKeyHash{}(k.graph);
     h = mix(h, std::bit_cast<std::uint64_t>(k.bandwidthGBps));
@@ -76,20 +75,6 @@ EvalCache::size() const
 {
     std::lock_guard<std::mutex> lk(mu);
     return map.size();
-}
-
-void
-EvalCache::notePatched(std::size_t n)
-{
-    std::lock_guard<std::mutex> lk(mu);
-    npatched += n;
-}
-
-std::size_t
-EvalCache::patchedEvals() const
-{
-    std::lock_guard<std::mutex> lk(mu);
-    return npatched;
 }
 
 void

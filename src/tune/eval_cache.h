@@ -104,17 +104,6 @@ class EvalCache
     std::size_t size() const;
 
     /**
-     * Record `n` evaluations served by the incremental patch path
-     * (a layout sweep replaying a rebound schedule instead of a fresh
-     * compile). Orthogonal to hit/miss accounting — a patched
-     * evaluation is still a miss; this counter reports how much of
-     * the missed work ran incrementally.
-     */
-    void notePatched(std::size_t n);
-    /** Evaluations served by the patch path since construction. */
-    std::size_t patchedEvals() const;
-
-    /**
      * Record a batched-replay dispatch: `points` evaluations rode
      * kBatchLanes-wide replayMany blocks that provisioned `slots`
      * lane slots in total (slots >= points; the gap is lanes a
@@ -132,7 +121,6 @@ class EvalCache
     std::unordered_map<EvalKey, Measurement, EvalKeyHash> map;
     std::size_t nhits = 0;
     std::size_t nmisses = 0;
-    std::size_t npatched = 0;
     std::size_t nbatched = 0;
     std::size_t nslots = 0;
 };

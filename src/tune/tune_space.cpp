@@ -8,34 +8,6 @@
 namespace ciflow::tune
 {
 
-const char *
-axisName(Axis a)
-{
-    switch (a) {
-    case Axis::Dataflow:
-        return "dataflow";
-    case Axis::Capacity:
-        return "capacity";
-    case Axis::Bandwidth:
-        return "bandwidth";
-    case Axis::Channels:
-        return "channels";
-    case Axis::Policy:
-        return "policy";
-    case Axis::Skew:
-        return "skew";
-    case Axis::Modops:
-        return "modops";
-    case Axis::Shards:
-        return "shards";
-    case Axis::Topology:
-        return "topology";
-    case Axis::Strategy:
-        return "strategy";
-    }
-    return "?";
-}
-
 std::string
 TunePoint::describe() const
 {

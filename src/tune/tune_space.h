@@ -51,9 +51,6 @@ enum class Axis : std::size_t {
 /** Number of axes in every TuneSpace. */
 constexpr std::size_t kAxisCount = 10;
 
-/** Short axis name ("dataflow", "bandwidth", ...). */
-const char *axisName(Axis a);
-
 /** One concrete configuration drawn from a TuneSpace. */
 struct TunePoint
 {

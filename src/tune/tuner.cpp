@@ -123,9 +123,10 @@ Tuner::evaluateAll(const std::vector<std::vector<std::size_t>> &pts)
     std::unordered_map<EvalKey, std::size_t, EvalKeyHash> first;
     std::vector<std::size_t> owner(pts.size());
     // Distinct single-chip keys, grouped by everything that shapes the
-    // graph or the compiled layout: members of one group differ only
-    // in rate knobs and replay as one batch. Multi-chip points keep
-    // scalar per-point jobs (their partitions change the layout).
+    // graph: members of one group differ only in channel layout and
+    // rate knobs, and replay as one batch per layout. Multi-chip
+    // points keep scalar per-point jobs (their partitions change the
+    // layout).
     std::unordered_map<EvalKey, std::vector<std::size_t>, EvalKeyHash>
         groups;
     std::vector<std::size_t> scalar;
@@ -147,9 +148,8 @@ Tuner::evaluateAll(const std::vector<std::vector<std::size_t>> &pts)
         // single-chip points of one graph (benchmark, dataflow,
         // capacity, evk residency). Members spanning channel layouts
         // are layout-adjacent: evaluateBatch sorts them by layout and
-        // routes multi-layout groups through the patch-based sweep —
-        // one schedule rebound in place — instead of one compile per
-        // layout.
+        // replays each run of one layout from the experiment's layout
+        // cache.
         EvalKey gk = keyOf(p);
         gk.bandwidthGBps = 0.0;
         gk.modopsMult = 0.0;
@@ -192,13 +192,13 @@ Tuner::evaluateBatch(const std::vector<std::size_t> &members,
     if (fresh.empty())
         return;
     // All fresh members share one graph; they may span channel
-    // layouts. Sort by layout so equal layouts form consecutive
-    // replayMany runs (stable, so rate order within a layout is
-    // preserved), then evaluate single-layout sets through the plain
-    // batch and layout-crossing sets through the patch-based sweep:
-    // one schedule, rebound in place between runs. A patched binding
-    // is bit-identical to a fresh compile of its layout, so each
-    // result matches evaluateUncached on that point either way.
+    // layouts. Sort by layout so equal layouts form consecutive runs
+    // (stable, so rate order within a layout is preserved), then
+    // replay each run as one batch from the experiment's layout cache:
+    // a layout compiles once per experiment, and every later run of it
+    // replays the cached schedule. That schedule is the one a scalar
+    // evaluation replays, so each result matches evaluateUncached on
+    // that point bit for bit.
     const TunePoint p0 = sp.at(pts[fresh[0]]);
     const std::shared_ptr<const HksExperiment> exp =
         runner.experiment(par, p0.dataflow, sp.memoryConfig(p0));
@@ -213,29 +213,23 @@ Tuner::evaluateBatch(const std::vector<std::size_t> &members,
         });
     std::vector<RpuConfig> cfgs;
     cfgs.reserve(fresh.size());
-    bool multi_layout = false;
-    for (std::size_t i : fresh) {
+    for (std::size_t i : fresh)
         cfgs.push_back(sp.chipConfig(sp.at(pts[i])));
-        if (!(RpuLayout::of(cfgs.back()) ==
-              RpuLayout::of(cfgs.front())))
-            multi_layout = true;
-    }
     std::vector<double> runtimes(fresh.size());
-    if (multi_layout) {
-        LayoutSweep sweep;
-        exp->simulateRuntimeMany(cfgs.data(), cfgs.size(),
-                                 runtimes.data(), sweep);
-        cache.notePatched(sweep.patchedEvals);
-        cache.noteBatchLanes(sweep.batchedPoints, sweep.laneSlots);
-    } else {
-        exp->simulateRuntimeMany(cfgs.data(), cfgs.size(),
-                                 runtimes.data());
-        // The plain batch path walks ceil(n / kBatchLanes) blocks of
-        // kBatchLanes slots each; record the dispatch so occupancy
-        // covers both batch routes.
-        cache.noteBatchLanes(cfgs.size(),
-                             (cfgs.size() + sim::kBatchLanes - 1) /
-                                 sim::kBatchLanes * sim::kBatchLanes);
+    for (std::size_t i = 0; i < cfgs.size();) {
+        const RpuLayout layout = RpuLayout::of(cfgs[i]);
+        std::size_t j = i + 1;
+        while (j < cfgs.size() && RpuLayout::of(cfgs[j]) == layout)
+            ++j;
+        const std::size_t run = j - i;
+        exp->simulateRuntimeMany(cfgs.data() + i, run,
+                                 runtimes.data() + i);
+        // Each run walks ceil(run / kBatchLanes) blocks of kBatchLanes
+        // slots; record the dispatch for the occupancy gauge.
+        cache.noteBatchLanes(run, (run + sim::kBatchLanes - 1) /
+                                      sim::kBatchLanes *
+                                      sim::kBatchLanes);
+        i = j;
     }
     for (std::size_t j = 0; j < fresh.size(); ++j) {
         const std::size_t i = fresh[j];
@@ -255,10 +249,7 @@ std::size_t
 Tuner::PartitionKeyHash::operator()(const PartitionKey &k) const
 {
     auto mix = [](std::size_t seed, std::uint64_t v) {
-        v += 0x9e3779b97f4a7c15ull + seed;
-        v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9ull;
-        v = (v ^ (v >> 27)) * 0x94d049bb133111ebull;
-        return static_cast<std::size_t>(v ^ (v >> 31));
+        return static_cast<std::size_t>(splitmix64(v + seed));
     };
     std::size_t h = ExperimentKeyHash{}(k.graph);
     h = mix(h, k.shards);
@@ -322,7 +313,6 @@ Tuner::exportMetrics(obs::MetricsRegistry &m,
 {
     m.count(prefix + "evaluations", cache.misses());
     m.count(prefix + "cache_hits", cache.hits());
-    m.count(prefix + "patched_evals", cache.patchedEvals());
     m.count(prefix + "partitions", partitions());
     m.count(prefix + "partition_hits", partitionHits());
     const std::size_t pts = cache.batchedPoints();

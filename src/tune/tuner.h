@@ -26,6 +26,12 @@
  * function of (graph, config) and all selection rules are total
  * orders, so parallel searches equal serial ones.
  *
+ * Single-chip points replay schedules from the experiment's layout
+ * cache (HksExperiment::compiled(cfg)): a channel layout compiles once
+ * per experiment, on its first visit, and every later point of that
+ * layout — in this Tuner or any other sharing the runner's experiment
+ * — replays the cached schedule.
+ *
  * Multi-chip points also share a partition memo that lives and dies
  * with the Tuner, like the EvalCache. It keys each cut by graph, shard
  * count, partition strategy and the chip's shard::WeightKey (the four
@@ -190,17 +196,15 @@ class Tuner
      * Fresh single-chip points are grouped by everything that shapes
      * the task graph (benchmark, dataflow, capacity, evk residency);
      * each group is dispatched as ONE pool job that orders its
-     * members by channel layout and replays them in kBatchLanes-wide
-     * blocks (HksExperiment::simulateRuntimeMany). Members differing
-     * in the channel axes ride the incremental patch path: one
-     * patchable schedule rebound in place between layouts
-     * (recompileChannels) instead of one compile per layout, counted
-     * by patchedEvals(). Multi-chip points fall back to scalar
-     * per-point jobs — their partitions change the compiled layout
-     * point by point — and take their cut from the partition memo.
-     * Batched, patched, and scalar evaluations are
-     * bit-identical, so strategies and cache contents are unaffected
-     * by the grouping.
+     * members by channel layout and replays each run of one layout in
+     * kBatchLanes-wide blocks (HksExperiment::simulateRuntimeMany)
+     * from the experiment's layout cache, so a layout compiles once
+     * per experiment however many batches cross it. Multi-chip points
+     * fall back to scalar per-point jobs — their partitions change
+     * the compiled layout point by point — and take their cut from
+     * the partition memo. Batched and scalar evaluations replay the
+     * same cached schedules and are bit-identical, so strategies and
+     * cache contents are unaffected by the grouping.
      */
     std::vector<Measurement>
     evaluateAll(const std::vector<std::vector<std::size_t>> &pts);
@@ -217,12 +221,6 @@ class Tuner
     /** Cache hits since construction. */
     std::size_t cacheHits() const { return cache.hits(); }
     /**
-     * Evaluations served through the incremental patch path (layout
-     * sweeps replaying a rebound schedule) since construction — how
-     * much of the search ran without a fresh compile.
-     */
-    std::size_t patchedEvals() const { return cache.patchedEvals(); }
-    /**
      * partitionGraph calls since construction: one per distinct cut
      * the multi-chip points needed, plus one per fault-objective point.
      */
@@ -232,7 +230,7 @@ class Tuner
 
     /**
      * Export search counters into `m` under `prefix`: evaluations,
-     * cache_hits, patched_evals, batched_points, batch_lane_slots,
+     * cache_hits, batched_points, batch_lane_slots,
      * partitions, partition_hits (counters) and batch_lane_occupancy
      * (gauge, points per provisioned lane slot; 0 when nothing ran
      * batched). The machine-readable half of the bench_tuner story.
@@ -247,9 +245,9 @@ class Tuner
 
     /**
      * Evaluate the points pts[i] for i in `members` — all single-chip
-     * on one (graph, compiled layout), differing only in rate knobs —
-     * through the cache, replaying every fresh member as one batch.
-     * Writes res[i]; runs inside one pool job.
+     * on one graph, differing only in channel layout and rate knobs —
+     * through the cache, replaying the fresh members of each layout as
+     * one batch. Writes res[i]; runs inside one pool job.
      */
     void evaluateBatch(const std::vector<std::size_t> &members,
                        const std::vector<std::vector<std::size_t>> &pts,

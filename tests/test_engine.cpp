@@ -392,6 +392,35 @@ TEST(EngineMultiChannel, LeastLoadedOnHksGraphStaysEquivalent)
     EXPECT_EQ(exp.simulate(il).runtime, compiled.runtime);
 }
 
+// rates() checks the schedule's layout stamp, so an engine whose
+// config lowers to another layout refuses to build rates for it —
+// also at an equal resource count, where only the placement differs
+// and a replay would otherwise run silently.
+TEST(EngineDeathTest, RatesRejectScheduleOfAnotherLayout)
+{
+    TaskGraph g;
+    g.push(load(100));
+    g.push(comp(10, {0}));
+    g.push(load(100, {1}));
+
+    RpuConfig one; // 1 channel -> 2 resources
+    RpuConfig four = one;
+    four.memChannels = 4; // 5 resources
+    const sim::CompiledSchedule cs = RpuEngine(one).compile(g);
+    sim::ReplayRates rates;
+    RpuEngine(one).rates(cs, rates); // its own layout builds
+    EXPECT_DEATH(RpuEngine(four).rates(cs, rates),
+                 "layout does not match config");
+
+    RpuConfig il = one;
+    il.memChannels = 2;
+    RpuConfig ll = il;
+    ll.channelPolicy = ChannelPolicy::LeastLoaded;
+    const sim::CompiledSchedule cs2 = RpuEngine(il).compile(g);
+    EXPECT_DEATH(RpuEngine(ll).rates(cs2, rates),
+                 "layout does not match config");
+}
+
 TEST(EngineAsymmetricChannels, PerChannelRatesAreHonored)
 {
     // Two independent loads, interleaved onto a 3 GB/s channel and a

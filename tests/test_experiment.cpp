@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "rpu/area.h"
 #include "rpu/experiment.h"
@@ -51,7 +54,114 @@ scalarBandwidthToMatch(const HksExperiment &exp, double target_runtime,
     return hi;
 }
 
+/** `a` and `b` are the same compiled schedule, array by array. */
+void
+expectSameSchedule(const sim::CompiledSchedule &a,
+                   const sim::CompiledSchedule &b)
+{
+    const sim::ScheduleView va = a.view();
+    const sim::ScheduleView vb = b.view();
+    ASSERT_EQ(va.taskCount, vb.taskCount);
+    ASSERT_EQ(va.opCount, vb.opCount);
+    ASSERT_EQ(a.depCount(), b.depCount());
+    ASSERT_EQ(va.resourceCount, vb.resourceCount);
+    const auto same = [](const auto *x, const auto *y, std::size_t n) {
+        return std::equal(x, x + n, y);
+    };
+    EXPECT_TRUE(same(va.depOff, vb.depOff, va.taskCount + 1));
+    EXPECT_TRUE(same(va.depIds, vb.depIds, a.depCount()));
+    EXPECT_TRUE(same(va.opOff, vb.opOff, va.taskCount + 1));
+    EXPECT_TRUE(same(va.opRes, vb.opRes, va.opCount));
+    EXPECT_TRUE(same(va.opBytes, vb.opBytes, va.opCount));
+    EXPECT_TRUE(same(va.opWork0, vb.opWork0, va.opCount));
+    EXPECT_TRUE(same(va.opWork1, vb.opWork1, va.opCount));
+    EXPECT_TRUE(same(va.opSec, vb.opSec, va.opCount));
+    EXPECT_TRUE(same(va.opPost, vb.opPost, va.opCount));
+    for (std::size_t r = 0; r < va.resourceCount; ++r)
+        EXPECT_EQ(a.resourceName(static_cast<sim::ResourceId>(r)),
+                  b.resourceName(static_cast<sim::ResourceId>(r)));
+    EXPECT_EQ(a.layoutTag(), b.layoutTag());
+    EXPECT_EQ(a.patchRevision(), b.patchRevision());
+}
+
+const std::vector<ChannelPolicy> kPolicies = {
+    ChannelPolicy::Interleave, ChannelPolicy::EvkDedicated,
+    ChannelPolicy::LeastLoaded};
+
 } // namespace
+
+// On one channel every policy places every memory op on channel 0, so
+// RpuLayout pins the policy: the three policies name one layout and
+// compile to identical arrays. From two channels on the policy keeps
+// its own layout and the tag encoding is unchanged.
+TEST(Layout, SingleChannelPinsThePolicy)
+{
+    const HksParams &b = benchmarkByName("BTS1");
+    const TaskGraph g = buildHksGraph(b, Dataflow::OC, paperMem(false));
+    for (bool split : {false, true}) {
+        RpuConfig one;
+        one.splitComputePipes = split;
+        const sim::CompiledSchedule ref = RpuEngine(one).compile(g);
+        for (ChannelPolicy pol : kPolicies) {
+            RpuConfig cfg = one;
+            cfg.channelPolicy = pol;
+            EXPECT_EQ(RpuLayout::of(cfg), RpuLayout::of(one));
+            EXPECT_EQ(RpuLayout::of(cfg).channelPolicy,
+                      ChannelPolicy::Interleave);
+            expectSameSchedule(RpuEngine(cfg).compile(g), ref);
+        }
+        for (std::size_t ch : {2, 4, 8})
+            for (ChannelPolicy pol : kPolicies) {
+                RpuConfig cfg = one;
+                cfg.memChannels = ch;
+                cfg.channelPolicy = pol;
+                const RpuLayout l = RpuLayout::of(cfg);
+                EXPECT_EQ(l.channelPolicy, pol);
+                EXPECT_EQ(l.tag(),
+                          (std::uint64_t{ch} << 40) |
+                              (std::uint64_t{1024} << 8) |
+                              (static_cast<std::uint64_t>(pol) << 1) |
+                              (split ? 1u : 0u));
+            }
+    }
+}
+
+// The layout cache is the one source of single-chip schedules: for
+// every layout the knobs can name, compiled(cfg) equals a fresh
+// compile array by array, a repeat call returns the same object, and
+// the one-channel policies share one entry.
+TEST(Experiment, LayoutCacheMatchesFreshCompile)
+{
+    const HksParams &b = benchmarkByName("BTS1");
+    const HksExperiment exp(b, Dataflow::OC, paperMem(false));
+    EXPECT_EQ(&exp.compiled(RpuConfig{}), &exp.compiled());
+    for (bool split : {false, true})
+        for (std::size_t vlen : {512, 1024})
+            for (std::size_t ch : {1, 2, 4, 8})
+                for (ChannelPolicy pol : kPolicies) {
+                    RpuConfig cfg;
+                    cfg.splitComputePipes = split;
+                    cfg.vectorLen = vlen;
+                    cfg.memChannels = ch;
+                    cfg.channelPolicy = pol;
+                    SCOPED_TRACE("split " + std::to_string(split) +
+                                 " vlen " + std::to_string(vlen) +
+                                 " ch " + std::to_string(ch) + " pol " +
+                                 std::to_string(static_cast<int>(pol)));
+                    const sim::CompiledSchedule &cached =
+                        exp.compiled(cfg);
+                    expectSameSchedule(
+                        cached, RpuEngine(cfg).compile(exp.graph()));
+                    EXPECT_EQ(&exp.compiled(cfg), &cached);
+                    RpuConfig il = cfg;
+                    il.channelPolicy = ChannelPolicy::Interleave;
+                    if (ch == 1) {
+                        EXPECT_EQ(&exp.compiled(il), &cached);
+                    } else if (pol != ChannelPolicy::Interleave) {
+                        EXPECT_NE(&exp.compiled(il), &cached);
+                    }
+                }
+}
 
 TEST(Experiment, BaselineIsMpAt64)
 {

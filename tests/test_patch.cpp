@@ -1,17 +1,16 @@
 /**
  * @file
- * Tests for incremental compile: patchable CompiledSchedules rebound
- * in place instead of recompiled from the graph.
+ * Tests for incremental compile: sharded schedules rebound in place
+ * (ShardedEngine::recompilePartition) instead of compiled again.
  *
  * The contract under test is bit-identity: a patched binding must be
  * indistinguishable from a fresh compile of the same target — same
  * runtime, same per-resource busy seconds and job counts, same
- * resource names — across randomized DAGs, every channel layout
- * (count x policy x per-channel skew), batched replay lanes, and
- * multi-shard partition-move sequences. On top of that, layoutTag()
- * must make patched bindings *distinguishable* from the compiler's
- * stamps (revision-mixed tags), so stale cached ReplayRates keep
- * panicking instead of silently replaying a superseded binding.
+ * resource names — across randomized DAGs, channel layouts, pipe
+ * splits and multi-shard partition-move sequences. On top of that,
+ * layoutTag() must make patched bindings *distinguishable* from the
+ * compiler's stamp (revision-mixed tags), so stale cached ReplayRates
+ * keep panicking instead of silently replaying a superseded binding.
  *
  * Sharded schedules are bindings of a single-chip compile; every
  * entry point of that bind pass (compile, the experiment overloads,
@@ -30,7 +29,6 @@
 #include "rpu/experiment.h"
 #include "shard/placement_search.h"
 #include "shard/sharded_engine.h"
-#include "tune/tuner.h"
 
 using namespace ciflow;
 
@@ -84,21 +82,6 @@ randomGraph(std::mt19937 &rng, std::size_t n)
         g.push(t);
     }
     return g;
-}
-
-void
-expectStatsEqual(const SimStats &a, const SimStats &b)
-{
-    EXPECT_EQ(a.runtime, b.runtime);
-    EXPECT_EQ(a.memBusy, b.memBusy);
-    EXPECT_EQ(a.compBusy, b.compBusy);
-    ASSERT_EQ(a.resources.size(), b.resources.size());
-    for (std::size_t r = 0; r < a.resources.size(); ++r) {
-        EXPECT_EQ(a.resources[r].name, b.resources[r].name);
-        EXPECT_EQ(a.resources[r].busySeconds,
-                  b.resources[r].busySeconds);
-        EXPECT_EQ(a.resources[r].jobs, b.resources[r].jobs);
-    }
 }
 
 void
@@ -194,126 +177,6 @@ allPolicies()
 }
 
 } // namespace
-
-// A repatched binding replays bit-identically to a fresh compile of
-// the same layout — across random DAGs, channel counts, policies,
-// per-channel skew, and both pipe splits, with one schedule carried
-// through the whole layout walk.
-TEST(Patch, ChannelRepatchMatchesFreshCompileOnRandomDags)
-{
-    std::mt19937 rng(20260808);
-    for (int iter = 0; iter < 3; ++iter) {
-        const TaskGraph g = randomGraph(rng, 120);
-        for (bool split : {false, true}) {
-            RpuConfig base;
-            base.splitComputePipes = split;
-            PatchableSchedule ps =
-                RpuEngine(base).compilePatchable(g);
-            for (std::size_t ch : {1, 2, 3, 4, 8})
-                for (ChannelPolicy pol : allPolicies()) {
-                    RpuConfig cfg = base;
-                    cfg.memChannels = ch;
-                    cfg.channelPolicy = pol;
-                    // Skewed per-channel rates on the multi-channel
-                    // points: skew is a replay knob, so it must not
-                    // disturb binding equivalence.
-                    if (ch > 1) {
-                        cfg.channelGBps.clear();
-                        for (std::size_t c = 0; c < ch; ++c)
-                            cfg.channelGBps.push_back(
-                                32.0 + 16.0 * static_cast<double>(c));
-                    }
-                    const RpuEngine eng(cfg);
-                    eng.recompileChannels(ps);
-                    expectStatsEqual(eng.replay(ps.schedule, g),
-                                     eng.replay(eng.compile(g), g));
-                }
-        }
-    }
-}
-
-// The layout-crossing sweep entry point: patched runtimes must equal
-// scalar evaluation at every point, same-layout runs of two or more
-// points ride the replayMany lanes, and the sweep counters report the
-// patches and the lane blocks.
-TEST(Patch, LayoutSweepMatchesScalarAcrossLanes)
-{
-    const HksParams &par = benchmarkByName("BTS1");
-    const MemoryConfig mem{32ull << 20, false};
-    const HksExperiment exp(par, Dataflow::OC, mem);
-
-    std::vector<RpuConfig> cfgs;
-    for (std::size_t ch : {1, 2, 4})
-        for (ChannelPolicy pol :
-             {ChannelPolicy::Interleave, ChannelPolicy::LeastLoaded})
-            for (double bw : {32.0, 64.0, 128.0, 256.0, 512.0}) {
-                RpuConfig cfg;
-                cfg.dataMemBytes = mem.dataCapacityBytes;
-                cfg.evkOnChip = mem.evkOnChip;
-                cfg.memChannels = ch;
-                cfg.channelPolicy = pol;
-                cfg.bandwidthGBps = bw;
-                cfgs.push_back(cfg);
-            }
-
-    LayoutSweep sweep;
-    std::vector<double> out(cfgs.size());
-    exp.simulateRuntimeMany(cfgs.data(), cfgs.size(), out.data(),
-                            sweep);
-    for (std::size_t i = 0; i < cfgs.size(); ++i)
-        EXPECT_EQ(out[i], exp.simulateRuntime(cfgs[i])) << i;
-    EXPECT_EQ(sweep.patches, 5u); // 6 layouts, first is the compile
-    EXPECT_EQ(sweep.patchedEvals, 25u); // 5 per patched layout
-    EXPECT_EQ(sweep.batchedPoints, 30u); // one block per layout
-    EXPECT_EQ(sweep.laneSlots, 6 * sim::kBatchLanes);
-
-    // Lone points between layout changes replay scalar; exercise that
-    // path too by interleaving layouts point by point.
-    std::vector<RpuConfig> alt;
-    for (double bw : {32.0, 64.0, 128.0})
-        for (std::size_t ch : {2, 4}) {
-            RpuConfig cfg;
-            cfg.dataMemBytes = mem.dataCapacityBytes;
-            cfg.evkOnChip = mem.evkOnChip;
-            cfg.memChannels = ch;
-            cfg.bandwidthGBps = bw;
-            alt.push_back(cfg);
-        }
-    std::vector<double> alt_out(alt.size());
-    exp.simulateRuntimeMany(alt.data(), alt.size(), alt_out.data(),
-                            sweep);
-    for (std::size_t i = 0; i < alt.size(); ++i)
-        EXPECT_EQ(alt_out[i], exp.simulateRuntime(alt[i])) << i;
-    EXPECT_EQ(sweep.batchedPoints, 30u); // scalar points not counted
-    EXPECT_EQ(sweep.laneSlots, 6 * sim::kBatchLanes);
-
-    // Runs of two and three points each ride one padded lane block; a
-    // lone point between them stays scalar.
-    std::vector<RpuConfig> runs;
-    for (const auto &[ch, n] : {std::pair<std::size_t, std::size_t>{2, 2},
-                               {4, 3},
-                               {1, 1},
-                               {2, 3}})
-        for (std::size_t k = 0; k < n; ++k) {
-            RpuConfig cfg;
-            cfg.dataMemBytes = mem.dataCapacityBytes;
-            cfg.evkOnChip = mem.evkOnChip;
-            cfg.memChannels = ch;
-            cfg.bandwidthGBps = 32.0 * static_cast<double>(k + 1);
-            cfg.modopsMult = k == 2 ? 2.0 : 1.0;
-            runs.push_back(cfg);
-        }
-    LayoutSweep short_runs;
-    std::vector<double> runs_out(runs.size());
-    exp.simulateRuntimeMany(runs.data(), runs.size(), runs_out.data(),
-                            short_runs);
-    for (std::size_t i = 0; i < runs.size(); ++i)
-        EXPECT_EQ(runs_out[i], exp.simulateRuntime(runs[i])) << i;
-    EXPECT_EQ(short_runs.patches, 3u);
-    EXPECT_EQ(short_runs.batchedPoints, 2u + 3u + 3u);
-    EXPECT_EQ(short_runs.laneSlots, 3 * sim::kBatchLanes);
-    EXPECT_EQ(short_runs.patchedEvals, 3u + 1u + 3u);
-}
 
 // A sequence of single-task partition moves, each applied with
 // recompilePartition, must equal a from-scratch compile of the final
@@ -423,8 +286,8 @@ TEST(ShardBind, EntryPointsMatchLegacyLoweringOnRandomDags)
 
 // The same pin on real HKS graphs, through the experiment overloads
 // too: fused chips bind straight from HksExperiment::compiled(),
-// split chips fall back to a fresh single-chip compile, and both
-// equal the legacy lowering.
+// split chips from the experiment's layout cache, and both equal the
+// legacy lowering.
 TEST(ShardBind, EntryPointsMatchLegacyLoweringOnHksGraphs)
 {
     const HksParams &par = benchmarkByName("BTS1");
@@ -561,76 +424,60 @@ TEST(ShardBindDeathTest, MismatchedSourcesAreRejected)
                  "bind source is its own output");
 }
 
-// Patched bindings carry a revision-mixed layoutTag: distinct from
-// every compiler stamp (including the same layout's), while
-// baseLayoutTag() still names the bound layout for the engines.
+// Partition repatches carry a revision-mixed layoutTag: after every
+// recompilePartition it differs from the compiler's shard stamp and
+// from every earlier revision — also when a move returns to an
+// earlier partition — while baseLayoutTag() keeps naming the shard
+// layout the engine builds rates against.
 TEST(Patch, PatchedLayoutTagIsDistinctPerRevision)
 {
     std::mt19937 rng(3);
     const TaskGraph g = randomGraph(rng, 60);
-    RpuConfig a; // 1 channel
-    RpuConfig b;
-    b.memChannels = 4;
+    const RpuConfig chip = chipOf(2, ChannelPolicy::LeastLoaded, false);
+    const shard::ShardedEngine eng(chip, shard::InterconnectConfig{});
+    const std::vector<double> w = shard::taskWeights(g, chip);
+    const shard::ShardSpec spec{
+        3, shard::PartitionStrategy::ContiguousByLevel, 0.10, 1ull << 12,
+        2};
+    const shard::Partition base = shard::partitionGraph(g, spec, w);
 
-    const std::uint64_t tag_a = RpuLayout::of(a).tag();
-    const std::uint64_t tag_b = RpuLayout::of(b).tag();
-    PatchableSchedule ps = RpuEngine(a).compilePatchable(g);
-    EXPECT_EQ(ps.schedule.layoutTag(), tag_a);
-    EXPECT_EQ(ps.schedule.patchRevision(), 0u);
+    shard::ShardedPatchable ps = eng.compilePatchable(g, base);
+    const std::uint64_t shard_tag =
+        eng.compile(g, base).schedule.layoutTag();
+    EXPECT_EQ(ps.compiled.schedule.layoutTag(), shard_tag);
+    EXPECT_EQ(ps.compiled.schedule.patchRevision(), 0u);
 
-    RpuEngine(b).recompileChannels(ps);
-    EXPECT_EQ(ps.schedule.patchRevision(), 1u);
-    EXPECT_EQ(ps.schedule.baseLayoutTag(), tag_b);
-    EXPECT_NE(ps.schedule.layoutTag(), tag_b); // revision mixed in
-    const std::uint64_t rev1 = ps.schedule.layoutTag();
-
-    // Patch back: same layout as the original compile, but a caller
-    // caching by layoutTag() must still see a new identity.
-    RpuEngine(a).recompileChannels(ps);
-    EXPECT_EQ(ps.schedule.patchRevision(), 2u);
-    EXPECT_EQ(ps.schedule.baseLayoutTag(), tag_a);
-    EXPECT_NE(ps.schedule.layoutTag(), tag_a);
-    EXPECT_NE(ps.schedule.layoutTag(), rev1);
+    std::vector<std::uint64_t> seen = {shard_tag};
+    std::uniform_int_distribution<std::size_t> pick(0, g.size() - 1);
+    sim::ReplayRates rates;
+    for (std::uint64_t rev = 1; rev <= 6; ++rev) {
+        shard::Partition next = base;
+        if (rev % 2 == 1) {
+            std::vector<std::uint32_t> assign = base.shardOf;
+            const std::size_t t = pick(rng);
+            assign[t] = (assign[t] + 1) % 3;
+            next = shard::assignmentPartition(g, spec, std::move(assign),
+                                              w);
+        }
+        eng.recompilePartition(ps, next);
+        const sim::CompiledSchedule &cs = ps.compiled.schedule;
+        EXPECT_EQ(cs.patchRevision(), rev);
+        EXPECT_EQ(cs.baseLayoutTag(), shard_tag);
+        for (std::uint64_t t : seen)
+            EXPECT_NE(cs.layoutTag(), t) << "revision " << rev;
+        seen.push_back(cs.layoutTag());
+        // The engine still recognizes the binding's layout.
+        eng.rates(ps.compiled, rates);
+    }
 }
 
-// Stale-rate safety across patches: ReplayRates built before a
-// channel-count patch cover the wrong resource count and must panic,
-// and an engine whose config no longer matches the binding must
-// refuse to build rates at all.
-TEST(PatchDeathTest, StaleRatesPanicAfterChannelPatch)
-{
-    std::mt19937 rng(11);
-    const TaskGraph g = randomGraph(rng, 40);
-    RpuConfig a; // 1 channel -> 2 resources
-    RpuConfig b;
-    b.memChannels = 4; // 5 resources
-
-    PatchableSchedule ps = RpuEngine(a).compilePatchable(g);
-    sim::ReplayRates stale;
-    RpuEngine(a).rates(ps.schedule, stale);
-
-    RpuEngine(b).recompileChannels(ps);
-    sim::ReplayScratch scratch;
-    EXPECT_DEATH(ps.schedule.replay(stale, scratch),
-                 "different resource count");
-    // The engine the schedule was compiled for is stale too.
-    EXPECT_DEATH(RpuEngine(a).rates(ps.schedule, stale),
-                 "layout does not match config");
-}
-
-// Pipe-split and vector-length moves reshape the skeleton and must be
-// rejected by the patch path, as must shard-count moves.
+// A shard-count move resizes the chip resource blocks, which reshapes
+// the schedule, so the partition patch path must reject it.
 TEST(PatchDeathTest, SkeletonChangesAreRejected)
 {
     std::mt19937 rng(13);
     const TaskGraph g = randomGraph(rng, 40);
-    RpuConfig base;
-    PatchableSchedule ps = RpuEngine(base).compilePatchable(g);
-    RpuConfig split = base;
-    split.splitComputePipes = true;
-    EXPECT_DEATH(RpuEngine(split).recompileChannels(ps),
-                 "cannot change the pipe split");
-
+    const RpuConfig base;
     const shard::InterconnectConfig net;
     const shard::ShardSpec spec2{
         2, shard::PartitionStrategy::ContiguousByLevel, 0.10,
@@ -645,28 +492,4 @@ TEST(PatchDeathTest, SkeletonChangesAreRejected)
     EXPECT_DEATH(seng.recompilePartition(
                      sps, shard::partitionGraph(g, spec3, w)),
                  "cannot change the shard count");
-}
-
-// The tuner's layout-adjacent grouping must be invisible in results:
-// batch-evaluated points equal one-point-at-a-time evaluation on a
-// fresh tuner, and the patch path actually carried evaluations.
-TEST(Patch, TunerPatchPathIsBitIdenticalAndCounted)
-{
-    const HksParams &par = benchmarkByName("BTS1");
-    ExperimentRunner runner;
-    tune::Tuner batched(runner, par, tune::paperJointSpace(par));
-    const tune::TuneResult ex =
-        batched.tune({.strategy = tune::Strategy::ExhaustiveGrid});
-    EXPECT_GT(batched.patchedEvals(), 0u);
-
-    // Spot-check a sample of evaluated points against a fresh tuner
-    // evaluating them one at a time (single-point batches never take
-    // the patch path).
-    tune::Tuner scalar(runner, par, tune::paperJointSpace(par));
-    for (std::size_t i = 0; i < ex.evaluated.size(); i += 37) {
-        const tune::Measurement m = scalar.evaluate(ex.evaluated[i].idx);
-        EXPECT_EQ(m.runtime, ex.evaluated[i].m.runtime) << i;
-        EXPECT_EQ(m.cutBytes, ex.evaluated[i].m.cutBytes) << i;
-    }
-    EXPECT_EQ(scalar.patchedEvals(), 0u);
 }

@@ -5,8 +5,9 @@
  * hit accounting, Pareto-frontier correctness on a hand-built
  * 3-point space, shard-axis delegation to the placement helpers (bit
  * for bit against the graph-lowering evaluatePlacement), the K>1
- * partition memo against fresh partitions at two runner widths, and
- * OCbase bit-identity with the rpu-layer grid scan.
+ * partition memo against fresh partitions at two runner widths,
+ * OCbase bit-identity with the rpu-layer grid scan, and layout-crossing
+ * batches against one-point-at-a-time evaluation.
  */
 
 #include <gtest/gtest.h>
@@ -475,4 +476,36 @@ TEST(Tuner, NestedTuneInsideRunnerJobsDoesNotDeadlock)
     runner.runAll(jobs);
     EXPECT_GT(best[0], 0.0);
     EXPECT_GT(best[1], 0.0);
+}
+
+// The tuner's layout-adjacent grouping must be invisible in results:
+// every exhaustive-grid point, evaluated in batches that cross channel
+// layouts (and, on one channel, policies that share a layout), equals
+// one-point-at-a-time evaluation by a fresh tuner on its own runner.
+TEST(Tuner, LayoutCrossingBatchesMatchOnePointEvaluation)
+{
+    const HksParams &par = benchmarkByName("BTS1");
+    TuneSpace policies;
+    policies.dataflows = {Dataflow::MP, Dataflow::OC};
+    policies.bandwidths = {16.0, 64.0, 256.0};
+    policies.channelCounts = {1, 2, 4};
+    policies.channelPolicies = {ChannelPolicy::Interleave,
+                                ChannelPolicy::EvkDedicated,
+                                ChannelPolicy::LeastLoaded};
+    policies.modopsMults = {1.0, 2.0};
+    for (const TuneSpace &space : {paperJointSpace(par), policies}) {
+        ExperimentRunner runner;
+        Tuner batched(runner, par, space);
+        const TuneResult ex =
+            batched.tune({.strategy = Strategy::ExhaustiveGrid});
+        ASSERT_EQ(ex.evaluated.size(), space.pointCount());
+
+        ExperimentRunner scalar_runner;
+        Tuner scalar(scalar_runner, par, space);
+        for (const TunedPoint &p : ex.evaluated) {
+            const Measurement m = scalar.evaluate(p.idx);
+            EXPECT_EQ(m.runtime, p.m.runtime) << p.point.describe();
+            EXPECT_EQ(m.cutBytes, p.m.cutBytes) << p.point.describe();
+        }
+    }
 }
