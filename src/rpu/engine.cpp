@@ -42,24 +42,6 @@ ChannelPlacer::ChannelPlacer(ChannelPolicy policy, std::size_t channels)
 }
 
 std::size_t
-ChannelPlacer::place(std::uint64_t bytes, bool is_evk)
-{
-    if (pol == ChannelPolicy::LeastLoaded) {
-        std::size_t best = 0;
-        for (std::size_t c = 1; c < nchan; ++c)
-            if (bytesAssigned[c] < bytesAssigned[best])
-                best = c;
-        bytesAssigned[best] += bytes;
-        return best;
-    }
-    if (dedicateEvk && is_evk)
-        return nchan - 1;
-    const std::size_t c = rr % dataChans;
-    ++rr;
-    return c;
-}
-
-std::size_t
 ChannelPlacer::place(const Task &t)
 {
     return place(t.bytes, t.isEvk);

@@ -77,9 +77,25 @@ class ChannelPlacer
      * entry, which re-places a compiled schedule's memory ops from
      * per-task payloads without materializing Tasks. place(t)
      * delegates here, so both paths run one state machine by
-     * construction.
+     * construction. Inline: the bind calls it once per memory op.
      */
-    std::size_t place(std::uint64_t bytes, bool is_evk);
+    std::size_t
+    place(std::uint64_t bytes, bool is_evk)
+    {
+        if (pol == ChannelPolicy::LeastLoaded) {
+            std::size_t best = 0;
+            for (std::size_t c = 1; c < nchan; ++c)
+                if (bytesAssigned[c] < bytesAssigned[best])
+                    best = c;
+            bytesAssigned[best] += bytes;
+            return best;
+        }
+        if (dedicateEvk && is_evk)
+            return nchan - 1;
+        const std::size_t c = rr % dataChans;
+        ++rr;
+        return c;
+    }
 
   private:
     ChannelPolicy pol;

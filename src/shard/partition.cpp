@@ -1,11 +1,11 @@
 #include "shard/partition.h"
 
+#include <algorithm>
 #include <bit>
-#include <optional>
 #include <span>
 
 #include "common/logging.h"
-#include "rpu/engine.h"
+#include "rpu/isa.h"
 
 namespace ciflow::shard
 {
@@ -47,18 +47,107 @@ Partition::imbalance() const
     return peak / (total / static_cast<double>(shardWork.size())) - 1.0;
 }
 
+PartitionPrep::Deps::Deps(const TaskGraph &g,
+                         std::uint64_t computeOutputBytes_)
+    : computeOutputBytes(computeOutputBytes_)
+{
+    const std::size_t n = g.size();
+    std::size_t ndeps = 0;
+    for (const Task &task : g.tasks())
+        ndeps += task.deps.size();
+    depOff.reserve(n + 1);
+    deps.reserve(ndeps);
+    uniqOff.reserve(n + 1);
+    uniq.reserve(ndeps);
+    payloadBytes.reserve(n);
+    payload.reserve(n);
+    depOff.push_back(0);
+    uniqOff.push_back(0);
+    ShardSpec spec;
+    spec.computeOutputBytes = computeOutputBytes;
+    // mark[d] == t + 1: d is already among t's distinct deps.
+    std::vector<std::uint32_t> mark(n, 0);
+    for (std::uint32_t t = 0; t < n; ++t) {
+        const Task &task = g[t];
+        for (std::uint32_t d : task.deps) {
+            deps.push_back(d);
+            if (mark[d] != t + 1) {
+                mark[d] = t + 1;
+                uniq.push_back(d);
+            }
+        }
+        depOff.push_back(static_cast<std::uint32_t>(deps.size()));
+        uniqOff.push_back(static_cast<std::uint32_t>(uniq.size()));
+        const std::uint64_t bytes = edgePayloadBytes(task, spec);
+        payloadBytes.push_back(bytes);
+        payload.push_back(static_cast<double>(bytes));
+    }
+}
+
+PartitionPrep::Numerators::Numerators(const TaskGraph &g,
+                                      std::size_t vectorLen_)
+    : vectorLen(vectorLen_)
+{
+    const CodeGen cg(vectorLen);
+    const std::size_t n = g.size();
+    isCompute.resize(n);
+    modOps.resize(n);
+    shuffleElems.resize(n);
+    bytes.resize(n);
+    for (const Task &t : g.tasks()) {
+        if (t.kind != TaskKind::Compute) {
+            bytes[t.id] = static_cast<double>(t.bytes);
+            continue;
+        }
+        // The numerators of RpuEngine::arithTaskSeconds and
+        // shuffleTaskSeconds; the shuffle crossbar moves one element
+        // per lane per cycle.
+        isCompute[t.id] = 1;
+        modOps[t.id] = static_cast<double>(t.modOps);
+        shuffleElems[t.id] =
+            static_cast<double>(cg.forComputeTask(t).shuffle) *
+            static_cast<double>(cg.vectorLen());
+    }
+}
+
+namespace
+{
+
+/**
+ * The one weight loop: the divisions and the max of
+ * RpuEngine::computeTaskSeconds (compute tasks) and memTaskSeconds
+ * (memory tasks), over precomputed numerators.
+ */
+std::vector<double>
+weightsOf(const PartitionPrep::Numerators &num, const RpuConfig &chip)
+{
+    const double modops = chip.modopsPerSec();
+    const double shuffle = chip.shuffleElemsPerSec();
+    const double channel = chip.channelBytesPerSec();
+    const std::size_t n = num.isCompute.size();
+    std::vector<double> w(n);
+    for (std::size_t t = 0; t < n; ++t)
+        w[t] = num.isCompute[t]
+                   ? std::max(num.modOps[t] / modops,
+                              num.shuffleElems[t] / shuffle)
+                   : num.bytes[t] / channel;
+    return w;
+}
+
+} // namespace
+
 std::vector<double>
 taskWeights(const TaskGraph &g, const RpuConfig &chip)
 {
-    const RpuEngine eng(chip);
-    const CodeGen cg(chip.vectorLen);
-    std::vector<double> w;
-    w.reserve(g.size());
-    for (const Task &t : g.tasks())
-        w.push_back(t.kind == TaskKind::Compute
-                        ? eng.computeTaskSeconds(t, cg)
-                        : eng.memTaskSeconds(t));
-    return w;
+    return weightsOf(PartitionPrep::Numerators(g, chip.vectorLen), chip);
+}
+
+std::vector<double>
+taskWeights(const PartitionPrep &prep, const RpuConfig &chip)
+{
+    panicIf(prep.numerators.vectorLen != chip.vectorLen,
+            "partition prep was built for another vector length");
+    return weightsOf(prep.numerators, chip);
 }
 
 bool
@@ -94,66 +183,11 @@ edgePayloadBytes(const Task &producer, const ShardSpec &spec)
 namespace
 {
 
-/**
- * The dependency structure MinCutGreedy walks, flattened once per
- * call into CSR arrays so the greedy, every refinement visit and both
- * cut collections read contiguous memory instead of each Task and its
- * heap dep vector.
- */
-struct FlatDeps
-{
-    /** deps[depOff[t], depOff[t + 1]): t's deps in graph order,
-     * duplicates kept — the greedy counts payload per occurrence. */
-    std::vector<std::uint32_t> depOff, deps;
-    /** uniq[uniqOff[t], uniqOff[t + 1]): t's distinct deps in
-     * first-occurrence order. */
-    std::vector<std::uint32_t> uniqOff, uniq;
-    /** edgePayloadBytes of each task as a producer. */
-    std::vector<double> payload;
-
-    FlatDeps(const TaskGraph &g, const ShardSpec &spec)
-    {
-        const std::size_t n = g.size();
-        depOff.reserve(n + 1);
-        uniqOff.reserve(n + 1);
-        payload.reserve(n);
-        depOff.push_back(0);
-        uniqOff.push_back(0);
-        // mark[d] == t + 1: d is already among t's distinct deps.
-        std::vector<std::uint32_t> mark(n, 0);
-        for (std::uint32_t t = 0; t < n; ++t) {
-            const Task &task = g[t];
-            for (std::uint32_t d : task.deps) {
-                deps.push_back(d);
-                if (mark[d] != t + 1) {
-                    mark[d] = t + 1;
-                    uniq.push_back(d);
-                }
-            }
-            depOff.push_back(static_cast<std::uint32_t>(deps.size()));
-            uniqOff.push_back(static_cast<std::uint32_t>(uniq.size()));
-            payload.push_back(
-                static_cast<double>(edgePayloadBytes(task, spec)));
-        }
-    }
-
-    std::span<const std::uint32_t>
-    depsOf(std::size_t t) const
-    {
-        return {deps.data() + depOff[t], deps.data() + depOff[t + 1]};
-    }
-
-    std::span<const std::uint32_t>
-    uniqOf(std::size_t t) const
-    {
-        return {uniq.data() + uniqOff[t], uniq.data() + uniqOff[t + 1]};
-    }
-};
+using FlatDeps = PartitionPrep::Deps;
 
 /** Contiguous equal-work chunks of the schedule order. */
 void
-assignContiguous(const TaskGraph &g, std::size_t k,
-                 const std::vector<double> &w,
+assignContiguous(std::size_t k, const std::vector<double> &w,
                  std::vector<std::uint32_t> &shard_of)
 {
     double total = 0.0;
@@ -161,7 +195,7 @@ assignContiguous(const TaskGraph &g, std::size_t k,
         total += x;
     std::size_t s = 0;
     double cum = 0.0;
-    for (std::size_t t = 0; t < g.size(); ++t) {
+    for (std::size_t t = 0; t < shard_of.size(); ++t) {
         shard_of[t] = static_cast<std::uint32_t>(s);
         cum += w[t];
         // Advance once the running total passes this shard's quota;
@@ -228,27 +262,26 @@ assignMinCutGreedy(const FlatDeps &f, const ShardSpec &spec,
  * (producer, destination shard), ordered by first consumer. The
  * single encoding of the cut objective — the final Partition fields,
  * the pre-refinement measurement, and the never-worse guard all go
- * through it. Reads `flat`'s distinct deps when the caller built
- * them, else each task's own dep vector; a repeated dep adds no edge
- * either way, so both walks give the same edges in the same order.
+ * through it. `deps_of(t)` yields t's deps and `bytes_of(d)` the
+ * payload of producer d: the flat distinct deps and payloads, or each
+ * task's own dep vector and edgePayloadBytes. A repeated dep adds no
+ * edge either way, so both walks give the same edges in the same
+ * order.
  */
+template <typename DepsOf, typename BytesOf>
 void
-collectCut(const TaskGraph &g, const ShardSpec &spec, const FlatDeps *flat,
+collectCut(std::size_t k, DepsOf deps_of, BytesOf bytes_of,
            const std::vector<std::uint32_t> &shard_of,
            std::vector<CutEdge> &edges, std::uint64_t &bytes)
 {
     edges.clear();
     bytes = 0;
-    const std::size_t k = spec.shards;
+    const std::size_t n = shard_of.size();
     // seen[d*k + s]: the edge (d, s) is already in the cut.
-    std::vector<std::uint8_t> seen(g.size() * k, 0);
-    for (std::size_t t = 0; t < g.size(); ++t) {
+    std::vector<std::uint8_t> seen(n * k, 0);
+    for (std::size_t t = 0; t < n; ++t) {
         const std::uint32_t to = shard_of[t];
-        const std::span<const std::uint32_t> deps =
-            flat ? flat->uniqOf(t)
-                 : std::span<const std::uint32_t>(
-                       g[static_cast<std::uint32_t>(t)].deps);
-        for (std::uint32_t d : deps) {
+        for (std::uint32_t d : deps_of(t)) {
             if (shard_of[d] == to)
                 continue;
             std::uint8_t &s = seen[static_cast<std::size_t>(d) * k + to];
@@ -259,11 +292,23 @@ collectCut(const TaskGraph &g, const ShardSpec &spec, const FlatDeps *flat,
             e.src = d;
             e.fromShard = shard_of[d];
             e.toShard = to;
-            e.bytes = edgePayloadBytes(g[d], spec);
+            e.bytes = bytes_of(d);
             bytes += e.bytes;
             edges.push_back(e);
         }
     }
+}
+
+/** collectCut over a prep's distinct deps and payloads. */
+void
+collectCut(const FlatDeps &f, std::size_t k,
+           const std::vector<std::uint32_t> &shard_of,
+           std::vector<CutEdge> &edges, std::uint64_t &bytes)
+{
+    collectCut(
+        k, [&f](std::size_t t) { return f.uniqOf(t); },
+        [&f](std::uint32_t d) { return f.payloadBytes[d]; }, shard_of,
+        edges, bytes);
 }
 
 /**
@@ -349,37 +394,33 @@ refineBoundary(const FlatDeps &f, const ShardSpec &spec,
     }
 }
 
-} // namespace
-
+/** The one partitioner, over flattened deps (see partitionGraph). */
 Partition
-partitionGraph(const TaskGraph &g, const ShardSpec &spec,
-               const std::vector<double> &weights)
+partitionFlat(const FlatDeps &f, const ShardSpec &spec,
+              const std::vector<double> &weights)
 {
     panicIf(spec.shards == 0, "partition into zero shards");
-    panicIf(weights.size() != g.size(),
+    panicIf(weights.size() != f.size(),
             "partition weights do not cover the graph");
 
     Partition p;
     p.shards = spec.shards;
     p.strategy = spec.strategy;
-    p.shardOf.assign(g.size(), 0);
+    p.shardOf.assign(f.size(), 0);
 
     bool refined = false;
     std::uint64_t greedy_cut = 0;
-    std::optional<FlatDeps> flat;
     if (spec.shards > 1) {
         switch (spec.strategy) {
         case PartitionStrategy::ContiguousByLevel:
-            assignContiguous(g, spec.shards, weights, p.shardOf);
+            assignContiguous(spec.shards, weights, p.shardOf);
             break;
         case PartitionStrategy::MinCutGreedy:
-            flat.emplace(g, spec);
-            assignMinCutGreedy(*flat, spec, weights, p.shardOf);
+            assignMinCutGreedy(f, spec, weights, p.shardOf);
             if (spec.refinePasses > 0) {
                 std::vector<CutEdge> scratch;
-                collectCut(g, spec, &*flat, p.shardOf, scratch,
-                           greedy_cut);
-                refineBoundary(*flat, spec, weights, p.shardOf);
+                collectCut(f, spec.shards, p.shardOf, scratch, greedy_cut);
+                refineBoundary(f, spec, weights, p.shardOf);
                 refined = true;
             }
             break;
@@ -387,14 +428,32 @@ partitionGraph(const TaskGraph &g, const ShardSpec &spec,
     }
 
     p.shardWork.assign(spec.shards, 0.0);
-    for (std::size_t t = 0; t < g.size(); ++t)
+    for (std::size_t t = 0; t < f.size(); ++t)
         p.shardWork[p.shardOf[t]] += weights[t];
 
-    collectCut(g, spec, flat ? &*flat : nullptr, p.shardOf, p.cutEdges,
-               p.cutBytes);
+    collectCut(f, spec.shards, p.shardOf, p.cutEdges, p.cutBytes);
     panicIf(refined && p.cutBytes > greedy_cut,
             "boundary refinement increased the cut");
     return p;
+}
+
+} // namespace
+
+Partition
+partitionGraph(const TaskGraph &g, const ShardSpec &spec,
+               const std::vector<double> &weights)
+{
+    return partitionFlat(FlatDeps(g, spec.computeOutputBytes), spec,
+                         weights);
+}
+
+Partition
+partitionGraph(const PartitionPrep &prep, const ShardSpec &spec,
+               const std::vector<double> &weights)
+{
+    panicIf(prep.deps.computeOutputBytes != spec.computeOutputBytes,
+            "partition prep was built for another cut payload");
+    return partitionFlat(prep.deps, spec, weights);
 }
 
 Partition
@@ -418,7 +477,14 @@ assignmentPartition(const TaskGraph &g, const ShardSpec &spec,
     p.shardWork.assign(spec.shards, 0.0);
     for (std::size_t t = 0; t < g.size(); ++t)
         p.shardWork[p.shardOf[t]] += weights[t];
-    collectCut(g, spec, nullptr, p.shardOf, p.cutEdges, p.cutBytes);
+    collectCut(
+        spec.shards,
+        [&g](std::size_t t) {
+            return std::span<const std::uint32_t>(
+                g[static_cast<std::uint32_t>(t)].deps);
+        },
+        [&g, &spec](std::uint32_t d) { return edgePayloadBytes(g[d], spec); },
+        p.shardOf, p.cutEdges, p.cutBytes);
     return p;
 }
 

@@ -26,16 +26,26 @@
  *    load cap, taking only strictly improving moves — the refined cut
  *    is never worse than the greedy one (asserted).
  *
- * MinCutGreedy first flattens the graph into CSR arrays: every
- * task's deps in graph order (duplicates kept, since the greedy counts
- * payload once per occurrence), its distinct deps in first-occurrence
- * order, and its edgePayloadBytes. The greedy, every refinement visit
- * and both cut collections read those arrays, and the cut deduplicates
- * through a flat (producer, shard) seen array. The arithmetic and its
- * order are the ones the per-Task walk used, so every shardOf,
- * shardWork and cut edge is unchanged (tests/legacy_partition.h keeps
- * that walk as the oracle). ContiguousByLevel and assignmentPartition
- * read the graph directly: they walk the deps once.
+ * Both strategies read a flattened copy of the graph's dependencies
+ * (PartitionPrep::Deps): every task's deps in graph order (duplicates
+ * kept, since the greedy counts payload once per occurrence), its
+ * distinct deps in first-occurrence order, and its edgePayloadBytes.
+ * The greedy, every refinement visit and both cut collections read
+ * those arrays, and the cut deduplicates through a flat (producer,
+ * shard) seen array. The arithmetic and its order are the ones the
+ * per-Task walk used, so every shardOf, shardWork and cut edge is
+ * unchanged (tests/legacy_partition.h keeps that walk as the oracle).
+ * assignmentPartition reads the graph directly: it walks the deps
+ * once.
+ *
+ * That copy, and each task's rate-free weight numerators, depend on
+ * the graph and not on the chip. A caller that cuts one graph many
+ * times — the tuner pricing chips and shard counts — builds one
+ * PartitionPrep per graph and passes it to the prep overloads of
+ * taskWeights and partitionGraph: weights are then one division loop
+ * and a cut flattens nothing. The graph overloads build the half they
+ * need and delegate, so each algorithm has one implementation and
+ * both forms agree bit for bit.
  *
  * Balance weights are estimated per-task *seconds* at a reference chip
  * configuration (taskWeights), so memory-bound and compute-bound tasks
@@ -49,6 +59,7 @@
 #define CIFLOW_SHARD_PARTITION_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "hksflow/task.h"
@@ -136,11 +147,89 @@ struct Partition
 };
 
 /**
+ * The graph-invariant inputs of taskWeights and partitionGraph for
+ * one (graph, cut payload, vector length): built once, reused by every
+ * cut of the graph. It owns copies of everything it reads, so it
+ * never refers back to the graph.
+ */
+struct PartitionPrep
+{
+    /**
+     * The dependency structure the partitioner walks, as CSR arrays,
+     * plus every task's payload as a cut-edge producer.
+     */
+    struct Deps
+    {
+        Deps(const TaskGraph &g, std::uint64_t computeOutputBytes);
+
+        std::size_t size() const { return payload.size(); }
+
+        /** t's deps in graph order, duplicates kept. */
+        std::span<const std::uint32_t>
+        depsOf(std::size_t t) const
+        {
+            return {deps.data() + depOff[t], deps.data() + depOff[t + 1]};
+        }
+
+        /** t's distinct deps in first-occurrence order. */
+        std::span<const std::uint32_t>
+        uniqOf(std::size_t t) const
+        {
+            return {uniq.data() + uniqOff[t],
+                    uniq.data() + uniqOff[t + 1]};
+        }
+
+        /** ShardSpec::computeOutputBytes the payloads were built for. */
+        std::uint64_t computeOutputBytes = 0;
+        std::vector<std::uint32_t> depOff, deps;
+        std::vector<std::uint32_t> uniqOff, uniq;
+        /** edgePayloadBytes of each task as a producer. */
+        std::vector<std::uint64_t> payloadBytes;
+        /** The same payloads as doubles, for the greedy's arithmetic. */
+        std::vector<double> payload;
+    };
+
+    /**
+     * Every task's weight numerators, free of any rate: modOps and
+     * shuffle elements (CodeGen shuffle instructions times the vector
+     * length) of compute tasks, bytes of memory tasks.
+     */
+    struct Numerators
+    {
+        Numerators(const TaskGraph &g, std::size_t vectorLen);
+
+        /** RpuConfig::vectorLen the shuffle elements were built for. */
+        std::size_t vectorLen = 0;
+        /** 1 for compute tasks, 0 for memory tasks. */
+        std::vector<std::uint8_t> isCompute;
+        std::vector<double> modOps, shuffleElems, bytes;
+    };
+
+    PartitionPrep(const TaskGraph &g, std::uint64_t computeOutputBytes,
+                  std::size_t vectorLen)
+        : deps(g, computeOutputBytes), numerators(g, vectorLen)
+    {
+    }
+
+    Deps deps;
+    Numerators numerators;
+};
+
+/**
  * Estimated seconds of every task at the `chip` configuration (fused
  * compute-pipe cost for compute tasks, one-channel share of DRAM
  * bandwidth for memory tasks) — the balance weights for partitioning.
+ * Builds the graph's weight numerators and delegates to the prep form.
  */
 std::vector<double> taskWeights(const TaskGraph &g, const RpuConfig &chip);
+
+/**
+ * taskWeights over a prep: one division loop, bit-identical to the
+ * graph form. Panics when the prep was built for another vector
+ * length than `chip`'s.
+ */
+std::vector<double> taskWeights(const PartitionPrep &prep,
+                                const RpuConfig &chip);
 
 /**
  * Everything of a chip that taskWeights reads: the mean channel rate,
@@ -174,9 +263,17 @@ std::uint64_t edgePayloadBytes(const Task &producer,
 /**
  * Partition `g` into spec.shards shards. `weights` must hold one entry
  * per task (see taskWeights). Deterministic: equal inputs produce equal
- * partitions.
+ * partitions. Flattens the graph's deps and delegates to the prep form.
  */
 Partition partitionGraph(const TaskGraph &g, const ShardSpec &spec,
+                         const std::vector<double> &weights);
+
+/**
+ * partitionGraph over a prep of the graph, bit-identical to the graph
+ * form. Panics when the prep was built for another cut payload than
+ * spec.computeOutputBytes.
+ */
+Partition partitionGraph(const PartitionPrep &prep, const ShardSpec &spec,
                          const std::vector<double> &weights);
 
 /**

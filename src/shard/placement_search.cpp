@@ -77,10 +77,13 @@ searchPlacements(ExperimentRunner &runner, const HksParams &par,
     // Phase 1: one partition per (dataflow, shard count, strategy) —
     // the cut does not depend on the topology or on any replay rate,
     // so it is computed once and shared across the topology and
-    // bandwidth grid points.
+    // bandwidth grid points. The cuts of one dataflow share its graph
+    // prep and weights.
     struct Cut
     {
         std::shared_ptr<const HksExperiment> exp;
+        /** The dataflow's graph prep, shared by all of its cuts. */
+        std::shared_ptr<const PartitionPrep> prep;
         std::shared_ptr<const std::vector<double>> weights;
         /** Single-RPU runtime per bandwidth axis point. */
         std::shared_ptr<const std::vector<double>> baselines;
@@ -93,8 +96,10 @@ searchPlacements(ExperimentRunner &runner, const HksParams &par,
     std::vector<Cut> cuts;
     for (Dataflow d : spec.dataflows) {
         auto exp = runner.experiment(par, d, mem);
+        auto prep = std::make_shared<const PartitionPrep>(
+            exp->graph(), par.towerBytes(), chip.vectorLen);
         auto weights = std::make_shared<const std::vector<double>>(
-            taskWeights(exp->graph(), chip));
+            taskWeights(*prep, chip));
         // Single-RPU baselines across the bandwidth axis in one
         // batched replay (rate-only, so all points share the chip's
         // compiled layout).
@@ -117,6 +122,7 @@ searchPlacements(ExperimentRunner &runner, const HksParams &par,
                 }
                 Cut c;
                 c.exp = exp;
+                c.prep = prep;
                 c.weights = weights;
                 c.baselines = baselines;
                 c.dataflow = d;
@@ -131,7 +137,7 @@ searchPlacements(ExperimentRunner &runner, const HksParams &par,
     for (Cut &c : cuts) {
         jobs.push_back([&c, &spec, &par] {
             c.partition = partitionGraph(
-                c.exp->graph(),
+                *c.prep,
                 placementShardSpec(par, c.shards, c.strategy,
                                    spec.imbalanceTol),
                 *c.weights);

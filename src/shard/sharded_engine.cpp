@@ -1,6 +1,5 @@
 #include "shard/sharded_engine.h"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "common/logging.h"
@@ -75,6 +74,33 @@ loadPayloads(const TaskGraph &g, ShardBinding &b)
     }
 }
 
+/**
+ * Panic unless every task of `p` sits on one of its shards and every
+ * cut edge joins two distinct shards in range, from its producer's
+ * shard: the bind indexes its dense cut table and the chip blocks by
+ * these ids. Branches, not panicIf, so a valid cut builds no message.
+ */
+void
+checkPartition(const Partition &p)
+{
+    const std::size_t n = p.shardOf.size();
+    const std::size_t k = p.shards;
+    for (std::uint32_t s : p.shardOf)
+        if (s >= k)
+            panic("partition puts a task on a shard outside its shard "
+                  "count");
+    for (const CutEdge &e : p.cutEdges) {
+        if (e.src >= n)
+            panic("cut edge producer is outside the graph");
+        if (e.fromShard >= k || e.toShard >= k)
+            panic("cut edge names a shard outside the partition");
+        if (e.fromShard == e.toShard)
+            panic("cut edge does not cross shards");
+        if (e.fromShard != p.shardOf[e.src])
+            panic("cut edge does not leave its producer's shard");
+    }
+}
+
 } // namespace
 
 ShardedEngine::ShardedEngine(const RpuConfig &chip,
@@ -99,6 +125,7 @@ ShardedEngine::bindInto(const sim::CompiledSchedule &src,
             "counts differ)");
     panicIf(p.shardOf.size() != n, "partition does not cover the graph");
     panicIf(&src == &sc.schedule, "bind source is its own output");
+    checkPartition(p);
     const std::size_t k = p.shards;
     const std::size_t nchan = cfg.channelCount();
     const std::size_t pipes = cfg.computePipeCount();
@@ -155,17 +182,21 @@ ShardedEngine::bindInto(const sim::CompiledSchedule &src,
     const sim::ResourceId link_base =
         static_cast<sim::ResourceId>(k * per_chip);
 
-    // Cut-edge lookup: (producer, destination shard) -> edge index;
-    // the transfer task itself is created lazily at first consumer.
-    b.cutIndex.clear();
-    for (std::size_t i = 0; i < p.cutEdges.size(); ++i)
-        b.cutIndex.emplace_back(
-            static_cast<std::uint64_t>(p.cutEdges[i].src) * k +
-                p.cutEdges[i].toShard,
-            static_cast<std::uint32_t>(i));
-    std::sort(b.cutIndex.begin(), b.cutIndex.end());
+    // Cut-edge lookup: (producer, destination shard) -> the edge's
+    // first occurrence; the transfer task itself is created lazily at
+    // the first consumer.
+    constexpr std::uint32_t kNoEdge = ~std::uint32_t{0};
+    const std::size_t ncut = p.cutEdges.size();
+    if (b.cutTable.size() < n * k)
+        b.cutTable.resize(n * k, kNoEdge);
+    for (std::size_t i = 0; i < ncut; ++i) {
+        std::uint32_t &slot =
+            b.cutTable[p.cutEdges[i].src * k + p.cutEdges[i].toShard];
+        if (slot == kNoEdge)
+            slot = static_cast<std::uint32_t>(i);
+    }
     constexpr sim::TaskId kUnset = ~sim::TaskId{0};
-    b.transferId.assign(p.cutEdges.size(), kUnset);
+    b.transferId.assign(ncut, kUnset);
     b.newId.resize(n);
     b.chanOf.resize(n);
 
@@ -174,82 +205,101 @@ ShardedEngine::bindInto(const sim::CompiledSchedule &src,
     for (std::size_t s = 0; s < k; ++s)
         placers.emplace_back(cfg.channelPolicy, nchan);
 
-    // Exact totals up front (every cut edge becomes one single-op,
-    // single-dep transfer task) so the CSR build never reallocates.
+    // Sized for every cut edge materializing; trimmed below to the
+    // `placed` transfers that did. Source task t lands at t + placed,
+    // its deps at depOff[t] + placed and its ops at opOff[t] + placed:
+    // each transfer placed before it adds one task, one dep and one
+    // op.
     const sim::ScheduleView v = src.view();
-    const std::size_t ncut = p.cutEdges.size();
-    cs.clearTasks();
-    cs.reserve(n + ncut, src.depCount() + ncut, src.opCount() + ncut);
+    const std::size_t ndeps = src.depCount();
+    const std::size_t nops = src.opCount();
+    const sim::ScheduleArrays w =
+        cs.bulkWrite(n + ncut, ndeps + ncut, nops + ncut);
+    std::uint32_t placed = 0;
     for (std::size_t t = 0; t < n; ++t) {
         const std::uint32_t shard = p.shardOf[t];
-        b.depScratch.clear();
-        for (std::uint32_t i = v.depOff[t]; i < v.depOff[t + 1]; ++i) {
+        const std::uint32_t *row = b.cutTable.data() + shard;
+        const std::uint32_t d0 = v.depOff[t];
+        const std::uint32_t d1 = v.depOff[t + 1];
+
+        // Transfers t is the first consumer of, each one task ahead.
+        for (std::uint32_t i = d0; i < d1; ++i) {
             const sim::TaskId d = v.depIds[i];
-            if (p.shardOf[d] == shard) {
-                b.depScratch.push_back(b.newId[d]);
+            if (p.shardOf[d] == shard)
                 continue;
-            }
-            const std::uint64_t key =
-                static_cast<std::uint64_t>(d) * k + shard;
-            const auto it = std::lower_bound(
-                b.cutIndex.begin(), b.cutIndex.end(),
-                std::pair<std::uint64_t, std::uint32_t>{key, 0});
+            const std::uint32_t e = row[static_cast<std::size_t>(d) * k];
             // Branch, not panicIf: the message must not be built per
             // cross-shard dependency.
-            if (it == b.cutIndex.end() || it->first != key)
+            if (e == kNoEdge)
                 panic("partition cut does not cover a cross-shard "
                       "dependency");
-            const std::size_t idx = it->second;
-            if (b.transferId[idx] == kUnset) {
-                const CutEdge &e = p.cutEdges[idx];
-                sim::CompiledOp xfer;
-                xfer.resource =
-                    link_base +
-                    static_cast<sim::ResourceId>(net.linkIndex(
-                        e.fromShard, e.toShard, k));
-                xfer.bytes = static_cast<double>(e.bytes);
-                xfer.postSeconds = net.latencySec;
-                const sim::TaskId dep = b.newId[d];
-                b.transferId[idx] = cs.addTaskTrusted(&dep, 1, &xfer, 1);
-                ++sc.transferTasks;
-                sc.transferBytes += e.bytes;
-            }
-            b.depScratch.push_back(b.transferId[idx]);
+            if (b.transferId[e] != kUnset)
+                continue;
+            const CutEdge &edge = p.cutEdges[e];
+            const std::uint32_t id = static_cast<std::uint32_t>(t) + placed;
+            const std::uint32_t dpos = d0 + placed;
+            const std::uint32_t opos = v.opOff[t] + placed;
+            w.depIds[dpos] = b.newId[d];
+            w.depOff[id + 1] = dpos + 1;
+            w.opRes[opos] = link_base +
+                            static_cast<sim::ResourceId>(net.linkIndex(
+                                edge.fromShard, edge.toShard, k));
+            w.opBytes[opos] = static_cast<double>(edge.bytes);
+            w.opWork0[opos] = 0.0;
+            w.opWork1[opos] = 0.0;
+            w.opSec[opos] = 0.0;
+            w.opPost[opos] = net.latencySec;
+            w.opOff[id + 1] = opos + 1;
+            b.transferId[e] = id;
+            ++placed;
+            ++sc.transferTasks;
+            sc.transferBytes += edge.bytes;
         }
 
-        b.opScratch.clear();
+        // t itself: every dep id comes from newId/transferId entries
+        // of earlier iterations, so it precedes the task.
+        const std::uint32_t id = static_cast<std::uint32_t>(t) + placed;
+        sim::TaskId *deps = w.depIds + d0 + placed;
+        for (std::uint32_t i = d0; i < d1; ++i) {
+            const sim::TaskId d = v.depIds[i];
+            deps[i - d0] =
+                p.shardOf[d] == shard
+                    ? b.newId[d]
+                    : b.transferId[row[static_cast<std::size_t>(d) * k]];
+        }
+        w.depOff[id + 1] = d1 + placed;
+
+        // Its ops: the source's cost numerators (validated by addTask
+        // when the source was compiled), pipes offset into the chip's
+        // block, memory ops re-placed on dirty shards.
         const sim::ResourceId base =
             static_cast<sim::ResourceId>(shard * per_chip);
-        for (std::uint32_t i = v.opOff[t]; i < v.opOff[t + 1]; ++i) {
-            sim::CompiledOp o;
-            o.bytes = v.opBytes[i];
-            o.work[0] = v.opWork0[i];
-            o.work[1] = v.opWork1[i];
-            o.seconds = v.opSec[i];
-            o.postSeconds = v.opPost[i];
+        const std::uint32_t o1 = v.opOff[t + 1];
+        for (std::uint32_t i = v.opOff[t]; i < o1; ++i) {
+            const std::uint32_t j = i + placed;
+            w.opBytes[j] = v.opBytes[i];
+            w.opWork0[j] = v.opWork0[i];
+            w.opWork1[j] = v.opWork1[i];
+            w.opSec[j] = v.opSec[i];
+            w.opPost[j] = v.opPost[i];
             if (v.opRes[i] < src_chan) {
                 if (b.shardDirty[shard])
                     b.chanOf[t] = static_cast<std::uint32_t>(
                         placers[shard].place(b.memBytes[t],
                                              b.isEvk[t] != 0));
-                o.resource = base + b.chanOf[t];
+                w.opRes[j] = base + b.chanOf[t];
             } else {
-                o.resource =
+                w.opRes[j] =
                     base + static_cast<sim::ResourceId>(nchan) +
                     (v.opRes[i] - static_cast<sim::ResourceId>(src_chan));
             }
-            b.opScratch.push_back(o);
         }
-        // Trusted append: the source's ops passed addTask's cost
-        // validation when it was compiled, transfer ops carry a cut
-        // byte count and an interconnect latency the constructor
-        // validated, and every dep id comes from newId/transferId
-        // entries of earlier iterations, so it precedes the new task.
-        b.newId[t] = cs.addTaskTrusted(b.depScratch.data(),
-                                       b.depScratch.size(),
-                                       b.opScratch.data(),
-                                       b.opScratch.size());
+        w.opOff[id + 1] = o1 + placed;
+        b.newId[t] = id;
     }
+    cs.bulkWrite(n + placed, ndeps + placed, nops + placed);
+    for (const CutEdge &e : p.cutEdges)
+        b.cutTable[e.src * k + e.toShard] = kNoEdge;
 
     if (reused)
         cs.patchCommit(tag);
@@ -339,6 +389,7 @@ ShardedEngine::recompilePartition(ShardedPatchable &ps,
                 shardedTag(RpuLayout::of(cfg), k, net.topology),
             "patchable sharded schedule was compiled under a "
             "different engine configuration");
+    checkPartition(newP);
 
     // A shard is dirty when its membership changed (a task left or
     // joined); only dirty shards re-run placement. A clean shard's

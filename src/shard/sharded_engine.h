@@ -19,6 +19,16 @@
  * contend like DRAM traffic) plus a pipelined propagation delay
  * (CompiledOp::postSeconds).
  *
+ * The pass writes the output in place. Each transfer is a single-dep,
+ * single-op task placed just before its first consumer, so source
+ * task t lands at t + (transfers placed so far) and its deps and ops
+ * shift by that same count: the output's CSR arrays are sized once,
+ * for every cut edge materializing (CompiledSchedule::bulkWrite),
+ * every entry is written where it lands, and the arrays are trimmed
+ * to the transfers that did. Cut edges are found through a dense
+ * (producer x shard) table that stays unset between binds — each bind
+ * writes its cut's entries and resets them — so a lookup is one load.
+ *
  * compile(g, p) is RpuEngine(chip).compile(g) followed by that bind;
  * the experiment overloads bind from HksExperiment::compiled() when
  * its skeleton matches and from the experiment's layout cache entry
@@ -82,14 +92,18 @@ struct ShardBinding
     std::vector<std::uint32_t> chanOf;
     std::vector<sim::TaskId> newId, transferId;
 
-    // Reusable pass scratch (allocation-free once warm). Only shards
-    // with shardDirty[s] != 0 re-run channel placement; the others
-    // reuse chanOf.
+    /**
+     * Shards whose memory ops re-run channel placement this pass;
+     * the others reuse chanOf.
+     */
     std::vector<char> shardDirty;
-    std::vector<sim::TaskId> depScratch;
-    std::vector<sim::CompiledOp> opScratch;
-    /** Cut edges keyed (src * K + toShard), sorted for lookup. */
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> cutIndex;
+    /**
+     * Cut-edge lookup, dense over (producer * K + destination shard):
+     * the index of that edge's first occurrence in
+     * Partition::cutEdges, or ~0. Every entry is ~0 between binds — a
+     * bind writes its cut's entries and resets them before returning.
+     */
+    std::vector<std::uint32_t> cutTable;
 };
 
 /**
@@ -159,8 +173,12 @@ class ShardedEngine
      * The bind pass into `out`, reusing its buffers: `src` must be a
      * single-chip compile of `g` with this chip's pipe split and
      * vector length (any channel layout), and not `out.schedule`
-     * itself, or this panics. A reused `out` gets a new patch
-     * revision; the result replays exactly like compile(g, p).
+     * itself, or this panics. So does a malformed `p`: a task on a
+     * shard >= p.shards, or a cut edge whose producer is outside the
+     * graph, whose shards are out of range or equal, or whose
+     * fromShard is not its producer's shard. A reused `out` gets a
+     * new patch revision; the result replays exactly like
+     * compile(g, p).
      */
     void bind(const TaskGraph &g, const sim::CompiledSchedule &src,
               const Partition &p, ShardedCompiled &out) const;
@@ -239,11 +257,12 @@ class ShardedEngine
                                  const Partition &p) const;
 
     /**
-     * The one bind pass behind every entry point: rebuilds `sc` as
-     * the binding of `src` under `p`, re-placing the memory ops of
-     * the shards `b.shardDirty` marks and reusing `b.chanOf` on the
-     * rest. Reuses `sc`'s buffers; a fresh `sc` is stamped revision
-     * 0, a reused one commits a new patch revision.
+     * The one bind pass behind every entry point: rewrites `sc` in
+     * place as the binding of `src` under `p`, re-placing the memory
+     * ops of the shards `b.shardDirty` marks and reusing `b.chanOf` on
+     * the rest. Reuses `sc`'s buffers; a fresh `sc` is stamped
+     * revision 0, a reused one commits a new patch revision. Panics on
+     * a malformed partition (see bind()) before touching `b`.
      */
     void bindInto(const sim::CompiledSchedule &src, const Partition &p,
                   ShardBinding &b, ShardedCompiled &sc) const;

@@ -61,7 +61,19 @@ CompiledSchedule::addTask(const TaskId *deps, std::size_t ndeps,
     }
     for (std::size_t i = 0; i < ndeps; ++i)
         panicIf(deps[i] >= id, "forward dependency in sim task");
-    return addTaskTrusted(deps, ndeps, ops_in, nops);
+    depIds.insert(depIds.end(), deps, deps + ndeps);
+    depOff.push_back(static_cast<std::uint32_t>(depIds.size()));
+    for (std::size_t i = 0; i < nops; ++i) {
+        const CompiledOp &op = ops_in[i];
+        opRes.push_back(op.resource);
+        opBytes.push_back(op.bytes);
+        opWork0.push_back(op.work[0]);
+        opWork1.push_back(op.work[1]);
+        opSec.push_back(op.seconds);
+        opPost.push_back(op.postSeconds);
+    }
+    opOff.push_back(static_cast<std::uint32_t>(opRes.size()));
+    return id;
 }
 
 TaskId
@@ -100,20 +112,22 @@ CompiledSchedule::patchCommit(std::uint64_t newBaseTag)
     ++rev;
 }
 
-void
-CompiledSchedule::clearTasks()
+ScheduleArrays
+CompiledSchedule::bulkWrite(std::size_t tasks, std::size_t deps,
+                            std::size_t ops)
 {
-    depOff.clear();
-    depOff.push_back(0);
-    depIds.clear();
-    opOff.clear();
-    opOff.push_back(0);
-    opRes.clear();
-    opBytes.clear();
-    opWork0.clear();
-    opWork1.clear();
-    opSec.clear();
-    opPost.clear();
+    depOff.resize(tasks + 1);
+    depIds.resize(deps);
+    opOff.resize(tasks + 1);
+    opRes.resize(ops);
+    opBytes.resize(ops);
+    opWork0.resize(ops);
+    opWork1.resize(ops);
+    opSec.resize(ops);
+    opPost.resize(ops);
+    return ScheduleArrays{depOff.data(),  depIds.data(),  opOff.data(),
+                          opRes.data(),   opBytes.data(), opWork0.data(),
+                          opWork1.data(), opSec.data(),   opPost.data()};
 }
 
 Error
@@ -304,9 +318,11 @@ laneMax(LaneVec a, LaneVec b)
  * replay. Per-ISA clones: the resolver picks the widest vector unit
  * the host has (AVX-512, AVX2, or baseline SSE2) at load time. Every
  * clone runs the identical IEEE operations — ISA width changes how
- * many lanes one instruction covers, never a result bit.
+ * many lanes one instruction covers, never a result bit. ThreadSanitizer
+ * builds keep the baseline body only: the clones' ifunc resolver runs
+ * during relocation, before the TSan runtime is up.
  */
-#if defined(__x86_64__)
+#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
 [[gnu::target_clones("default", "avx2", "arch=x86-64-v4")]]
 #endif
 void

@@ -40,11 +40,12 @@
  * per-op resource ids, the resource name table, and the layout tag —
  * is what a placement change alters. The patch API (patchBegin /
  * patchResourceName / patchCommit) resizes and renames the resource
- * table in place, and clearTasks() resets the skeleton while keeping
- * array capacity, so the shard engine rebinds a reused schedule to a
- * new partition without reallocating. Each commit bumps a revision
- * counter that is mixed into layoutTag(), so stale rate vectors built
- * against an earlier binding still trip the tag-mismatch panic.
+ * table in place, and bulkWrite() resizes the CSR arrays while
+ * keeping their capacity and hands them out for writing, so the shard
+ * engine rebinds a reused schedule to a new partition in place,
+ * without reallocating. Each commit bumps a revision counter that is
+ * mixed into layoutTag(), so stale rate vectors built against an
+ * earlier binding still trip the tag-mismatch panic.
  */
 
 #ifndef CIFLOW_SIM_COMPILED_SCHEDULE_H
@@ -224,7 +225,7 @@ patchedTag(std::uint64_t base, std::uint64_t rev)
  * depIds[depOff[t]..depOff[t+1]) and its ops index the SoA component
  * arrays over [opOff[t], opOff[t+1)), exactly as inside the class.
  * Pointers are invalidated by anything that mutates the schedule
- * (addTask, clearTasks, patchBegin); take the view per use, not once.
+ * (addTask, bulkWrite, patchBegin); take the view per use, not once.
  */
 struct ScheduleView
 {
@@ -240,6 +241,23 @@ struct ScheduleView
     std::size_t taskCount = 0;
     std::size_t opCount = 0;
     std::size_t resourceCount = 0;
+};
+
+/**
+ * Writable CSR arrays handed out by CompiledSchedule::bulkWrite(): the
+ * arrays a ScheduleView reads, laid out the same way.
+ */
+struct ScheduleArrays
+{
+    std::uint32_t *depOff = nullptr;
+    TaskId *depIds = nullptr;
+    std::uint32_t *opOff = nullptr;
+    ResourceId *opRes = nullptr;
+    double *opBytes = nullptr;
+    double *opWork0 = nullptr;
+    double *opWork1 = nullptr;
+    double *opSec = nullptr;
+    double *opPost = nullptr;
 };
 
 /** A task graph compiled to CSR arrays for scaled replay. */
@@ -282,33 +300,23 @@ class CompiledSchedule
                    const CompiledOp *ops_in, std::size_t nops);
 
     /**
-     * addTask without the per-op cost validation or the forward-dep
-     * check, inline so the append is just the CSR pushes. Only for
-     * re-appending ops a prior addTask() of this process already
-     * validated (the shard engine binds single-chip schedules through
-     * here) with dep ids the caller guarantees precede the new task;
-     * patchCommit() still bounds-checks every op's resource id. The
-     * validated addTask() is the front door for anything lowered from
-     * fresh input.
+     * Bulk write for trusted binders: size the CSR arrays to exactly
+     * `tasks` tasks, `deps` dependencies and `ops` ops — keeping the
+     * resource table, the tags, array capacity and the entries below
+     * the new sizes — and return them for writing. The caller fills
+     * depOff[1..tasks], opOff[1..tasks] and every dep and op entry
+     * (depOff[0] and opOff[0] stay 0); a binder that sized for more
+     * than it wrote calls again with its actual totals, which trims
+     * without reallocating. Nothing is validated, so this is only for
+     * re-binding ops a prior addTask() of this process validated (the
+     * shard engine binds single-chip schedules through here), with
+     * monotone offsets and dep ids that precede their task. Seal a
+     * rewrite of a committed schedule with patchCommit(), which still
+     * bounds-checks every op's resource id. The validated addTask() is
+     * the front door for anything lowered from fresh input.
      */
-    TaskId addTaskTrusted(const TaskId *deps, std::size_t ndeps,
-                          const CompiledOp *ops_in, std::size_t nops)
-    {
-        const TaskId id = static_cast<TaskId>(taskCount());
-        depIds.insert(depIds.end(), deps, deps + ndeps);
-        depOff.push_back(static_cast<std::uint32_t>(depIds.size()));
-        for (std::size_t i = 0; i < nops; ++i) {
-            const CompiledOp &op = ops_in[i];
-            opRes.push_back(op.resource);
-            opBytes.push_back(op.bytes);
-            opWork0.push_back(op.work[0]);
-            opWork1.push_back(op.work[1]);
-            opSec.push_back(op.seconds);
-            opPost.push_back(op.postSeconds);
-        }
-        opOff.push_back(static_cast<std::uint32_t>(opRes.size()));
-        return id;
-    }
+    ScheduleArrays bulkWrite(std::size_t tasks, std::size_t deps,
+                             std::size_t ops);
 
     std::size_t taskCount() const { return opOff.size() - 1; }
     std::size_t opCount() const { return opRes.size(); }
@@ -358,15 +366,6 @@ class CompiledSchedule
      * of this schedule.
      */
     void patchCommit(std::uint64_t newBaseTag);
-
-    /**
-     * Drop every task (deps and ops) while keeping the resource table,
-     * tags and array capacity: the rebuild half of the patch API, for
-     * patches that change task structure itself (the shard engine's
-     * partition repatch re-adds tasks after this). Follow the rebuild
-     * with patchCommit() to restore a consistent tag.
-     */
-    void clearTasks();
 
     /**
      * Simulate the whole schedule at one replay point: a single pass

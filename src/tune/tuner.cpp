@@ -284,13 +284,34 @@ Tuner::partitionOf(const TunePoint &p, const HksExperiment &exp,
     // function of the key (partitionGraph is deterministic and the
     // weights depend on the chip only through its WeightKey).
     std::call_once(slot->once, [&] {
+        const shard::PartitionPrep &prep = prepOf(key.graph, exp, cfg);
         slot->part = shard::partitionGraph(
-            exp.graph(),
+            prep,
             shard::placementShardSpec(par, p.shards, p.strategy,
                                       sp.imbalanceTol),
-            shard::taskWeights(exp.graph(), cfg));
+            shard::taskWeights(prep, cfg));
     });
     return slot->part;
+}
+
+const shard::PartitionPrep &
+Tuner::prepOf(const ExperimentKey &graph, const HksExperiment &exp,
+              const RpuConfig &cfg)
+{
+    PrepSlot *slot = nullptr;
+    {
+        std::lock_guard<std::mutex> lk(memoMu);
+        const auto [it, inserted] = preps.try_emplace(graph);
+        slot = &it->second;
+        npreps += inserted ? 1 : 0;
+    }
+    // The cut payload is the Tuner's (one benchmark) and the vector
+    // length the space's base chip's, so one prep serves every cut of
+    // the graph; the prep overloads panic should either differ.
+    std::call_once(slot->once, [&] {
+        slot->prep.emplace(exp.graph(), par.towerBytes(), cfg.vectorLen);
+    });
+    return *slot->prep;
 }
 
 std::size_t
@@ -307,6 +328,13 @@ Tuner::partitionHits() const
     return npartHits;
 }
 
+std::size_t
+Tuner::graphPreps() const
+{
+    std::lock_guard<std::mutex> lk(memoMu);
+    return npreps;
+}
+
 void
 Tuner::exportMetrics(obs::MetricsRegistry &m,
                      const std::string &prefix) const
@@ -315,6 +343,7 @@ Tuner::exportMetrics(obs::MetricsRegistry &m,
     m.count(prefix + "cache_hits", cache.hits());
     m.count(prefix + "partitions", partitions());
     m.count(prefix + "partition_hits", partitionHits());
+    m.count(prefix + "graph_preps", graphPreps());
     const std::size_t pts = cache.batchedPoints();
     const std::size_t slots = cache.batchLaneSlots();
     m.count(prefix + "batched_points", pts);
@@ -344,12 +373,13 @@ Tuner::evaluateUncached(const TunePoint &p)
         // expected Monte Carlo makespan under the model, penalized by
         // survivability — a K that cannot survive its chip failures
         // scores +inf and loses to any graceful-degradation point.
-        const std::vector<double> w =
-            shard::taskWeights(exp->graph(), cfg);
+        const shard::PartitionPrep &prep = prepOf(
+            ExperimentKey::of(par, p.dataflow, mem), *exp, cfg);
+        const std::vector<double> w = shard::taskWeights(prep, cfg);
         const shard::ShardSpec sspec = shard::placementShardSpec(
             par, p.shards, p.strategy, sp.imbalanceTol);
         const shard::Partition part =
-            shard::partitionGraph(exp->graph(), sspec, w);
+            shard::partitionGraph(prep, sspec, w);
         {
             std::lock_guard<std::mutex> lk(memoMu);
             ++nparts;

@@ -41,7 +41,10 @@
  * partitioning again. Each key is computed exactly once, whatever the
  * runner's width; the memo holds one Partition per key, 6–25 KB on
  * the paper benchmarks (40–62 cuts, under 1.2 MB, per perfbench
- * `tune` query).
+ * `tune` query). The cuts of one graph share one shard::PartitionPrep
+ * (its flattened deps and rate-free weight numerators), built once
+ * per graph on its first cut, so a cut pays only for its weight
+ * divisions and the partitioner itself.
  *
  * Results come back as a Pareto frontier over (runtime, aggregate
  * bandwidth, aggregate capacity), not just an argmin: the paper's
@@ -227,11 +230,16 @@ class Tuner
     std::size_t partitions() const;
     /** Multi-chip evaluations whose cut came from the partition memo. */
     std::size_t partitionHits() const;
+    /**
+     * shard::PartitionPrep builds since construction: one per graph
+     * the Tuner computed a cut on.
+     */
+    std::size_t graphPreps() const;
 
     /**
      * Export search counters into `m` under `prefix`: evaluations,
-     * cache_hits, batched_points, batch_lane_slots,
-     * partitions, partition_hits (counters) and batch_lane_occupancy
+     * cache_hits, batched_points, batch_lane_slots, partitions,
+     * partition_hits, graph_preps (counters) and batch_lane_occupancy
      * (gauge, points per provisioned lane slot; 0 when nothing ran
      * batched). The machine-readable half of the bench_tuner story.
      */
@@ -256,12 +264,21 @@ class Tuner
     /**
      * The cut of multi-chip point `p` (chip `cfg`, graph `exp`), from
      * the partition memo. The first request for a key computes
-     * taskWeights and partitionGraph; concurrent requests for the same
-     * key wait for it, and later ones reuse it.
+     * taskWeights and partitionGraph over the graph's prep; concurrent
+     * requests for the same key wait for it, and later ones reuse it.
      */
     const shard::Partition &partitionOf(const TunePoint &p,
                                         const HksExperiment &exp,
                                         const RpuConfig &cfg);
+
+    /**
+     * The PartitionPrep of graph `graph` (built from `exp` at this
+     * Tuner's cut payload and `cfg`'s vector length), built once on
+     * the first request like a partition memo entry.
+     */
+    const shard::PartitionPrep &prepOf(const ExperimentKey &graph,
+                                       const HksExperiment &exp,
+                                       const RpuConfig &cfg);
 
     /**
      * Everything a multi-chip cut depends on inside one Tuner: the
@@ -289,6 +306,16 @@ class Tuner
         std::once_flag once;
         shard::Partition part;
     };
+    /**
+     * One graph's prep, filled exactly once through `once`. The prep
+     * owns copies of what it read and holds no pointer into the
+     * experiment's graph.
+     */
+    struct PrepSlot
+    {
+        std::once_flag once;
+        std::optional<shard::PartitionPrep> prep;
+    };
 
     ExperimentRunner &runner;
     HksParams par;
@@ -297,14 +324,16 @@ class Tuner
     std::optional<FaultObjective> fobj;
 
     /**
-     * The partition memo (see the class comment) and its counters.
-     * Nodes never move and are never erased: partitionOf hands slots
-     * out by reference.
+     * The partition memo and the per-graph preps (see the class
+     * comment) and their counters. Nodes never move and are never
+     * erased: partitionOf and prepOf hand slots out by reference.
      */
     mutable std::mutex memoMu;
     std::unordered_map<PartitionKey, PartitionSlot, PartitionKeyHash> memo;
+    std::unordered_map<ExperimentKey, PrepSlot, ExperimentKeyHash> preps;
     std::size_t nparts = 0;
     std::size_t npartHits = 0;
+    std::size_t npreps = 0;
 };
 
 /**

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "rpu/experiment.h"
@@ -21,6 +22,18 @@ using namespace ciflow;
 
 namespace
 {
+
+/**
+ * Resource name "r<r>", built by appending: GCC 12 flags
+ * `resName(r)` with a -Wrestrict false positive.
+ */
+std::string
+resName(std::size_t r)
+{
+    std::string s = "r";
+    s += std::to_string(r);
+    return s;
+}
 
 /** A task for the generic-core reference model. */
 struct RefTask
@@ -342,7 +355,7 @@ TEST(SinglePassScheduler, RandomDagsBitIdenticalToMultiPass)
         // Same DAG through the single-pass EventQueue...
         sim::EventQueue eq;
         for (std::size_t r = 0; r < nr; ++r)
-            eq.addResource("r" + std::to_string(r));
+            eq.addResource(resName(r));
         for (const RefTask &t : tasks)
             eq.addTask(t.deps, t.ops);
         sim::SimResult got = eq.run();
@@ -350,7 +363,7 @@ TEST(SinglePassScheduler, RandomDagsBitIdenticalToMultiPass)
         // ...and through a CompiledSchedule with fixed-seconds ops.
         sim::CompiledSchedule cs;
         for (std::size_t r = 0; r < nr; ++r)
-            cs.addResource("r" + std::to_string(r));
+            cs.addResource(resName(r));
         std::vector<sim::CompiledOp> cops;
         for (const RefTask &t : tasks) {
             cops.clear();
@@ -396,7 +409,7 @@ randomCompiledDag(std::mt19937 &rng, std::size_t nt, std::size_t nr)
 {
     sim::CompiledSchedule cs;
     for (std::size_t r = 0; r < nr; ++r)
-        cs.addResource("r" + std::to_string(r));
+        cs.addResource(resName(r));
     std::uniform_int_distribution<std::size_t> op_count(1, 3);
     std::uniform_int_distribution<std::size_t> res(0, nr - 1);
     std::uniform_int_distribution<int> kind(0, 3);

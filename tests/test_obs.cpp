@@ -13,6 +13,7 @@
 
 #include <random>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -31,6 +32,18 @@ namespace
 {
 
 /**
+ * Resource name "r<r>", built by appending: GCC 12 flags
+ * `resName(r)` with a -Wrestrict false positive.
+ */
+std::string
+resName(std::size_t r)
+{
+    std::string s = "r";
+    s += std::to_string(r);
+    return s;
+}
+
+/**
  * Random compiled DAG over `nr` resources: tasks with 1-3 ops mixing
  * bytes, both work classes, fixed seconds and post latency, and 0-3
  * backward dependencies — the same shape family the compiled-schedule
@@ -41,7 +54,7 @@ randomSchedule(std::mt19937 &rng, std::size_t nt, std::size_t nr)
 {
     sim::CompiledSchedule cs;
     for (std::size_t r = 0; r < nr; ++r)
-        cs.addResource("r" + std::to_string(r));
+        cs.addResource(resName(r));
     std::uniform_int_distribution<std::size_t> op_count(1, 3);
     std::uniform_int_distribution<std::size_t> res(0, nr - 1);
     std::uniform_real_distribution<double> amount(0.0, 2.0);

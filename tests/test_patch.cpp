@@ -16,7 +16,9 @@
  * entry point of that bind pass (compile, the experiment overloads,
  * bind, compilePatchable, recompilePartition) is pinned against the
  * legacy graph lowering in legacy_shard_lowering.h, CSR array by CSR
- * array and id map by id map.
+ * array and id map by id map — also for hand-built cuts with
+ * duplicated or unused edges and for one output rebound across shard
+ * counts — and malformed cuts are refused.
  */
 
 #include <gtest/gtest.h>
@@ -422,6 +424,158 @@ TEST(ShardBindDeathTest, MismatchedSourcesAreRejected)
     out.schedule = RpuEngine(chip).compile(g);
     EXPECT_DEATH(eng.bind(g, out.schedule, p, out),
                  "bind source is its own output");
+}
+
+// The bind indexes a dense (producer x shard) cut table and the chip
+// blocks by the partition's ids, so a hand-built partition whose ids
+// do not describe a cut of the graph is refused before anything is
+// written — through bind, compilePatchable and recompilePartition.
+TEST(ShardBindDeathTest, MalformedCutsAreRejected)
+{
+    std::mt19937 rng(11);
+    const TaskGraph g = randomGraph(rng, 40);
+    const RpuConfig chip;
+    const shard::ShardedEngine eng(chip, shard::InterconnectConfig{});
+    const shard::Partition p = shard::partitionGraph(
+        g, {2, shard::PartitionStrategy::ContiguousByLevel, 0.10, 1ull << 12,
+            2},
+        shard::taskWeights(g, chip));
+    ASSERT_FALSE(p.cutEdges.empty());
+    const sim::CompiledSchedule src = RpuEngine(chip).compile(g);
+    shard::ShardedCompiled out;
+    const std::uint32_t home = p.cutEdges[0].fromShard;
+
+    shard::Partition bad = p;
+    bad.cutEdges[0].src = static_cast<std::uint32_t>(g.size());
+    EXPECT_DEATH(eng.bind(g, src, bad, out),
+                 "cut edge producer is outside the graph");
+    bad = p;
+    bad.cutEdges[0].fromShard = 2;
+    EXPECT_DEATH(eng.bind(g, src, bad, out),
+                 "cut edge names a shard outside the partition");
+    bad = p;
+    bad.cutEdges[0].toShard = 7;
+    EXPECT_DEATH(eng.compilePatchable(g, bad),
+                 "cut edge names a shard outside the partition");
+    bad = p;
+    bad.cutEdges[0].toShard = home;
+    EXPECT_DEATH(eng.bind(g, src, bad, out),
+                 "cut edge does not cross shards");
+    bad = p;
+    bad.cutEdges[0].fromShard = 1 - home;
+    bad.cutEdges[0].toShard = home;
+    EXPECT_DEATH(eng.bind(g, src, bad, out),
+                 "cut edge does not leave its producer's shard");
+    bad = p;
+    bad.shardOf[0] = 2;
+    EXPECT_DEATH(eng.bind(g, src, bad, out),
+                 "partition puts a task on a shard outside its shard "
+                 "count");
+    shard::ShardedPatchable ps = eng.compilePatchable(g, p);
+    EXPECT_DEATH(eng.recompilePartition(ps, bad),
+                 "partition puts a task on a shard outside its shard "
+                 "count");
+}
+
+// Hand-built cuts the partitioner never emits still bind exactly like
+// the legacy lowering, id maps included: a duplicated edge (the first
+// occurrence carries the transfer, a later copy with another payload
+// never materializes) and an extra edge no consumer needs (its
+// transferId stays ~0 and the schedule holds no slot for it).
+TEST(ShardBind, DuplicateAndUnusedCutEdgesMatchLegacyLowering)
+{
+    std::mt19937 rng(21);
+    const TaskGraph g = randomGraph(rng, 120);
+    for (bool split : {false, true}) {
+        const RpuConfig chip = chipOf(2, ChannelPolicy::LeastLoaded, split);
+        const shard::ShardedEngine eng(chip, shard::InterconnectConfig{});
+        const std::size_t k = 3;
+        const shard::Partition p = shard::partitionGraph(
+            g, {k, shard::PartitionStrategy::MinCutGreedy, 0.10, 1ull << 12,
+                2},
+            shard::taskWeights(g, chip));
+        ASSERT_GE(p.cutEdges.size(), 2u);
+
+        // A later copy of the first edge with another payload, and an
+        // earlier copy of the last edge ahead of the original.
+        shard::Partition dup = p;
+        shard::CutEdge later = p.cutEdges.front();
+        later.bytes += 1;
+        dup.cutEdges.push_back(later);
+        dup.cutEdges.insert(dup.cutEdges.begin(), p.cutEdges.back());
+
+        // An edge to a shard none of its producer's consumers sit on.
+        std::vector<std::vector<char>> consumerOn(
+            g.size(), std::vector<char>(k, 0));
+        for (const Task &t : g.tasks())
+            for (std::uint32_t d : t.deps)
+                consumerOn[d][p.shardOf[t.id]] = 1;
+        shard::Partition extra = p;
+        bool found = false;
+        for (std::uint32_t t = 0; t < g.size() && !found; ++t)
+            for (std::uint32_t s = 0; s < k && !found; ++s)
+                if (s != p.shardOf[t] && !consumerOn[t][s]) {
+                    extra.cutEdges.insert(extra.cutEdges.begin() + 1,
+                                          {t, p.shardOf[t], s, 999});
+                    found = true;
+                }
+        ASSERT_TRUE(found);
+
+        shard::ShardedCompiled reused;
+        for (const shard::Partition *q : {&dup, &extra}) {
+            const legacy::LoweredShards want =
+                legacy::lowerSharded(chip, eng.interconnect(), g, *q);
+            const shard::ShardedPatchable ps = eng.compilePatchable(g, *q);
+            expectPatchableMatchesLegacy(eng, ps, want);
+            eng.bind(g, RpuEngine(chip).compile(g), *q, reused);
+            expectMatchesLegacy(eng, reused, want);
+            // Every edge past the materialized ones left no slot behind.
+            const std::size_t unused = static_cast<std::size_t>(
+                std::count(ps.transferId.begin(), ps.transferId.end(),
+                           ~sim::TaskId{0}));
+            EXPECT_EQ(unused, q == &dup ? 2u : 1u);
+            EXPECT_EQ(ps.compiled.transferTasks, q->cutEdges.size() - unused);
+            EXPECT_EQ(ps.compiled.schedule.taskCount(),
+                      g.size() + ps.compiled.transferTasks);
+        }
+    }
+}
+
+// One output rebound across shard counts: the chip blocks resize with
+// K, and the dense cut table, kept unset between binds, is indexed by
+// each bind's own K. Every step, and a patchable of the same
+// partition (id maps included), equals the legacy lowering.
+TEST(ShardBind, ReusedOutputRebindsAcrossShardCounts)
+{
+    std::mt19937 rng(31);
+    const TaskGraph g = randomGraph(rng, 150);
+    const RpuConfig chip = chipOf(4, ChannelPolicy::EvkDedicated, false);
+    const std::vector<double> w = shard::taskWeights(g, chip);
+    const sim::CompiledSchedule src = RpuEngine(chip).compile(g);
+    for (shard::Topology topo :
+         {shard::Topology::SharedBus, shard::Topology::PointToPoint}) {
+        shard::InterconnectConfig net;
+        net.topology = topo;
+        const shard::ShardedEngine eng(chip, net);
+        shard::ShardedCompiled reused;
+        std::uint64_t revisions = 0;
+        for (std::size_t k : {4, 2, 4}) {
+            SCOPED_TRACE(std::string(shard::topologyName(topo)) + " K " +
+                         std::to_string(k));
+            const shard::Partition p = shard::partitionGraph(
+                g, {k, shard::PartitionStrategy::MinCutGreedy, 0.10,
+                    1ull << 12, 2},
+                w);
+            const legacy::LoweredShards want =
+                legacy::lowerSharded(chip, net, g, p);
+            eng.bind(g, src, p, reused);
+            expectMatchesLegacy(eng, reused, want);
+            expectPatchableMatchesLegacy(eng, eng.compilePatchable(g, p),
+                                         want);
+            EXPECT_EQ(reused.schedule.patchRevision(), revisions);
+            ++revisions;
+        }
+    }
 }
 
 // Partition repatches carry a revision-mixed layoutTag: after every

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the multi-RPU sharding subsystem: partition invariants and
- * hand-computed assignments, the flat partition pass against the
- * per-Task reference (legacy_partition.h), the weight key,
+ * hand-computed assignments, the flat partition pass and the
+ * per-graph partition prep against the per-Task reference
+ * (legacy_partition.h) and the engine's task seconds, the weight key,
  * cut-edge deduplication, degenerate-case
  * equivalences (K=1 bit-identity, free interconnect), interconnect
  * queueing (bus vs point-to-point, pipelined latency) and its
@@ -15,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <string>
 
 #include "common/rng.h"
 #include "legacy_partition.h"
@@ -343,6 +345,136 @@ TEST(Partitioner, WeightKeyDeterminesTaskWeights)
     neg.channelBytesPerSec = -0.0;
     EXPECT_FALSE(pos == neg);
     EXPECT_TRUE(pos == WeightKey{});
+}
+
+// A prep's weights are one division loop over rate-free numerators;
+// they must equal the graph form and the engine's own per-task seconds
+// (RpuEngine::computeTaskSeconds / memTaskSeconds) bit for bit, for
+// every paper benchmark and dataflow at both vector lengths, both pipe
+// splits, 1/2/4 channels and both MODOPS multipliers. At the default
+// 4 cycles per modop the arithmetic half wins every fused max, so each
+// chip also runs at 0.5 cycles per modop, where the shuffle half wins
+// on many tasks: both numerators are checked.
+TEST(Partitioner, PrepWeightsMatchGraphWeightsAndEngineSeconds)
+{
+    std::size_t checked = 0, shuffleBound = 0;
+    for (const HksParams &par : paperBenchmarks()) {
+        const tune::TuneSpace sp = tune::paperJointSpace(par);
+        const MemoryConfig mem{sp.capacities.front(), sp.evkOnChip};
+        std::vector<RpuConfig> chips;
+        for (bool split : {false, true})
+            for (std::size_t ch : {1, 2, 4})
+                for (double mult : {1.0, 2.0})
+                    for (double cpm : {4.0, 0.5}) {
+                        RpuConfig chip;
+                        chip.dataMemBytes = mem.dataCapacityBytes;
+                        chip.evkOnChip = mem.evkOnChip;
+                        chip.splitComputePipes = split;
+                        chip.memChannels = ch;
+                        chip.modopsMult = mult;
+                        chip.cyclesPerModOp = cpm;
+                        chips.push_back(chip);
+                    }
+        for (Dataflow df : sp.dataflows) {
+            const TaskGraph g = buildHksGraph(par, df, mem);
+            for (std::size_t vlen : {512, 1024}) {
+                const PartitionPrep prep(g, par.towerBytes(), vlen);
+                const CodeGen cg(vlen);
+                for (RpuConfig chip : chips) {
+                    chip.vectorLen = vlen;
+                    const std::vector<double> w = taskWeights(prep, chip);
+                    const std::vector<double> wg = taskWeights(g, chip);
+                    ASSERT_EQ(w.size(), g.size());
+                    ASSERT_EQ(wg.size(), g.size());
+                    const RpuEngine eng(chip);
+                    for (const Task &t : g.tasks()) {
+                        const bool compute = t.kind == TaskKind::Compute;
+                        const double want =
+                            compute ? eng.computeTaskSeconds(t, cg)
+                                    : eng.memTaskSeconds(t);
+                        if (compute && eng.shuffleTaskSeconds(t, cg) >
+                                           eng.arithTaskSeconds(t))
+                            ++shuffleBound;
+                        ASSERT_EQ(std::memcmp(&w[t.id], &want,
+                                              sizeof(double)),
+                                  0)
+                            << par.name << " " << dataflowName(df)
+                            << " vlen " << vlen << " split "
+                            << chip.splitComputePipes << " ch "
+                            << chip.memChannels << " x" << chip.modopsMult
+                            << " cpm " << chip.cyclesPerModOp << " task "
+                            << t.id;
+                        ASSERT_EQ(std::memcmp(&wg[t.id], &want,
+                                              sizeof(double)),
+                                  0)
+                            << par.name << " task " << t.id;
+                    }
+                    ++checked;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(checked, paperBenchmarks().size() * 3 * 2 * 24);
+    EXPECT_GT(shuffleBound, 0u);
+}
+
+// One prep serves every cut of its graph: partitionGraph over it must
+// equal the per-Task reference partitioner bit for bit for both
+// strategies, K in {2, 3, 4, 8} and 0 or 2 refinement passes — on
+// random DAGs with repeated deps and zero weights, and on the HKS
+// graphs of every paper benchmark at the prep's own weights.
+TEST(Partitioner, PrepPartitionsMatchLegacyPartitioner)
+{
+    const auto sweep = [](const TaskGraph &g, const PartitionPrep &prep,
+                          const std::vector<double> &w,
+                          const std::string &what) {
+        for (std::size_t k : {2, 3, 4, 8})
+            for (PartitionStrategy st : allStrategies())
+                for (std::size_t passes : {0, 2}) {
+                    ShardSpec spec;
+                    spec.shards = k;
+                    spec.strategy = st;
+                    spec.refinePasses = passes;
+                    spec.computeOutputBytes = prep.deps.computeOutputBytes;
+                    EXPECT_TRUE(
+                        samePartition(partitionGraph(prep, spec, w),
+                                      legacy::partitionGraph(g, spec, w)))
+                        << what << " K=" << k << " " << strategyName(st)
+                        << " passes=" << passes;
+                }
+    };
+    Rng rng(0x9e9);
+    for (std::size_t trial = 0; trial < 12; ++trial) {
+        const std::size_t n = 1 + rng.uniform(160);
+        const TaskGraph g = randomDag(rng, n);
+        const PartitionPrep prep(g, 1 + rng.uniform(1u << 19), 1024);
+        sweep(g, prep, randomWeights(rng, n),
+              "trial " + std::to_string(trial));
+    }
+    for (const HksParams &par : paperBenchmarks()) {
+        const MemoryConfig mem{64ull << 20, false};
+        const TaskGraph g = buildHksGraph(par, Dataflow::OC, mem);
+        RpuConfig chip;
+        chip.dataMemBytes = mem.dataCapacityBytes;
+        const PartitionPrep prep(g, par.towerBytes(), chip.vectorLen);
+        sweep(g, prep, taskWeights(prep, chip), par.name);
+    }
+}
+
+// A prep is built for one vector length and one cut payload; using it
+// with another of either would price or cut a different problem.
+TEST(PartitionerDeathTest, PrepRejectsAnotherVectorLengthOrCutPayload)
+{
+    const TaskGraph g = serialChain();
+    const PartitionPrep prep(g, 1ull << 19, 1024);
+    RpuConfig chip = unitConfig();
+    chip.vectorLen = 512;
+    EXPECT_DEATH(taskWeights(prep, chip), "another vector length");
+    chip.vectorLen = 1024;
+    const std::vector<double> w = taskWeights(prep, chip);
+    ShardSpec spec;
+    spec.computeOutputBytes = 1ull << 18;
+    EXPECT_DEATH(partitionGraph(prep, spec, w), "another cut payload");
 }
 
 TEST(Partitioner, ContiguousSplitsScheduleOrderByWork)

@@ -5,14 +5,17 @@
  * hit accounting, Pareto-frontier correctness on a hand-built
  * 3-point space, shard-axis delegation to the placement helpers (bit
  * for bit against the graph-lowering evaluatePlacement), the K>1
- * partition memo against fresh partitions at two runner widths,
+ * partition memo against fresh partitions at two runner widths, one
+ * partition prep per graph with shard points,
  * OCbase bit-identity with the rpu-layer grid scan, and layout-crossing
  * batches against one-point-at-a-time evaluation.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <set>
+#include <tuple>
 
 #include "shard/placement_search.h"
 #include "tune/tuner.h"
@@ -441,6 +444,59 @@ TEST(Tuner, PartitionMemoMatchesFreshPartitions)
         EXPECT_EQ(x.m.capacityBytes, y.m.capacityBytes);
         EXPECT_EQ(x.m.cutBytes, y.m.cutBytes) << x.point.describe();
         EXPECT_EQ(x.m.transferTasks, y.m.transferTasks);
+    }
+}
+
+// Every cut of one graph shares the graph's PartitionPrep: joint-space
+// searches with a shard axis build exactly one prep per graph that had
+// a K>1 point, and still compute one cut per distinct (graph, K,
+// strategy, weight key) — the memo's count, which the prep leaves
+// alone. graph_preps is exported next to partitions.
+TEST(Tuner, GraphPrepsAreOnePerGraphWithShardPoints)
+{
+    ExperimentRunner runner(4);
+    for (const HksParams &par : paperBenchmarks()) {
+        TuneSpace sp = paperJointSpace(par);
+        sp.shardCounts = {1, 2};
+        Tuner t(runner, par, sp);
+        const TuneResult cd =
+            t.tune({.strategy = Strategy::CoordinateDescent});
+        const TuneResult hc =
+            t.tune({.strategy = Strategy::RandomRestartHillClimb});
+
+        using Graph = std::pair<Dataflow, std::uint64_t>;
+        std::set<Graph> graphs;
+        std::set<std::tuple<Graph, std::size_t, shard::PartitionStrategy,
+                            std::uint64_t, std::uint64_t, std::uint64_t>>
+            cuts;
+        for (const TuneResult *r : {&cd, &hc})
+            for (const TunedPoint &tp : r->evaluated) {
+                if (tp.point.shards < 2)
+                    continue;
+                const Graph g{tp.point.dataflow, tp.point.dataMemBytes};
+                const shard::WeightKey wk =
+                    shard::weightKey(sp.chipConfig(tp.point));
+                graphs.insert(g);
+                cuts.emplace(g, tp.point.shards, tp.point.strategy,
+                             std::bit_cast<std::uint64_t>(
+                                 wk.channelBytesPerSec),
+                             std::bit_cast<std::uint64_t>(wk.modopsPerSec),
+                             std::bit_cast<std::uint64_t>(
+                                 wk.shuffleElemsPerSec));
+            }
+        EXPECT_FALSE(graphs.empty()) << par.name;
+        EXPECT_EQ(t.graphPreps(), graphs.size()) << par.name;
+        EXPECT_EQ(t.partitions(), cuts.size()) << par.name;
+
+        obs::MetricsRegistry reg;
+        t.exportMetrics(reg);
+        std::size_t exported = 0;
+        for (const obs::Metric &m : reg.snapshot())
+            if (m.name == "tuner.graph_preps") {
+                EXPECT_EQ(m.count, t.graphPreps());
+                ++exported;
+            }
+        EXPECT_EQ(exported, 1u);
     }
 }
 
