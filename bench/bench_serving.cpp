@@ -3,8 +3,9 @@
  * Request-level serving study: multi-tenant job streams against an
  * RPU fleet, emitted to BENCH_serve.json for the CI artifact trail.
  *
- * Three sections, all deterministic (seeded arrival streams, pure
- * arithmetic scheduling over compiled-replay prices):
+ * Five sections. The first four are deterministic (seeded arrival
+ * streams, pure arithmetic scheduling over compiled-replay prices);
+ * the fifth times the loops themselves:
  *
  *  1. Determinism: the same seeded Poisson stream served twice and
  *     across estimator thread counts must produce byte-identical
@@ -36,17 +37,32 @@
  *     present and finite, and the degraded run's Perfetto trace is
  *     written to serve_degraded.trace.json for the artifact trail.
  *
+ *  5. Scaling along the jobs axis: both serving loops at 10^4, 10^5
+ *     and 10^6 jobs in one process, on perfbench's serve_faults fleet
+ *     (two ARK/OC classes plus a 4-wide gang class on 4 chips) at 40
+ *     jobs/s offered. Stalls arrive with a fixed 30 s MTBF, so the
+ *     trace grows with the horizon; chip 0's channel 0 degrades at
+ *     15 s and chip 3 dies at 30 s. Each row reports the trace's
+ *     event count and each loop's wall-clock ns per job (best of a
+ *     few runs). CI gates .fault_loop_scaling — the fault loop's
+ *     10^6 / 10^4 ns/job ratio — at <= 3: a loop whose per-job cost
+ *     grows with the trace shows here first. The healthy loop's ratio
+ *     is reported ungated.
+ *
  * Exits nonzero when a gate fails: a serving run that drifts across
  * thread counts, a batching path that lost its win, a zero-fault run
- * that diverged from the healthy loop, or a lost job is a regression,
- * not a warning.
+ * that diverged from the healthy loop, a lost job, or a fault loop
+ * that stopped scaling is a regression, not a warning.
  */
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -175,6 +191,100 @@ runRow(ExperimentRunner &runner, tune::EvalCache &cache,
                     static_cast<double>(r.st.jobs),
                 r.st.maxQueueDepth);
     rows.push_back(std::move(r));
+}
+
+/** One row of the jobs-axis scaling curve. */
+struct ScaleRow
+{
+    std::size_t jobs = 0;
+    std::size_t events = 0;
+    double faultNsPerJob = 0.0;
+    double healthyNsPerJob = 0.0;
+};
+
+/** Best-of-`reps` wall-clock seconds of `run()`. */
+template <typename F>
+double
+bestSeconds(int reps, F run)
+{
+    using Clock = std::chrono::steady_clock;
+    double best = 0.0;
+    for (int i = 0; i < reps; ++i) {
+        const Clock::time_point t0 = Clock::now();
+        run();
+        const double s =
+            std::chrono::duration<double>(Clock::now() - t0).count();
+        best = i == 0 ? s : std::min(best, s);
+    }
+    return best;
+}
+
+/**
+ * Both loops on about `jobs` arrivals of the serve_faults fleet at 40
+ * jobs/s offered, under a trace whose stalls (30 s MTBF per chip,
+ * 2 s at 0.3x) span 90% of the horizon, plus a permanent degrade of
+ * chip 0's channel 0 at 15 s and chip 3's death at 30 s.
+ */
+ScaleRow
+scalingRow(ExperimentRunner &runner, std::size_t jobs, int reps)
+{
+    const HksParams &ark = benchmarkByName("ARK");
+    ServeSpec sp;
+    sp.classes.push_back(
+        {"reduce8", HeWorkload::reduction(8), ark, Dataflow::OC, 1});
+    sp.classes.push_back(
+        {"matvec4", HeWorkload::matVec(4), ark, Dataflow::OC, 1});
+    sp.classes.push_back({"gang4", HeWorkload::reduction(2),
+                          benchmarkByName("BTS1"), Dataflow::MP, 4});
+    sp.fleet.chip.bandwidthGBps = 4.0;
+    sp.fleet.chips = 4;
+    sp.fleet.keyCacheBytes = ark.evkBytes() * 8;
+    sp.batch.targetBatch = 8;
+
+    const double horizon = static_cast<double>(jobs) / 40.0;
+    ArrivalSpec as;
+    as.tenants.push_back({16.0, {3.0, 1.0, 1.0}});
+    as.tenants.push_back({16.0, {1.0, 3.0, 1.0}});
+    as.tenants.push_back({8.0, {1.0, 1.0, 2.0}});
+    as.horizonSec = horizon;
+    const std::vector<JobArrival> arr = poissonArrivals(as, 2026);
+
+    ServingSim sim(sp, runner);
+    FaultServingSim fsim(sim);
+    fault::FaultModel fm;
+    fm.stallMtbfSec = 30.0;
+    fm.stallFactor = 0.3;
+    fm.stallDurSec = 2.0;
+    fm.horizonSec = 0.9 * horizon;
+    fault::FaultTrace tr =
+        fault::sampleTrace(fm, fsim.shape(), faultStreamSeed(2026, 0));
+    tr.events.push_back(
+        {15.0, fault::FaultKind::ChannelDegrade, 0, 0, 0.6, 0.0});
+    tr.events.push_back({30.0, fault::FaultKind::ChipFail, 3, 0, 1.0, 0.0});
+    tr.normalize();
+    RetryPolicy pol;
+    pol.maxRetries = 3;
+    pol.backoffSec = 1.0;
+
+    std::vector<JobResult> out;
+    ServeStats st;
+    FaultServeStats fst;
+    bool ok = true;
+    const double healthy = bestSeconds(
+        reps, [&] { ok = ok && sim.run(arr, out, st).ok(); });
+    const double faulty = bestSeconds(
+        reps, [&] { ok = ok && fsim.run(arr, tr, pol, out, fst).ok(); });
+    if (!ok || fst.lostJobs != 0) {
+        std::fprintf(stderr, "FAIL: scaling run at %zu jobs rejected\n",
+                     arr.size());
+        std::exit(1);
+    }
+    ScaleRow r;
+    r.jobs = arr.size();
+    r.events = tr.events.size();
+    r.faultNsPerJob = 1e9 * faulty / static_cast<double>(r.jobs);
+    r.healthyNsPerJob = 1e9 * healthy / static_cast<double>(r.jobs);
+    return r;
 }
 
 } // namespace
@@ -380,6 +490,31 @@ main()
         }
     }
 
+    // 5. Scaling along the jobs axis, every size in this process.
+    std::printf("\nscaling (serve_faults fleet, 40 jobs/s offered, "
+                "stalls every 30 s per chip):\n");
+    std::printf("  %9s %7s | %14s %16s\n", "jobs", "events",
+                "fault ns/job", "healthy ns/job");
+    benchutil::rule();
+    std::vector<ScaleRow> scaling;
+    for (const auto &[jobs, reps] :
+         {std::pair<std::size_t, int>{10000, 15}, {100000, 5},
+          {1000000, 3}}) {
+        scaling.push_back(scalingRow(runner, jobs, reps));
+        const ScaleRow &r = scaling.back();
+        std::printf("  %9zu %7zu | %14.0f %16.0f\n", r.jobs, r.events,
+                    r.faultNsPerJob, r.healthyNsPerJob);
+    }
+    benchutil::rule();
+    const double fault_loop_scaling =
+        scaling.back().faultNsPerJob / scaling.front().faultNsPerJob;
+    const double healthy_loop_scaling =
+        scaling.back().healthyNsPerJob / scaling.front().healthyNsPerJob;
+    std::printf("  ns/job at 10^6 over 10^4 jobs: fault loop %s "
+                "(gate <= 3), healthy loop %s\n",
+                benchutil::times(fault_loop_scaling).c_str(),
+                benchutil::times(healthy_loop_scaling).c_str());
+
     // Machine-readable counters: the batched simulator's cumulative
     // serving totals, the fault-serving ledger, plus the shared
     // estimator pool's replay counters.
@@ -452,6 +587,18 @@ main()
             w.endObject();
         }
         w.endArray();
+        w.field("fault_loop_scaling", fault_loop_scaling);
+        w.field("healthy_loop_scaling", healthy_loop_scaling);
+        w.beginArray("scaling");
+        for (const ScaleRow &r : scaling) {
+            w.beginObject();
+            w.field("jobs", static_cast<std::uint64_t>(r.jobs));
+            w.field("trace_events", static_cast<std::uint64_t>(r.events));
+            w.field("fault_ns_per_job", r.faultNsPerJob);
+            w.field("healthy_ns_per_job", r.healthyNsPerJob);
+            w.endObject();
+        }
+        w.endArray();
         w.metrics("metrics", metrics);
         w.finish();
         jf.close();
@@ -496,6 +643,13 @@ main()
                      "FAIL: fault script exercised no chip failure "
                      "(%zu) or gang failover (%zu)\n",
                      faultSt.chipFailures, faultSt.failovers);
+        pass = false;
+    }
+    if (!(fault_loop_scaling <= 3.0)) {
+        std::fprintf(stderr,
+                     "FAIL: the fault loop costs %.2fx more per job at "
+                     "10^6 jobs than at 10^4 (ceiling: 3x)\n",
+                     fault_loop_scaling);
         pass = false;
     }
     return pass ? 0 : 1;

@@ -1,10 +1,13 @@
 #include "fault/fault_replay.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <unordered_map>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "obs/traced_replay.h"
 
 namespace ciflow::fault
@@ -28,78 +31,206 @@ struct Span
     double factor;
 };
 
-/**
- * An absolute span edge in the local clock of a table shifted by
- * `timeShift`; edges already past fold to 0 and +inf stays +inf. The
- * one mapping every epoch bound and activity test goes through.
- */
-double
-localEdge(double absSec, double timeShift)
+/** Buffers of one sweepSpans call, reused across calls. */
+struct Sweep
 {
-    return std::max(0.0, absSec - timeShift);
+    /** Sorted distinct span starts and finite ends. */
+    std::vector<double> bounds;
+    std::vector<std::uint32_t> byStart;
+    /** Spans active at the current bound, ascending. */
+    std::vector<std::uint32_t> active;
+};
+
+/**
+ * The one sweep every span fold runs. Spans i in [0, n) are active on
+ * [lo(i), hi(i)). Walks the sorted distinct starts and finite ends and,
+ * at each bound t, hands visit(t, active) the spans active at t in
+ * index (span) order. Spans join as the sweep passes their start and
+ * leave at their end, so a bound costs what is active there, not every
+ * span.
+ */
+template <typename Lo, typename Hi, typename Visit>
+void
+sweepSpans(std::uint32_t n, Lo lo, Hi hi, Sweep &sw, Visit visit)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    sw.bounds.clear();
+    sw.byStart.resize(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        sw.bounds.push_back(lo(i));
+        if (hi(i) < inf)
+            sw.bounds.push_back(hi(i));
+        sw.byStart[i] = i;
+    }
+    std::sort(sw.bounds.begin(), sw.bounds.end());
+    sw.bounds.erase(std::unique(sw.bounds.begin(), sw.bounds.end()),
+                    sw.bounds.end());
+    std::sort(sw.byStart.begin(), sw.byStart.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                  if (lo(a) != lo(b))
+                      return lo(a) < lo(b);
+                  return a < b;
+              });
+    sw.active.clear();
+    std::uint32_t next = 0;
+    for (double t : sw.bounds) {
+        for (; next < n && lo(sw.byStart[next]) <= t; ++next)
+            sw.active.insert(std::upper_bound(sw.active.begin(),
+                                              sw.active.end(),
+                                              sw.byStart[next]),
+                             sw.byStart[next]);
+        std::erase_if(sw.active, [&](std::uint32_t i) { return hi(i) <= t; });
+        visit(t, sw.active);
+    }
 }
 
 /**
- * Shared fold of per-resource spans into a RateEpochs table: epoch
- * boundaries are the span edges shifted into the replay's local clock
- * (edges already past fold into one state at time 0; edges at or past
- * `horizonSec` are dropped — a replay that ends before the horizon
- * never reaches them), and the multiplier at each boundary is the
- * product of every active span's factor in span order, so the folded
- * products are reproducible to the bit across builders.
+ * Fold one resource's spans i in [0, n), active on [lo(i), hi(i)) in
+ * absolute time with factor fac(i), into `out`.
  */
-sim::RateEpochs
-foldSpans(const std::vector<std::vector<Span>> &spans, double timeShift,
-          double horizonSec)
+template <typename Lo, typename Hi, typename Fac>
+void
+foldSteps(std::uint32_t n, Lo lo, Hi hi, Fac fac, Sweep &sw, RateSteps &out)
 {
-    const double inf = std::numeric_limits<double>::infinity();
-    const std::size_t nres = spans.size();
-    sim::RateEpochs ep;
-    ep.off.assign(nres + 1, 0);
-    std::vector<double> bounds;
-    for (std::size_t r = 0; r < nres; ++r) {
-        ep.off[r] = static_cast<std::uint32_t>(ep.at.size());
-        if (spans[r].empty())
-            continue;
-        bounds.clear();
-        for (const Span &s : spans[r]) {
-            bounds.push_back(localEdge(s.at, timeShift));
-            if (s.end < inf)
-                bounds.push_back(localEdge(s.end, timeShift));
-        }
-        std::sort(bounds.begin(), bounds.end());
-        bounds.erase(std::unique(bounds.begin(), bounds.end()),
-                     bounds.end());
-        double prev = 1.0;
-        for (double t : bounds) {
-            if (t >= horizonSec)
-                break;
-            // Multiplier at local time t: the product of every active
-            // span's factor, folded in trace order. Activity is tested
-            // in the local clock against the shifted edges the bounds
-            // came from: mapping t back to absolute time can round
-            // below a span's start and drop (or never end) it.
-            double m = 1.0;
-            for (const Span &s : spans[r])
-                if (localEdge(s.at, timeShift) <= t &&
-                    t < localEdge(s.end, timeShift))
-                    m *= s.factor;
-            if (m == prev)
-                continue;
-            ep.at.push_back(t);
-            ep.mult.push_back(m);
-            prev = m;
+    out.at.clear();
+    out.mult.clear();
+    double prev = 1.0;
+    sweepSpans(n, lo, hi, sw,
+               [&](double t, const std::vector<std::uint32_t> &active) {
+                   double m = 1.0;
+                   for (std::uint32_t i : active)
+                       m *= fac(i);
+                   if (m != prev) {
+                       out.at.push_back(t);
+                       out.mult.push_back(m);
+                       prev = m;
+                   }
+               });
+}
+
+/**
+ * Append one resource's epochs to `ep`: its steps in the local clock of
+ * a table shifted by `timeShift`, boundaries at local time >=
+ * `horizonSec` dropped. This equals folding the resource's spans with
+ * every edge moved to max(0, edge - timeShift), bit for bit, because
+ * that map is monotone: a span is active at a local bound exactly when
+ * it is active at the last absolute edge that maps there. So the steps
+ * at or before the shift give the multiplier at local 0, and steps
+ * whose shifted times round to one local bound give the last one's.
+ */
+void
+appendShifted(const RateSteps &s, double timeShift, double horizonSec,
+              sim::RateEpochs &ep)
+{
+    if (0.0 >= horizonSec)
+        return;
+    std::size_t i = static_cast<std::size_t>(
+        std::upper_bound(s.at.begin(), s.at.end(), timeShift) -
+        s.at.begin());
+    double prev = i > 0 ? s.mult[i - 1] : 1.0;
+    if (prev != 1.0) {
+        ep.at.push_back(0.0);
+        ep.mult.push_back(prev);
+    }
+    for (; i < s.at.size(); ++i) {
+        const double local = s.at[i] - timeShift;
+        if (local >= horizonSec)
+            break;
+        while (i + 1 < s.at.size() && s.at[i + 1] - timeShift == local)
+            ++i;
+        if (s.mult[i] != prev) {
+            ep.at.push_back(local);
+            ep.mult.push_back(s.mult[i]);
+            prev = s.mult[i];
         }
     }
-    ep.off[nres] = static_cast<std::uint32_t>(ep.at.size());
+}
+
+/**
+ * A chip's steps by local resource: steps[r] folds the spans that touch
+ * resource r, its channel degrades and every stall. The last entry
+ * folds the stalls alone and stands for every resource past the
+ * highest degraded channel.
+ */
+std::vector<RateSteps>
+chipSteps(const std::vector<ChipSpan> &spans, Sweep &sw)
+{
+    std::uint32_t channels = 0;
+    for (const ChipSpan &c : spans)
+        if (c.resource != kWholeChip)
+            channels = std::max(channels, c.resource + 1);
+    std::vector<RateSteps> steps(channels + 1);
+    std::vector<std::uint32_t> touch;
+    for (std::uint32_t r = 0; r <= channels; ++r) {
+        touch.clear();
+        for (std::uint32_t i = 0; i < spans.size(); ++i)
+            if (spans[i].resource == r || spans[i].resource == kWholeChip)
+                touch.push_back(i);
+        foldSteps(
+            static_cast<std::uint32_t>(touch.size()),
+            [&](std::uint32_t i) { return spans[touch[i]].atSec; },
+            [&](std::uint32_t i) { return spans[touch[i]].endSec; },
+            [&](std::uint32_t i) { return spans[touch[i]].factor; }, sw,
+            steps[r]);
+    }
+    return steps;
+}
+
+/** Close a table of `nres` resources whose entries end at resource
+ * `from`: later resources are empty, and a table with no entry at all
+ * is the empty table (every event was a ChipFail, already recovered,
+ * or beyond the horizon). */
+void
+finishTable(sim::RateEpochs &ep, std::size_t from, std::size_t nres)
+{
+    for (std::size_t r = from; r <= nres; ++r)
+        ep.off[r] = static_cast<std::uint32_t>(ep.at.size());
     if (ep.mult.empty()) {
-        // Every event was a ChipFail, already recovered, or beyond
-        // the horizon: no epochs.
         ep.off.clear();
         ep.at.clear();
     }
+}
+
+/** An nres-resource table whose slot s holds stepsOf(s), one chip's
+ * steps (chipSteps), shifted onto resources [s * chipResources,
+ * (s + 1) * chipResources). */
+template <typename StepsOf>
+sim::RateEpochs
+chipBlockTable(std::size_t slots, StepsOf stepsOf, std::size_t chipResources,
+               std::size_t nres, double timeShift, double horizonSec)
+{
+    if (slots * chipResources > nres)
+        panic("chip blocks overrun the epoch table");
+    sim::RateEpochs ep;
+    ep.off.assign(nres + 1, 0);
+    for (std::size_t s = 0; s < slots; ++s) {
+        const std::vector<RateSteps> &steps = stepsOf(s);
+        if (steps.size() - 1 > chipResources)
+            panic("fault event outside the chip block");
+        for (std::size_t r = 0; r < chipResources; ++r) {
+            ep.off[s * chipResources + r] =
+                static_cast<std::uint32_t>(ep.at.size());
+            appendShifted(steps[std::min(r, steps.size() - 1)], timeShift,
+                          horizonSec, ep);
+        }
+    }
+    finishTable(ep, slots * chipResources, nres);
     return ep;
 }
+
+/** Hash of an at-zero entry list, for interning. */
+struct AtZeroHash
+{
+    std::size_t
+    operator()(const std::vector<EpochAtZero> &v) const
+    {
+        std::uint64_t h = v.size();
+        for (const EpochAtZero &e : v)
+            h = splitmix64(splitmix64(h ^ e.resource) ^
+                           std::bit_cast<std::uint64_t>(e.mult));
+        return static_cast<std::size_t>(h);
+    }
+};
 
 } // namespace
 
@@ -116,7 +247,8 @@ buildEpochs(const FaultTrace &trace, const ShardedCompiled &sc,
     std::vector<std::vector<Span>> spans(nres);
     const auto add = [&](std::size_t r, double at, double end,
                          double factor) {
-        panicIf(r >= nres, "fault event outside the machine shape");
+        if (r >= nres)
+            panic("fault event outside the machine shape");
         spans[r].push_back({at, end, factor});
     };
     for (const FaultEvent &e : trace.events) {
@@ -139,7 +271,22 @@ buildEpochs(const FaultTrace &trace, const ShardedCompiled &sc,
             break;
         }
     }
-    return foldSpans(spans, timeShift, horizonSec);
+    sim::RateEpochs ep;
+    ep.off.assign(nres + 1, 0);
+    Sweep sw;
+    RateSteps steps;
+    for (std::size_t r = 0; r < nres; ++r) {
+        ep.off[r] = static_cast<std::uint32_t>(ep.at.size());
+        const std::vector<Span> &sr = spans[r];
+        foldSteps(
+            static_cast<std::uint32_t>(sr.size()),
+            [&](std::uint32_t i) { return sr[i].at; },
+            [&](std::uint32_t i) { return sr[i].end; },
+            [&](std::uint32_t i) { return sr[i].factor; }, sw, steps);
+        appendShifted(steps, timeShift, horizonSec, ep);
+    }
+    finishTable(ep, nres, nres);
+    return ep;
 }
 
 std::vector<ChipSpan>
@@ -167,37 +314,6 @@ chipSpans(const FaultTrace &trace, std::uint32_t shard)
     return out;
 }
 
-double
-probeChipSpans(const std::vector<ChipSpan> &spans,
-               std::size_t chipResources, double timeShift,
-               std::uint32_t resourceBase, std::vector<EpochAtZero> &at0)
-{
-    double next = std::numeric_limits<double>::infinity();
-    for (const ChipSpan &s : spans) {
-        // The span's first edge past local 0: its start, or its end
-        // once it has started.
-        const double lo = localEdge(s.atSec, timeShift);
-        const double edge = lo > 0.0 ? lo : localEdge(s.endSec, timeShift);
-        if (edge > 0.0 && edge < next)
-            next = edge;
-    }
-    // foldSpans' multiplier at local time 0, per resource: the same
-    // activity test over the same spans in the same order. A state of
-    // exactly 1 emits no entry there.
-    for (std::size_t r = 0; r < chipResources; ++r) {
-        double m = 1.0;
-        for (const ChipSpan &s : spans)
-            if ((s.resource == r || s.resource == kWholeChip) &&
-                localEdge(s.atSec, timeShift) <= 0.0 &&
-                0.0 < localEdge(s.endSec, timeShift))
-                m *= s.factor;
-        if (m != 1.0)
-            at0.push_back(
-                {resourceBase + static_cast<std::uint32_t>(r), m});
-    }
-    return next;
-}
-
 sim::RateEpochs
 buildChipEpochs(const FaultTrace &trace, std::uint32_t shard,
                 std::size_t chipResources, double timeShift,
@@ -205,19 +321,101 @@ buildChipEpochs(const FaultTrace &trace, std::uint32_t shard,
 {
     if (trace.events.empty())
         return {};
-    std::vector<std::vector<Span>> spans(chipResources);
-    for (const ChipSpan &c : chipSpans(trace, shard)) {
-        const Span s{c.atSec, c.endSec, c.factor};
-        if (c.resource == kWholeChip) {
-            for (std::vector<Span> &v : spans)
-                v.push_back(s);
-            continue;
-        }
-        panicIf(c.resource >= chipResources,
-                "fault event outside the chip block");
-        spans[c.resource].push_back(s);
+    Sweep sw;
+    const std::vector<RateSteps> steps = chipSteps(chipSpans(trace, shard), sw);
+    return chipBlockTable(
+        1,
+        [&](std::size_t) -> const std::vector<RateSteps> & { return steps; },
+        chipResources, chipResources, timeShift, horizonSec);
+}
+
+ChipTimelines::ChipTimelines(const FaultTrace &trace, std::size_t chipCount,
+                             const std::vector<std::size_t> &w)
+    : widths(w), chips(chipCount), states(1)
+{
+    std::unordered_map<std::vector<EpochAtZero>, std::uint32_t, AtZeroHash>
+        ids;
+    ids.emplace(std::vector<EpochAtZero>{}, 0);
+    std::vector<EpochAtZero> at0;
+    Sweep sw;
+    for (std::size_t c = 0; c < chipCount; ++c) {
+        Chip &ch = chips[c];
+        ch.spans = chipSpans(trace, static_cast<std::uint32_t>(c));
+        const std::vector<ChipSpan> &sp = ch.spans;
+        // Interval i >= 1 starts at the i-th bound. A span is active
+        // on [atSec, endSec) and both are bounds, so what is active at
+        // an interval's first bound is active throughout it; nothing
+        // is active in interval 0.
+        ch.active.assign(1, 0);
+        ch.state.assign(widths.size(), 0);
+        sweepSpans(
+            static_cast<std::uint32_t>(sp.size()),
+            [&](std::uint32_t i) { return sp[i].atSec; },
+            [&](std::uint32_t i) { return sp[i].endSec; }, sw,
+            [&](double, const std::vector<std::uint32_t> &act) {
+                ch.active.push_back(!act.empty());
+                // The fold's multiplier at local time 0, per resource
+                // of the block: the active spans' factors in span
+                // order. A state of exactly 1 emits no entry there.
+                for (std::size_t wi = 0; wi < widths.size(); ++wi) {
+                    at0.clear();
+                    for (std::size_t r = 0; r < widths[wi]; ++r) {
+                        double m = 1.0;
+                        for (std::uint32_t k : act)
+                            if (sp[k].resource == r ||
+                                sp[k].resource == kWholeChip)
+                                m *= sp[k].factor;
+                        if (m != 1.0)
+                            at0.push_back(
+                                {static_cast<std::uint32_t>(r), m});
+                    }
+                    const auto [it, fresh] = ids.try_emplace(
+                        at0, static_cast<std::uint32_t>(states.size()));
+                    if (fresh)
+                        states.push_back(at0);
+                    ch.state.push_back(it->second);
+                }
+            });
+        ch.edges = sw.bounds;
+        ch.steps = chipSteps(sp, sw);
     }
-    return foldSpans(spans, timeShift, horizonSec);
+}
+
+std::size_t
+ChipTimelines::interval(std::size_t c, double t) const
+{
+    const std::vector<double> &e = chips[c].edges;
+    return static_cast<std::size_t>(
+        std::upper_bound(e.begin(), e.end(), t) - e.begin());
+}
+
+double
+ChipTimelines::probe(std::size_t c, std::size_t width, double t,
+                     std::uint32_t &state) const
+{
+    const std::size_t wi = static_cast<std::size_t>(
+        std::find(widths.begin(), widths.end(), width) - widths.begin());
+    if (wi == widths.size())
+        panic("probe at a block width the timelines were not built for");
+    const Chip &ch = chips[c];
+    const std::size_t i = interval(c, t);
+    state = ch.state[i * widths.size() + wi];
+    return i < ch.edges.size() ? ch.edges[i] - t
+                               : std::numeric_limits<double>::infinity();
+}
+
+sim::RateEpochs
+ChipTimelines::epochs(const std::size_t *slotChips, std::size_t slots,
+                      std::size_t chipResources, std::size_t nres,
+                      double timeShift) const
+{
+    return chipBlockTable(
+        slots,
+        [&](std::size_t s) -> const std::vector<RateSteps> & {
+            return chips[slotChips[s]].steps;
+        },
+        chipResources, nres, timeShift,
+        std::numeric_limits<double>::infinity());
 }
 
 FaultSim::FaultSim(const TaskGraph &g, const shard::ShardSpec &sp,

@@ -52,6 +52,11 @@ namespace ciflow::fault
  * compound in normalized trace order, so the folded products are
  * reproducible to the bit. ChipFail events are ignored here — failure
  * is handled by failover, not by rates. The trace must be normalized.
+ * Each resource's spans fold once, in absolute time, into RateSteps;
+ * the steps past the shift move to the local clock, and two that round
+ * to one local bound keep the later product. That is the table a
+ * rescan of every span in the local clock gives, bit for bit
+ * (tests/legacy_fault_tables.h pins the rescan).
  *
  * `horizonSec` bounds the table for open-ended runs: epoch boundaries
  * at local time >= horizonSec are dropped. A replay that finishes (or
@@ -75,8 +80,9 @@ sim::RateEpochs buildEpochs(
  * targeting other chips, links, and ChipFail events are ignored.
  * Same time shift, horizon, and bit-exact fold semantics as
  * buildEpochs. The fault-aware serving loop prices each in-flight op
- * on a degraded chip through this table (ops replay in the op's local
- * clock, so timeShift is the op's absolute start).
+ * on a degraded chip through this table, folded from its run's
+ * ChipTimelines (ops replay in the op's local clock, so timeShift is
+ * the op's absolute start).
  */
 sim::RateEpochs buildChipEpochs(
     const FaultTrace &trace, std::uint32_t shard,
@@ -109,6 +115,18 @@ struct ChipSpan
 std::vector<ChipSpan> chipSpans(const FaultTrace &trace,
                                 std::uint32_t shard);
 
+/**
+ * One resource's fault multiplier as a step function of absolute time:
+ * mult[i] holds from at[i] until at[i + 1], and 1 before at[0]. At each
+ * span edge the multiplier is the product of the factors of the spans
+ * active there, in span order; only changes are kept.
+ */
+struct RateSteps
+{
+    std::vector<double> at;
+    std::vector<double> mult;
+};
+
 /** An epoch-table entry at replay-local time 0. */
 struct EpochAtZero
 {
@@ -119,22 +137,105 @@ struct EpochAtZero
 };
 
 /**
- * Probe the table buildChipEpochs(trace, shard, chipResources,
- * timeShift) builds, without building it, from `spans` =
- * chipSpans(trace, shard). Appends the table's entries at local time
- * 0 to `at0` in resource order — resource ids offset by
- * `resourceBase`, multipliers folded to the same bits — and returns
- * the first span edge past local time 0 (+inf when there is none).
- * Edges are shifted exactly as the builders shift them, and every
- * later entry of the table lies at or past the returned edge, so up
- * to that edge the table holds nothing but `at0`. The same holds for
- * a chip's block of a buildEpochs table: a gang maps its slots' chips
- * onto consecutive resourceBase blocks.
+ * Every chip's degrades and stalls of one trace as a timeline, built
+ * once per serving run so that reading a chip's rate state at time t
+ * costs a binary search instead of a walk over the trace.
+ *
+ * A chip's timeline holds its sorted distinct absolute span edges
+ * (span starts and finite ends). Between two edges no span starts or
+ * ends, so each interval stores what is constant on it: whether any
+ * span is active (degradedAt), and, per resource-block width given at
+ * construction, the interned id of the entries that
+ * buildChipEpochs(trace, chip, width, t) folds at local time 0 for
+ * any t in the interval. Ids are shared by every chip of the
+ * timelines and equal ids mean equal entries, so per-slot ids key a
+ * memo exactly as the entry lists would. Each chip also keeps its
+ * RateSteps per local resource, so a table is the steps past its shift,
+ * copied, not a fold of the trace. tests/test_fault.cpp checks probe
+ * against the span walk it replaced and the tables against the rescan
+ * (tests/legacy_fault_tables.h), bit for bit.
  */
-double probeChipSpans(const std::vector<ChipSpan> &spans,
-                      std::size_t chipResources, double timeShift,
-                      std::uint32_t resourceBase,
-                      std::vector<EpochAtZero> &at0);
+class ChipTimelines
+{
+  public:
+    /**
+     * Timelines of chips [0, chips) of a normalized `trace`, with
+     * at-zero states for each block width in `widths`.
+     */
+    ChipTimelines(const FaultTrace &trace, std::size_t chips,
+                  const std::vector<std::size_t> &widths);
+
+    /** Chip c's spans: chipSpans(trace, c). */
+    const std::vector<ChipSpan> &spans(std::size_t c) const
+    {
+        return chips[c].spans;
+    }
+
+    /** Is any span of chip c active at absolute time t? */
+    bool degradedAt(std::size_t c, double t) const
+    {
+        return chips[c].active[interval(c, t)] != 0;
+    }
+
+    /**
+     * Read the table buildChipEpochs(trace, c, width, t) builds,
+     * without building it: sets `state` to the id of its entries at
+     * local time 0 (0 when there are none) and returns the first span
+     * edge past local time 0 (+inf when there is none). Every later
+     * entry of the table lies at or past that edge, so up to it the
+     * table holds nothing but the state's entries. The edge is
+     * nextEdge - t, which equals the smallest shifted edge the spans
+     * give because rounding is monotone; an edge e is past local 0
+     * exactly when e > t. `width` must be one of the constructor's.
+     */
+    double probe(std::size_t c, std::size_t width, double t,
+                 std::uint32_t &state) const;
+
+    /** The entries at local time 0 that state `id` stands for, in
+     * resource order, resources numbered from 0. */
+    const std::vector<EpochAtZero> &atZero(std::uint32_t id) const
+    {
+        return states[id];
+    }
+
+    /**
+     * Epoch table of chip blocks laid side by side: slot s holds chip
+     * slotChips[s]'s faults on resources [s * chipResources, (s + 1) *
+     * chipResources) of an nres-resource table, shifted by `timeShift`
+     * as buildChipEpochs does. One slot with nres == chipResources is
+     * buildChipEpochs(trace, slotChips[0], chipResources, timeShift); a
+     * gang's slots are buildEpochs of the trace with each slot chip's
+     * events moved to its slot.
+     */
+    sim::RateEpochs epochs(const std::size_t *slotChips, std::size_t slots,
+                           std::size_t chipResources, std::size_t nres,
+                           double timeShift) const;
+
+  private:
+    struct Chip
+    {
+        std::vector<ChipSpan> spans;
+        /** Sorted distinct span starts and finite ends. */
+        std::vector<double> edges;
+        /** Interval i is [edges[i - 1], edges[i]): interval 0 lies
+         * before the first edge, interval edges.size() after the last. */
+        std::vector<char> active;
+        /** state[i * widths.size() + w]: at-zero id of interval i for
+         * block width widths[w]. */
+        std::vector<std::uint32_t> state;
+        /** steps[r]: local resource r's multiplier (its channel
+         * degrades and the stalls); the last entry, the stalls alone,
+         * serves every resource past the highest degraded channel. */
+        std::vector<RateSteps> steps;
+    };
+
+    std::size_t interval(std::size_t c, double t) const;
+
+    std::vector<std::size_t> widths;
+    std::vector<Chip> chips;
+    /** Interned at-zero entry lists; states[0] is the empty one. */
+    std::vector<std::vector<EpochAtZero>> states;
+};
 
 /** Outcome of one fault scenario. */
 struct DegradedOutcome

@@ -16,7 +16,8 @@
  *    fleet.
  *  - In-flight ops on a degraded chip are priced through
  *    CompiledSchedule::replayPiecewise over per-chip epoch tables
- *    (fault::buildChipEpochs) instead of the clean cached scalars; a
+ *    (fault::buildChipEpochs' tables, folded from the run's
+ *    fault::ChipTimelines) instead of the clean cached scalars; a
  *    chip with no active fault prices through the identical ClassModel
  *    scalars the healthy path uses, so a zero-fault run is
  *    bit-identical to ServingSim::run (asserted by tests and the

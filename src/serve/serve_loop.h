@@ -17,9 +17,9 @@
  *  - `serveLoop<true>` is FaultServingSim::run. It adds, under
  *    `if constexpr`: chip-failure processing and fleet death; deadline
  *    rejection and the takeBatch skip predicate; the retry queue;
- *    degraded-first chip order; gang remap and piecewise pricing; the
- *    per-batch ledger a chip failure consults; and the healthy/degraded
- *    latency split.
+ *    degraded-first chip order; piecewise pricing over per-chip fault
+ *    timelines; the per-batch ledger a chip failure consults; and the
+ *    healthy/degraded latency split.
  *
  * On an empty trace the two instantiations agree bit for bit
  * (tests/test_fault_serve.cpp), and tests/legacy_serving.h pins the
@@ -37,10 +37,13 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "common/stats.h"
 #include "fault/failover.h"
 #include "fault/fault_replay.h"
@@ -110,6 +113,19 @@ struct FaultRun
     std::size_t piecewiseReplays = 0, memoHits = 0, epochTables = 0;
 };
 
+/** Hash of a degraded-price memo key. */
+struct MemoKeyHash
+{
+    std::size_t
+    operator()(const std::vector<std::uint32_t> &key) const
+    {
+        std::uint64_t h = key.size();
+        for (std::uint32_t x : key)
+            h = splitmix64(h ^ x);
+        return static_cast<std::size_t>(h);
+    }
+};
+
 inline constexpr std::uint32_t kNoRec = ~std::uint32_t{0};
 inline constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -160,32 +176,33 @@ ServingSim::serveLoop(const std::vector<JobArrival> &arrivals,
     ServeStats &done = stats.done;
 
     // The scripted chip failures, in time order; every chip's degrades
-    // and stalls as rate spans, which op pricing probes and the epoch
-    // builders fold.
+    // and stalls as a timeline, which admission and op pricing probe
+    // and the epoch tables fold. Its at-zero states cover every block
+    // width a class prices at.
     struct Fail
     {
         double at;
         std::uint32_t shard;
     };
     std::vector<Fail> fails;
-    std::vector<std::vector<fault::ChipSpan>> spans;
+    std::optional<fault::ChipTimelines> tl;
     if constexpr (Faults) {
         for (const fault::FaultEvent &e : fr->trace.events)
             if (e.kind == fault::FaultKind::ChipFail)
                 fails.push_back({e.atSec, e.shard});
-        spans.resize(K);
-        for (std::size_t c = 0; c < K; ++c)
-            spans[c] =
-                fault::chipSpans(fr->trace, static_cast<std::uint32_t>(c));
+        std::vector<std::size_t> widths;
+        for (std::size_t k = 0; k < sp.classes.size(); ++k)
+            for (std::uint32_t variant = 0; variant < 2; ++variant) {
+                const Gang *g = fr->assets.gang[k].get();
+                const std::size_t w =
+                    g ? g->psMiss.compiled.perChip
+                      : fr->assets.ops[k * 2 + variant].cs->resourceCount();
+                if (std::find(widths.begin(), widths.end(), w) ==
+                    widths.end())
+                    widths.push_back(w);
+            }
+        tl.emplace(fr->trace, K, widths);
     }
-    // Is chip c serving at degraded rate at time t? (Admission
-    // deprioritizes such chips.)
-    const auto degradedAt = [&](std::size_t c, double t) {
-        for (const fault::ChipSpan &s : spans[c])
-            if (s.atSec <= t && t < s.endSec)
-                return true;
-        return false;
-    };
     // Effective deadline per job (absolute seconds).
     const auto deadlineOf = [&](std::uint32_t j) {
         return arrivals[j].atSec +
@@ -203,14 +220,15 @@ ServingSim::serveLoop(const std::vector<JobArrival> &arrivals,
     };
     // One dispatched batch: where it ran and each job's simulated
     // finish — what a chip failure consults to split completed from
-    // salvageable work.
+    // salvageable work. Its chips are ledgerChips[chip0, chip0 +
+    // nChips), its jobs and their finishes ledgerJobs and ledgerFin
+    // [job0, job0 + nJobs): run-level arrays, so a batch allocates
+    // nothing of its own.
     struct Rec
     {
         double end = 0.0;
         bool open = true;
-        std::vector<std::size_t> chips;
-        std::vector<std::uint32_t> jobs;
-        std::vector<double> fin;
+        std::uint32_t chip0 = 0, nChips = 0, job0 = 0, nJobs = 0;
     };
     using Item = AdmissionQueue::Item;
     const auto itemLess = [](const Item &a, const Item &b) {
@@ -221,6 +239,8 @@ ServingSim::serveLoop(const std::vector<JobArrival> &arrivals,
 
     std::vector<ChipState> chips(K);
     std::vector<Rec> recs;
+    std::vector<std::uint32_t> ledgerChips, ledgerJobs;
+    std::vector<double> ledgerFin;
     AdmissionQueue queue;
     queue.reset(sp.classes.size());
     std::vector<Item> retryQ;
@@ -231,6 +251,8 @@ ServingSim::serveLoop(const std::vector<JobArrival> &arrivals,
     bool anySalvage = false;
     double firstFailAt = 0.0;
     std::vector<std::size_t> chosen;
+    // Per chip: degraded at its would-be start of the batch forming.
+    std::vector<char> late(Faults ? K : 0);
     std::vector<std::uint32_t> batchIds;
     char label[160];
 
@@ -324,15 +346,17 @@ ServingSim::serveLoop(const std::vector<JobArrival> &arrivals,
         if (revokes) {
             Rec &r = recs[chips[f.shard].rec];
             r.open = false;
-            for (std::size_t i = 0; i < r.jobs.size(); ++i)
-                if (r.fin[i] > f.at)
-                    salvage(r.jobs[i], f.at);
+            for (std::uint32_t i = r.job0; i < r.job0 + r.nJobs; ++i)
+                if (ledgerFin[i] > f.at)
+                    salvage(ledgerJobs[i], f.at);
             // Surviving gang members drop the cut batch and free up.
-            for (std::size_t c : r.chips)
+            for (std::uint32_t i = r.chip0; i < r.chip0 + r.nChips; ++i) {
+                const std::uint32_t c = ledgerChips[i];
                 if (c != f.shard && chips[c].alive) {
                     chips[c].freeAt = f.at;
                     chips[c].rec = kNoRec;
                 }
+            }
         }
         chips[f.shard].rec = kNoRec;
         if (aliveCount == 0) {
@@ -414,18 +438,14 @@ ServingSim::serveLoop(const std::vector<JobArrival> &arrivals,
     // table's entries at 0 alone, so its price serves every op of the
     // same (class, variant, schedule) with the same entries whose own
     // first later edge lies at or past it. A schedule is its bandwidth
-    // index (single-chip) or the gang binding's layout tag.
-    struct PriceMemo
-    {
-        std::uint32_t klass;
-        std::uint32_t variant;
-        std::uint64_t sched;
-        std::vector<fault::EpochAtZero> at0;
-        double dur;
-    };
-    std::vector<PriceMemo> memo;
-    std::vector<fault::EpochAtZero> at0;
-    fault::FaultTrace remapped; // gang-slot view of the fleet trace
+    // index (single-chip) or the gang binding's layout tag; the
+    // entries are the slot chips' interned at-zero states, trailing
+    // empty ones dropped, so equal keys mean equal entries. The first
+    // price stored under a key is the one every later lookup reads.
+    std::unordered_map<std::vector<std::uint32_t>, double,
+                       detail::MemoKeyHash>
+        memo;
+    std::vector<std::uint32_t> memoKey;
     sim::RateEpochs ep;
 
     for (;;) {
@@ -445,9 +465,11 @@ ServingSim::serveLoop(const std::vector<JobArrival> &arrivals,
             break;
         }
         if (queue.empty()) {
-            if (next < n &&
-                (retryQ.empty() ||
-                 arrivals[next].atSec <= retryQ.front().ready))
+            // The healthy loop never retries: with the queue empty, an
+            // arrival is left (else the loop ended above).
+            if (!Faults ||
+                (next < n && (retryQ.empty() ||
+                              arrivals[next].atSec <= retryQ.front().ready)))
                 admitArrival();
             else
                 admitRetry();
@@ -462,24 +484,27 @@ ServingSim::serveLoop(const std::vector<JobArrival> &arrivals,
 
         // The `width` least-loaded alive chips, ties to the lowest id;
         // under faults, chips degraded at their would-be start go last.
+        // The order is strict and total, so a partial sort picks the
+        // same chips a full sort would.
         chosen.clear();
         for (std::size_t c = 0; c < K; ++c)
-            if (!Faults || chips[c].alive)
+            if (!Faults || chips[c].alive) {
                 chosen.push_back(c);
-        std::sort(chosen.begin(), chosen.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      if constexpr (Faults) {
-                          const bool da = degradedAt(
-                              a, std::max(head.ready, chips[a].freeAt));
-                          const bool db = degradedAt(
-                              b, std::max(head.ready, chips[b].freeAt));
-                          if (da != db)
-                              return !da;
-                      }
-                      if (chips[a].freeAt != chips[b].freeAt)
-                          return chips[a].freeAt < chips[b].freeAt;
-                      return a < b;
-                  });
+                if constexpr (Faults)
+                    late[c] = tl->degradedAt(
+                        c, std::max(head.ready, chips[c].freeAt));
+            }
+        const auto before = [&](std::size_t a, std::size_t b) {
+            if constexpr (Faults)
+                if (late[a] != late[b])
+                    return !late[a];
+            if (chips[a].freeAt != chips[b].freeAt)
+                return chips[a].freeAt < chips[b].freeAt;
+            return a < b;
+        };
+        std::partial_sort(chosen.begin(),
+                          chosen.begin() + static_cast<std::ptrdiff_t>(width),
+                          chosen.end(), before);
         chosen.resize(width);
         double start = head.ready;
         for (std::size_t c : chosen)
@@ -528,28 +553,11 @@ ServingSim::serveLoop(const std::vector<JobArrival> &arrivals,
             batchIds);
 
         // Only chips with rate spans can price an op off its clean
-        // scalar. A gang remaps their events once per dispatch into
-        // slot coordinates (chosen[i] -> slot i).
+        // scalar. A gang's slot i runs on chip chosen[i].
         bool affected = false, gangFo = false;
         if constexpr (Faults) {
             for (std::size_t c : chosen)
-                affected = affected || !spans[c].empty();
-            if (g && affected) {
-                remapped.events.clear();
-                for (const fault::FaultEvent &e : fr->trace.events) {
-                    if (e.kind != fault::FaultKind::ChannelDegrade &&
-                        e.kind != fault::FaultKind::TransientStall)
-                        continue;
-                    for (std::size_t i = 0; i < width; ++i)
-                        if (chosen[i] == e.shard) {
-                            fault::FaultEvent ev = e;
-                            ev.shard = static_cast<std::uint32_t>(i);
-                            remapped.events.push_back(ev);
-                            break;
-                        }
-                }
-                remapped.normalize();
-            }
+                affected = affected || !tl->spans(c).empty();
             gangFo = g && g->activeSlots < m.shards;
         }
 
@@ -572,52 +580,50 @@ ServingSim::serveLoop(const std::vector<JobArrival> &arrivals,
                                        double clean, double &dur) {
             const detail::FaultAssets::OpSched *os =
                 g ? nullptr : &fr->assets.ops[k * 2 + variant];
+            const std::size_t per =
+                g ? g->psMiss.compiled.perChip : os->cs->resourceCount();
+            const sim::CompiledSchedule &cs =
+                g ? (variant ? g->psHit : g->psMiss).compiled.schedule
+                  : *os->cs;
+            const std::uint64_t sched = g ? cs.layoutTag() : bwIdx;
             // The op's epoch table up to the first span edge past its
-            // start holds only its entries at local time 0.
-            at0.clear();
+            // start holds only its entries at local time 0: each slot
+            // chip's at-zero state.
+            memoKey.assign({k, variant, static_cast<std::uint32_t>(sched),
+                            static_cast<std::uint32_t>(sched >> 32)});
             double edge = kInf;
-            if (!g) {
-                edge = fault::probeChipSpans(spans[chosen[0]],
-                                             os->cs->resourceCount(), t, 0,
-                                             at0);
-            } else {
-                const std::size_t per = g->psMiss.compiled.perChip;
-                for (std::size_t s = 0; s < width; ++s)
-                    edge = std::min(
-                        edge, fault::probeChipSpans(
-                                  spans[chosen[s]], per, t,
-                                  static_cast<std::uint32_t>(s * per),
-                                  at0));
+            for (std::size_t s = 0; s < width; ++s) {
+                std::uint32_t state = 0;
+                edge = std::min(edge, tl->probe(chosen[s], per, t, state));
+                memoKey.push_back(state);
             }
+            while (memoKey.size() > 4 && memoKey.back() == 0)
+                memoKey.pop_back();
+            const bool atZero = memoKey.size() > 4;
             // The table's first boundary is 0 when it has entries
             // there, else at or past `edge`: with no entry at 0 and the
             // edge at or past the clean finish the op prices clean, no
             // table needed.
-            if (at0.empty() && edge >= clean)
+            if (!atZero && edge >= clean)
                 return false;
-            const sim::CompiledSchedule &cs =
-                g ? (variant ? g->psHit : g->psMiss).compiled.schedule
-                  : *os->cs;
             const sim::ReplayRates &rates =
                 g ? (variant ? g->rHit : g->rMiss) : os->rates[bwIdx];
-            const std::uint64_t sched = g ? cs.layoutTag() : bwIdx;
             // A viz run records each degraded single-chip op's own
             // replay, so it reads no memo there.
             const bool traced = viz && !g;
-            if (!at0.empty() && !traced)
-                for (const PriceMemo &e : memo)
-                    if (e.klass == k && e.variant == variant &&
-                        e.sched == sched && e.at0 == at0) {
-                        if (e.dur > edge)
-                            break;
-                        ++fr->memoHits;
-                        dur = e.dur;
-                        return true;
-                    }
-            ep = g ? fault::buildEpochs(remapped, g->psMiss.compiled, t)
-                   : fault::buildChipEpochs(
-                         fr->trace, static_cast<std::uint32_t>(chosen[0]),
-                         os->cs->resourceCount(), t);
+            if (atZero && !traced) {
+                const auto hit = memo.find(memoKey);
+                if (hit != memo.end() && hit->second <= edge) {
+                    ++fr->memoHits;
+                    dur = hit->second;
+                    return true;
+                }
+            }
+            const std::size_t nres =
+                g ? g->psMiss.compiled.shards * per +
+                        g->psMiss.compiled.links
+                  : per;
+            ep = tl->epochs(chosen.data(), width, per, nres, t);
             ++fr->epochTables;
             if (!(detail::firstBoundary(ep) < clean))
                 return false;
@@ -637,16 +643,22 @@ ServingSim::serveLoop(const std::vector<JobArrival> &arrivals,
                 dur = cs.replayPiecewise(rates, ep, nullptr,
                                          fr->assets.scratch);
             }
-            if (!at0.empty() && dur <= edge)
-                memo.push_back({k, variant, sched, at0, dur});
+            if (atZero && dur <= edge)
+                memo.try_emplace(memoKey, dur);
             return true;
         };
 
         // Execute the batch: the leader runs cold unless the chips are
         // already warm on this class; followers inherit a warmed key
         // cache. Each job's ops price in order.
-        if constexpr (Faults)
-            recs.push_back({0.0, true, chosen, {}, {}});
+        if constexpr (Faults) {
+            recs.push_back(
+                {0.0, true, static_cast<std::uint32_t>(ledgerChips.size()),
+                 static_cast<std::uint32_t>(width),
+                 static_cast<std::uint32_t>(ledgerJobs.size()), 0});
+            for (std::size_t c : chosen)
+                ledgerChips.push_back(static_cast<std::uint32_t>(c));
+        }
         double t = start;
         for (std::size_t b = 0; b < batchIds.size(); ++b) {
             const std::uint32_t j = batchIds[b];
@@ -682,12 +694,16 @@ ServingSim::serveLoop(const std::vector<JobArrival> &arrivals,
             if constexpr (Faults) {
                 res.degraded = jobDegraded || res.retries > 0 || gangFo;
                 jstate[j] = 1;
-                recs.back().jobs.push_back(j);
-                recs.back().fin.push_back(t);
+                ledgerJobs.push_back(j);
+                ledgerFin.push_back(t);
             }
         }
-        if constexpr (Faults)
+        if constexpr (Faults) {
             recs.back().end = t;
+            recs.back().nJobs =
+                static_cast<std::uint32_t>(ledgerJobs.size()) -
+                recs.back().job0;
+        }
         for (std::size_t c : chosen) {
             chips[c].freeAt = t;
             chips[c].lastClass = static_cast<std::int64_t>(k);
@@ -707,12 +723,17 @@ ServingSim::serveLoop(const std::vector<JobArrival> &arrivals,
             done.batchedJobs += batchIds.size();
     }
 
-    // Aggregate over the completed jobs in arrival order: nearest-rank
-    // latency percentiles and sustained QPS. Under faults, the fault
+    // Aggregate over the completed jobs in arrival order: sustained QPS
+    // and nearest-rank latency percentiles, read by selection (the mean
+    // sums in arrival order, before selection reorders the sample).
+    // Under faults, the fault
     // ledger and the healthy/degraded latency split ride alongside.
     std::vector<double> lat, healthyLat, degradedLat;
     lat.reserve(n);
     double sum = 0.0;
+    constexpr double kDoneRanks[] = {0.50, 0.99, 0.999, 1.0};
+    constexpr double kWindowRanks[] = {0.50, 0.99};
+    double pct[4];
     double maxSalvagedSettle = 0.0;
     for (std::size_t j = 0; j < n; ++j) {
         const JobResult &r = out[j];
@@ -738,12 +759,12 @@ ServingSim::serveLoop(const std::vector<JobArrival> &arrivals,
     }
     done.jobs = lat.size();
     if (!lat.empty()) {
-        std::sort(lat.begin(), lat.end());
         done.meanLatencySec = sum / static_cast<double>(lat.size());
-        done.p50LatencySec = stats::percentileSorted(lat, 0.50);
-        done.p99LatencySec = stats::percentileSorted(lat, 0.99);
-        done.p999LatencySec = stats::percentileSorted(lat, 0.999);
-        done.maxLatencySec = lat.back();
+        stats::percentilesBySelection(lat, kDoneRanks, 4, pct);
+        done.p50LatencySec = pct[0];
+        done.p99LatencySec = pct[1];
+        done.p999LatencySec = pct[2];
+        done.maxLatencySec = pct[3];
         if (done.makespanSec > 0.0)
             done.qps = static_cast<double>(done.jobs) / done.makespanSec;
     }
@@ -751,13 +772,13 @@ ServingSim::serveLoop(const std::vector<JobArrival> &arrivals,
         stats.completedJobs = lat.size();
         stats.healthyJobs = healthyLat.size();
         stats.degradedJobs = degradedLat.size();
-        const auto window = [](std::vector<double> &v, double &p50,
-                               double &p99) {
+        const auto window = [&](std::vector<double> &v, double &p50,
+                                double &p99) {
             if (v.empty())
                 return;
-            std::sort(v.begin(), v.end());
-            p50 = stats::percentileSorted(v, 0.50);
-            p99 = stats::percentileSorted(v, 0.99);
+            stats::percentilesBySelection(v, kWindowRanks, 2, pct);
+            p50 = pct[0];
+            p99 = pct[1];
         };
         window(healthyLat, stats.healthyP50Sec, stats.healthyP99Sec);
         window(degradedLat, stats.degradedP50Sec, stats.degradedP99Sec);

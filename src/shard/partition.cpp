@@ -443,8 +443,20 @@ Partition
 partitionGraph(const TaskGraph &g, const ShardSpec &spec,
                const std::vector<double> &weights)
 {
-    return partitionFlat(FlatDeps(g, spec.computeOutputBytes), spec,
-                         weights);
+    // Only MinCutGreedy reads deps while it assigns. A contiguous cut
+    // (or K = 1) assigns from the weights and then walks the graph's
+    // own deps once for the cut, with no flattening pass.
+    if (spec.shards > 1 &&
+        spec.strategy == PartitionStrategy::MinCutGreedy)
+        return partitionFlat(FlatDeps(g, spec.computeOutputBytes), spec,
+                             weights);
+    panicIf(spec.shards == 0, "partition into zero shards");
+    panicIf(weights.size() != g.size(),
+            "partition weights do not cover the graph");
+    std::vector<std::uint32_t> shardOf(g.size(), 0);
+    if (spec.shards > 1)
+        assignContiguous(spec.shards, weights, shardOf);
+    return assignmentPartition(g, spec, std::move(shardOf), weights);
 }
 
 Partition

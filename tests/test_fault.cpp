@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include "common/rng.h"
 #include "fault/fault_replay.h"
+#include "legacy_fault_tables.h"
 #include "fault/monte_carlo.h"
 #include "obs/traced_replay.h"
 #include "rpu/experiment.h"
@@ -709,9 +711,9 @@ TEST(Failover, MigrationSecondsScalesWithPayloadAndTopology)
 TEST(ChipSpans, ProbeMatchesTheBuiltTable)
 {
     // Random chip traces and shifts, shifts often exactly on a span
-    // edge: the probe's entries at local time 0 are the built table's
-    // (same resources, same folded bits), and every later entry lies
-    // at or past the edge it returns.
+    // edge: the timeline probe's entries at local time 0 are the built
+    // table's (same resources, same folded bits), and every later
+    // entry lies at or past the edge it returns.
     Rng rng(11);
     const double factors[] = {0.25, 0.5, 0.6, 1.0, 2.0};
     for (int iter = 0; iter < 3000; ++iter) {
@@ -740,10 +742,13 @@ TEST(ChipSpans, ProbeMatchesTheBuiltTable)
             mode == 0   ? pick.atSec
             : mode == 1 ? pick.atSec + pick.durSec
                         : static_cast<double>(rng.uniform(1300)) / 89.0;
+        const ChipTimelines tl(tr, 2, {3});
         for (std::uint32_t chip = 0; chip < 2; ++chip) {
-            std::vector<EpochAtZero> at0;
-            const double edge =
-                probeChipSpans(chipSpans(tr, chip), 3, shift, 5, at0);
+            std::uint32_t state = 0;
+            const double edge = tl.probe(chip, 3, shift, state);
+            std::vector<EpochAtZero> at0 = tl.atZero(state);
+            for (EpochAtZero &e : at0)
+                e.resource += 5;
             const sim::RateEpochs ep = buildChipEpochs(tr, chip, 3, shift);
             std::vector<EpochAtZero> want;
             for (std::size_t r = 0; !ep.empty() && r < 3; ++r)
@@ -756,6 +761,220 @@ TEST(ChipSpans, ProbeMatchesTheBuiltTable)
                 }
             EXPECT_EQ(at0, want) << "iter " << iter;
         }
+    }
+}
+
+/**
+ * A seeded trace over `chips` chips of 2 channels and 2 links: times
+ * on a coarse grid so events often share a time, overlapping stalls,
+ * permanent channel and link degrades, factor-1.0 spans and chip
+ * failures.
+ */
+FaultTrace
+randomSpanTrace(Rng &rng, std::uint32_t chips)
+{
+    const double factors[] = {0.25, 0.5, 0.6, 1.0, 2.0};
+    FaultTrace tr;
+    const std::uint64_t nev = 1 + rng.uniform(12);
+    for (std::uint64_t i = 0; i < nev; ++i) {
+        FaultEvent e;
+        const std::uint64_t kind = rng.uniform(5);
+        e.kind = kind == 0   ? FaultKind::ChannelDegrade
+                 : kind <= 2 ? FaultKind::TransientStall
+                 : kind == 3 ? FaultKind::LinkDegrade
+                             : FaultKind::ChipFail;
+        e.shard = static_cast<std::uint32_t>(rng.uniform(chips));
+        e.channel = static_cast<std::uint32_t>(rng.uniform(2));
+        e.atSec = static_cast<double>(rng.uniform(60)) / 7.0;
+        e.factor = factors[rng.uniform(5)];
+        e.durSec = e.kind == FaultKind::TransientStall
+                       ? static_cast<double>(1 + rng.uniform(40)) / 7.0
+                       : 0.0;
+        tr.events.push_back(e);
+    }
+    tr.normalize();
+    return tr;
+}
+
+/** Shifts at, just below and just above every edge of the trace (none
+ * negative), plus 0 and one past every edge. */
+std::vector<double>
+edgeShifts(const FaultTrace &tr)
+{
+    std::vector<double> v{0.0, 100.0};
+    for (const FaultEvent &e : tr.events)
+        for (double x : {e.atSec, e.atSec + e.durSec})
+            for (double y :
+                 {x, std::nextafter(x, -kInf), std::nextafter(x, kInf)})
+                if (y >= 0.0)
+                    v.push_back(y);
+    return v;
+}
+
+/** Two tables are the same arrays, bit for bit. */
+void
+expectSameTable(const sim::RateEpochs &got, const sim::RateEpochs &want,
+                const std::string &ctx)
+{
+    const auto bits = [](const std::vector<double> &v) {
+        std::vector<std::uint64_t> b;
+        for (double x : v)
+            b.push_back(std::bit_cast<std::uint64_t>(x));
+        return b;
+    };
+    EXPECT_EQ(got.off, want.off) << ctx;
+    EXPECT_EQ(bits(got.at), bits(want.at)) << ctx;
+    EXPECT_EQ(bits(got.mult), bits(want.mult)) << ctx;
+}
+
+TEST(ChipTimelines, ProbeMatchesLegacySpanWalk)
+{
+    // The timeline's state at t and its next edge are what walking the
+    // chip's spans gave, bit for bit, at every block width, and its
+    // activity flag is the span walk's degraded test.
+    Rng rng(22);
+    const std::vector<std::size_t> widths{3, 5};
+    for (int iter = 0; iter < 1500; ++iter) {
+        const std::uint32_t chips = 1 + static_cast<std::uint32_t>(
+                                            rng.uniform(4));
+        const FaultTrace tr = randomSpanTrace(rng, chips);
+        const ChipTimelines tl(tr, chips, widths);
+        for (std::uint32_t c = 0; c < chips; ++c) {
+            const std::vector<ChipSpan> spans = chipSpans(tr, c);
+            for (double t : edgeShifts(tr)) {
+                bool degraded = false;
+                for (const ChipSpan &s : spans)
+                    degraded = degraded || (s.atSec <= t && t < s.endSec);
+                EXPECT_EQ(tl.degradedAt(c, t), degraded)
+                    << "iter " << iter << " chip " << c << " t " << t;
+                for (std::size_t w : widths) {
+                    std::vector<EpochAtZero> want;
+                    const double wantEdge =
+                        legacy::probeChipSpans(spans, w, t, 4, want);
+                    std::uint32_t state = 0;
+                    const double edge = tl.probe(c, w, t, state);
+                    std::vector<EpochAtZero> got = tl.atZero(state);
+                    for (EpochAtZero &e : got)
+                        e.resource += 4;
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(edge),
+                              std::bit_cast<std::uint64_t>(wantEdge))
+                        << "iter " << iter << " chip " << c << " t " << t;
+                    EXPECT_EQ(got, want)
+                        << "iter " << iter << " chip " << c << " t " << t;
+                    EXPECT_EQ(state == 0, want.empty());
+                }
+            }
+        }
+    }
+}
+
+TEST(ChipEpochs, StepTablesMatchLegacyRescan)
+{
+    // buildChipEpochs and buildEpochs, with and without a horizon, and
+    // the timelines' slot tables equal the rescanning fold array for
+    // array. A slot table is buildEpochs of the trace with each slot
+    // chip's degrades and stalls moved to its slot, as gang pricing
+    // built it.
+    Rng rng(23);
+    for (int iter = 0; iter < 800; ++iter) {
+        const std::uint32_t chips = 1 + static_cast<std::uint32_t>(
+                                            rng.uniform(4));
+        const FaultTrace tr = randomSpanTrace(rng, chips);
+        const ChipTimelines tl(tr, chips, {3});
+        shard::ShardedCompiled sc;
+        sc.shards = chips;
+        sc.perChip = 3;
+        sc.links = 2;
+        // A random slot order over a random subset of the chips.
+        std::vector<std::size_t> slots;
+        for (std::size_t c = 0; c < chips; ++c)
+            slots.insert(slots.begin() +
+                             static_cast<std::ptrdiff_t>(
+                                 rng.uniform(slots.size() + 1)),
+                         c);
+        slots.resize(1 + rng.uniform(chips));
+        FaultTrace slotView;
+        for (const FaultEvent &e : tr.events) {
+            if (e.kind != FaultKind::ChannelDegrade &&
+                e.kind != FaultKind::TransientStall)
+                continue;
+            for (std::size_t i = 0; i < slots.size(); ++i)
+                if (slots[i] == e.shard) {
+                    FaultEvent ev = e;
+                    ev.shard = static_cast<std::uint32_t>(i);
+                    slotView.events.push_back(ev);
+                }
+        }
+        slotView.normalize();
+        shard::ShardedCompiled gang;
+        gang.shards = chips;
+        gang.perChip = 3;
+        // Plus shifts so far below 0 that many distinct edges round to
+        // one local bound.
+        std::vector<double> shifts = edgeShifts(tr);
+        shifts.insert(shifts.end(), {-0x1p53, -0x1p57});
+        for (double t : shifts)
+            for (double h : {kInf, 0.0, 1.0, 2.5, 7.0}) {
+                const std::string ctx = "iter " + std::to_string(iter) +
+                                        " t " + std::to_string(t) +
+                                        " h " + std::to_string(h);
+                for (std::uint32_t c = 0; c < chips; ++c)
+                    expectSameTable(buildChipEpochs(tr, c, 3, t, h),
+                                    legacy::buildChipEpochs(tr, c, 3, t, h),
+                                    ctx + " chip " + std::to_string(c));
+                expectSameTable(buildEpochs(tr, sc, t, h),
+                                legacy::buildEpochs(tr, sc, t, h), ctx);
+                if (h == kInf)
+                    expectSameTable(tl.epochs(slots.data(), slots.size(), 3,
+                                              chips * 3, t),
+                                    legacy::buildEpochs(slotView, gang, t),
+                                    ctx + " slots");
+            }
+    }
+}
+
+TEST(ChipEpochs, CollidingLocalBoundsFoldLikeTheRescan)
+{
+    // Two distinct absolute edges can round to one local bound: with u
+    // one ulp of 1.0 and a shift of u/2, 1 + 2u and 1 + 3u both land on
+    // 1 + 2u - ties go to even. The step tables must merge them exactly
+    // as the rescan does, whichever span the bound starts or ends.
+    const double u = 0x1.0p-52;
+    for (double scale : {1.0, 8.0, 1024.0}) {
+        const double a = scale * (1.0 + 2.0 * u);
+        const double b = scale * (1.0 + 3.0 * u);
+        const double shift = scale * 0x1.0p-53;
+        ASSERT_NE(a, b);
+        ASSERT_EQ(a - shift, b - shift);
+        FaultTrace tr;
+        // A stall ending at b overlaps a degrade starting at a, and a
+        // second stall starts at b on the same chip.
+        tr.events.push_back({a - scale * 0.5, FaultKind::TransientStall, 0,
+                             0, 0.5, b - (a - scale * 0.5)});
+        tr.events.push_back({a, FaultKind::ChannelDegrade, 0, 1, 0.25, 0.0});
+        tr.events.push_back({b, FaultKind::TransientStall, 0, 0, 0.6, scale});
+        tr.events.push_back({b, FaultKind::ChannelDegrade, 0, 0, 1.0, 0.0});
+        // On chip 1, a stall on [a, b) alone: at that bound it starts
+        // and ends, so the table has no entry for it.
+        tr.events.push_back({a, FaultKind::TransientStall, 1, 0, 0.5, b - a});
+        tr.normalize();
+        const ChipTimelines tl(tr, 2, {3});
+        for (std::size_t slot : {0u, 1u})
+            for (double t : {shift, 0.0, a, b})
+                for (double h : {kInf, b - shift}) {
+                    const std::uint32_t c = static_cast<std::uint32_t>(slot);
+                    const std::string ctx = "scale " +
+                                            std::to_string(scale) +
+                                            " chip " + std::to_string(c);
+                    expectSameTable(buildChipEpochs(tr, c, 3, t, h),
+                                    legacy::buildChipEpochs(tr, c, 3, t, h),
+                                    ctx);
+                    if (h == kInf)
+                        expectSameTable(tl.epochs(&slot, 1, 3, 3, t),
+                                        legacy::buildChipEpochs(tr, c, 3, t),
+                                        ctx + " slots");
+                }
+        EXPECT_TRUE(buildChipEpochs(tr, 1, 3, shift).empty());
     }
 }
 

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/stats.h"
 #include "fault/failover.h"
 #include "fault/fault_replay.h"
 #include "fault/fault_trace.h"
@@ -1397,6 +1398,97 @@ TEST(FaultServe, GoldenStreamPin)
     EXPECT_GT(st.degradedJobs, 0u);
     const std::uint64_t h = fnv1a(serializeRun(out, st));
     EXPECT_EQ(h, 0x58a2e3cd9a004523ull) << std::hex << "0x" << h;
+    // The pricing work is pinned too: how a price is found may change,
+    // not which ops build a table, replay or reuse a memoized price.
+    EXPECT_EQ(counterOf(fs, "piecewise_replays"), 36u);
+    EXPECT_EQ(counterOf(fs, "price_memo_hits"), 631u);
+    EXPECT_EQ(counterOf(fs, "epoch_tables"), 36u);
+}
+
+/** Nearest-rank percentile of `v` after a sort: the reference the
+ * serving loop's selection must reproduce. */
+double
+sortedPercentile(std::vector<double> v, double p)
+{
+    std::sort(v.begin(), v.end());
+    return stats::percentileSorted(v, p);
+}
+
+TEST(FaultServe, PercentilesMatchSortedRecomputation)
+{
+    // Every latency percentile field, healthy loop and fault loop, is
+    // what sorting the latencies in `out` and reading nearest ranks
+    // gives, bit for bit: selection reads the same order statistics.
+    const HksParams &ark = benchmarkByName("ARK");
+    ServeSpec sp;
+    sp.classes.push_back(
+        {"reduce8", HeWorkload::reduction(8), ark, Dataflow::OC, 1});
+    sp.classes.push_back(
+        {"matvec4", HeWorkload::matVec(4), ark, Dataflow::OC, 1});
+    sp.classes.push_back({"gang2", HeWorkload::reduction(2),
+                          benchmarkByName("BTS1"), Dataflow::MP, 2});
+    sp.fleet.chip.bandwidthGBps = 4.0;
+    sp.fleet.chips = 4;
+    sp.fleet.keyCacheBytes = ark.evkBytes() * 8;
+    sp.batch.targetBatch = 8;
+    ExperimentRunner runner(2);
+    ServingSim sim(sp, runner);
+    FaultServingSim fs(sim);
+    for (std::uint64_t seed : {3ull, 5ull, 8ull}) {
+        ArrivalSpec as;
+        as.tenants.push_back({12.0, {3.0, 1.0, 1.0}});
+        as.tenants.push_back({12.0, {1.0, 3.0, 1.0}});
+        as.tenants.push_back({6.0, {1.0, 1.0, 2.0}});
+        as.horizonSec = 30.0;
+        const std::vector<JobArrival> arr = poissonArrivals(as, seed);
+
+        std::vector<JobResult> out;
+        ServeStats st;
+        ASSERT_TRUE(sim.run(arr, out, st).ok());
+        std::vector<double> lat;
+        for (const JobResult &r : out)
+            lat.push_back(r.latencySec());
+        ASSERT_EQ(st.jobs, lat.size());
+        EXPECT_EQ(st.p50LatencySec, sortedPercentile(lat, 0.50));
+        EXPECT_EQ(st.p99LatencySec, sortedPercentile(lat, 0.99));
+        EXPECT_EQ(st.p999LatencySec, sortedPercentile(lat, 0.999));
+        EXPECT_EQ(st.maxLatencySec, sortedPercentile(lat, 1.0));
+
+        fault::FaultModel fm;
+        fm.stallMtbfSec = 8.0;
+        fm.stallFactor = 0.3;
+        fm.stallDurSec = 0.6;
+        fm.horizonSec = 27.0;
+        fault::FaultTrace tr =
+            fault::sampleTrace(fm, fs.shape(), faultStreamSeed(seed, 0));
+        tr.events.push_back(
+            {4.5, fault::FaultKind::ChannelDegrade, 0, 0, 0.6, 0.0});
+        tr.events.push_back(
+            {9.0, fault::FaultKind::ChipFail, 3, 0, 1.0, 0.0});
+        tr.normalize();
+        RetryPolicy pol;
+        pol.backoffSec = 0.3;
+        FaultServeStats fst;
+        ASSERT_TRUE(fs.run(arr, tr, pol, out, fst).ok());
+        std::vector<double> all, healthy, degraded;
+        for (const JobResult &r : out) {
+            if (r.rejected)
+                continue;
+            all.push_back(r.latencySec());
+            (r.degraded ? degraded : healthy).push_back(r.latencySec());
+        }
+        ASSERT_EQ(fst.completedJobs, all.size());
+        ASSERT_FALSE(healthy.empty());
+        ASSERT_FALSE(degraded.empty());
+        EXPECT_EQ(fst.done.p50LatencySec, sortedPercentile(all, 0.50));
+        EXPECT_EQ(fst.done.p99LatencySec, sortedPercentile(all, 0.99));
+        EXPECT_EQ(fst.done.p999LatencySec, sortedPercentile(all, 0.999));
+        EXPECT_EQ(fst.done.maxLatencySec, sortedPercentile(all, 1.0));
+        EXPECT_EQ(fst.healthyP50Sec, sortedPercentile(healthy, 0.50));
+        EXPECT_EQ(fst.healthyP99Sec, sortedPercentile(healthy, 0.99));
+        EXPECT_EQ(fst.degradedP50Sec, sortedPercentile(degraded, 0.50));
+        EXPECT_EQ(fst.degradedP99Sec, sortedPercentile(degraded, 0.99));
+    }
 }
 
 TEST(FaultServe, FleetDeathRejectsInQueueOrder)

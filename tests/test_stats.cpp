@@ -4,13 +4,14 @@
  * (common/stats.h): the rank formula on known arrays, edge ranks for
  * p50/p99/p999 at awkward sample counts, N=1 and all-ties inputs,
  * out-of-range p clamping, bitwise agreement with a replica of the
- * inline code it was extracted from (fault/monte_carlo.cpp), and the
- * empty-sample death path.
+ * inline code it was extracted from (fault/monte_carlo.cpp), the
+ * selection reader against sort + lookup, and the death paths.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -132,11 +133,67 @@ TEST(Percentile, BitwiseAgreementWithLegacyMonteCarloRank)
     }
 }
 
+TEST(Percentile, SelectionMatchesSortBitwise)
+{
+    // percentilesBySelection on an unsorted sample returns, for every
+    // requested p, the bits std::sort + percentileSorted give: awkward
+    // sizes, heavy duplicates, and requests that share a rank or sit
+    // on adjacent ranks.
+    Rng rng(0x5E1EC7);
+    for (std::size_t n : {1ul, 2ul, 3ul, 999ul, 1000ul, 1001ul, 4096ul}) {
+        const double dn = static_cast<double>(n);
+        const std::size_t k = n / 2;
+        const std::vector<std::vector<double>> requests = {
+            {0.0, 0.5, 0.99, 0.999, 1.0},
+            {0.5, 0.5, 0.99, 0.99},
+            {static_cast<double>(k) / dn, static_cast<double>(k + 1) / dn,
+             static_cast<double>(k + 1) / dn},
+            {0.999, 0.9991, 1.0},
+            {1.0},
+        };
+        for (bool duplicates : {false, true}) {
+            std::vector<double> v(n);
+            for (double &x : v)
+                x = duplicates
+                        ? static_cast<double>(rng.uniform(7)) * 0.125
+                        : static_cast<double>(rng.next() >> 11) * 0x1.0p-53;
+            std::vector<double> sorted = v;
+            std::sort(sorted.begin(), sorted.end());
+            for (const std::vector<double> &ps : requests) {
+                std::vector<double> sample = v;
+                std::vector<double> got(ps.size());
+                stats::percentilesBySelection(sample, ps.data(), ps.size(),
+                                              got.data());
+                for (std::size_t i = 0; i < ps.size(); ++i)
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                              std::bit_cast<std::uint64_t>(
+                                  stats::percentileSorted(sorted, ps[i])))
+                        << "n=" << n << " dup=" << duplicates
+                        << " p=" << ps[i];
+            }
+        }
+    }
+}
+
 TEST(PercentileDeath, EmptySamplePanics)
 {
     const std::vector<double> empty;
     EXPECT_DEATH(stats::percentileSorted(empty, 0.5),
                  "percentile of an empty sample");
+    std::vector<double> none;
+    double out = 0.0;
+    const double p = 0.5;
+    EXPECT_DEATH(stats::percentilesBySelection(none, &p, 1, &out),
+                 "percentile of an empty sample");
+}
+
+TEST(PercentileDeath, DescendingSelectionRequestsPanic)
+{
+    std::vector<double> v{3.0, 1.0, 2.0};
+    const double ps[] = {0.9, 0.5};
+    double out[2];
+    EXPECT_DEATH(stats::percentilesBySelection(v, ps, 2, out),
+                 "selection percentiles must be ascending");
 }
 
 } // namespace
