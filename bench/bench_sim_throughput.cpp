@@ -40,6 +40,14 @@
  * against the Table IV baseline runtime. CI gates bisect_identical ==
  * true; the two per-call times (bisect_us, bisect_scalar_us) are
  * reported only.
+ *
+ * The set-up scaling section times graph build (buildHksGraph) and
+ * compile (RpuEngine::compile) per task on synthetic shapes (logN 16,
+ * dnum 3, kp = kl/3) from kl 6 to kl 96, for MP and OC: the
+ * setup_scaling rows. build_task_scaling is the larger of the two
+ * dataflows' ns/task at kl 96 over ns/task at kl 6; CI gates it at
+ * 2.2, above which graph build grows with the task count the way it
+ * did when every spill rescanned every object built so far.
  */
 
 #include <algorithm>
@@ -179,6 +187,106 @@ bitIdentical(const shard::ShardedStats &a, const shard::ShardedStats &b)
             a.resources[r].jobs != b.resources[r].jobs)
             return false;
     return true;
+}
+
+/** Set-up cost per task of one synthetic shape under one dataflow. */
+struct SetupRow
+{
+    Dataflow dataflow = Dataflow::MP;
+    std::size_t kl = 0;
+    std::size_t tasks = 0;
+    double buildNsPerTask = 0.0;
+    double compileNsPerTask = 0.0;
+};
+
+/**
+ * Graph build and compile ns/task for logN 16, dnum 3, kp = kl/3 at
+ * kl 6..96, MP and OC, streamed keys, capacity a third of the shape's
+ * temporary data (never below the dataflow minimum). Each time is the
+ * best single call over `rounds` rounds that visit every shape in turn
+ * for ~slice seconds each, so host drift over the run reaches every
+ * shape alike instead of skewing the largest/smallest ratio.
+ */
+std::vector<SetupRow>
+setupScaling(int rounds, double slice)
+{
+    struct Shape
+    {
+        HksParams par;
+        MemoryConfig mem;
+        RpuEngine eng;
+        TaskGraph g;
+    };
+    std::vector<Shape> shapes;
+    std::vector<SetupRow> rows;
+    for (Dataflow d : {Dataflow::MP, Dataflow::OC}) {
+        for (std::size_t kl : {6, 12, 24, 48, 96}) {
+            const HksParams par{"SYN", 16, kl, kl / 3, 3, kl / 3};
+            const MemoryConfig mem{
+                std::max(par.tempBytes() / 3, minDataCapacity(par, d)),
+                false};
+            RpuConfig cfg;
+            cfg.dataMemBytes = mem.dataCapacityBytes;
+            shapes.push_back({par, mem, RpuEngine(cfg),
+                              buildHksGraph(par, d, mem)});
+            SetupRow r;
+            r.dataflow = d;
+            r.kl = kl;
+            r.tasks = shapes.back().g.size();
+            r.buildNsPerTask = std::numeric_limits<double>::infinity();
+            r.compileNsPerTask = r.buildNsPerTask;
+            rows.push_back(r);
+        }
+    }
+    // The best single call of `f` over ~slice seconds, in ns per task.
+    const auto best = [slice](std::size_t tasks, auto &&f) {
+        double s = std::numeric_limits<double>::infinity();
+        const Clock::time_point t0 = Clock::now();
+        do {
+            const Clock::time_point t = Clock::now();
+            f();
+            s = std::min(s, secondsSince(t));
+        } while (secondsSince(t0) < slice);
+        return s * 1e9 / static_cast<double>(tasks);
+    };
+    for (int round = 0; round < rounds; ++round) {
+        for (std::size_t i = 0; i < shapes.size(); ++i) {
+            const Shape &sh = shapes[i];
+            SetupRow &r = rows[i];
+            r.buildNsPerTask = std::min(r.buildNsPerTask, best(r.tasks, [&] {
+                TaskGraph g = buildHksGraph(sh.par, r.dataflow, sh.mem);
+                (void)g;
+            }));
+            r.compileNsPerTask =
+                std::min(r.compileNsPerTask, best(r.tasks, [&] {
+                    sim::CompiledSchedule cs = sh.eng.compile(sh.g);
+                    (void)cs;
+                }));
+        }
+    }
+    return rows;
+}
+
+/**
+ * Per dataflow, the last (largest) row's ns/task over the first's;
+ * the worst dataflow's ratio.
+ */
+template <typename Get>
+double
+worstScaling(const std::vector<SetupRow> &rows, Get &&get)
+{
+    double worst = 0.0;
+    for (Dataflow d : {Dataflow::MP, Dataflow::OC}) {
+        const SetupRow *lo = nullptr, *hi = nullptr;
+        for (const SetupRow &r : rows) {
+            if (r.dataflow != d)
+                continue;
+            lo = lo ? lo : &r;
+            hi = &r;
+        }
+        worst = std::max(worst, get(*hi) / get(*lo));
+    }
+    return worst;
 }
 
 struct Row
@@ -580,6 +688,28 @@ main()
                 sim::kBatchLanes);
     std::printf("scalar  = one simulateRuntime per bisection step\n");
 
+    std::printf("\n");
+    benchutil::header("Set-up scaling: graph build and compile per task "
+                      "(logN 16, dnum 3, kp = kl/3)");
+    const std::vector<SetupRow> setup = setupScaling(10, 0.01);
+    std::printf("%-9s | %4s | %8s | %12s %12s\n", "Dataflow", "kl",
+                "tasks", "build ns/t", "compile ns/t");
+    benchutil::rule();
+    for (const SetupRow &r : setup)
+        std::printf("%-9s | %4zu | %8zu | %12.1f %12.1f\n",
+                    dataflowName(r.dataflow), r.kl, r.tasks,
+                    r.buildNsPerTask, r.compileNsPerTask);
+    benchutil::rule();
+    const double build_scaling = worstScaling(
+        setup, [](const SetupRow &r) { return r.buildNsPerTask; });
+    const double compile_scaling = worstScaling(
+        setup, [](const SetupRow &r) { return r.compileNsPerTask; });
+    std::printf("build_task_scaling   = %.2fx (worst dataflow, kl 96 "
+                "ns/task over kl 6; CI gate)\n",
+                build_scaling);
+    std::printf("compile_task_scaling = %.2fx (reported only)\n",
+                compile_scaling);
+
     // Metrics block for the artifact: what the traced loops actually
     // recorded, plus the worst observer overhead seen.
     obs::MetricsRegistry metrics;
@@ -627,6 +757,22 @@ main()
             w.endObject();
         }
         w.endArray();
+        w.beginArray("setup_scaling");
+        for (const SetupRow &r : setup) {
+            w.beginObject();
+            w.field("dataflow", dataflowName(r.dataflow));
+            w.field("logN", 16);
+            w.field("kl", r.kl);
+            w.field("kp", r.kl / 3);
+            w.field("dnum", 3);
+            w.field("tasks", r.tasks);
+            w.field("build_ns_per_task", r.buildNsPerTask);
+            w.field("compile_ns_per_task", r.compileNsPerTask);
+            w.endObject();
+        }
+        w.endArray();
+        w.field("build_task_scaling", build_scaling);
+        w.field("compile_task_scaling", compile_scaling);
         w.metrics("metrics", metrics);
         w.finish();
         jf.close();

@@ -4,6 +4,9 @@
 
 #include "common/logging.h"
 
+// The checks here are branches, not panicIf/fatalIf: they pass on every
+// build, and panicIf would construct its message each time.
+
 namespace ciflow
 {
 
@@ -66,11 +69,34 @@ GraphBuilder::newGeneratedEvkObject()
 }
 
 void
+GraphBuilder::link(ObjId id)
+{
+    ObjState &o = objs[id];
+    ObjId prev = newest;
+    while (prev != kNone && objs[prev].lastUse > o.lastUse)
+        prev = objs[prev].older;
+    o.older = prev;
+    o.newer = prev == kNone ? oldest : objs[prev].newer;
+    (o.older == kNone ? oldest : objs[o.older].newer) = id;
+    (o.newer == kNone ? newest : objs[o.newer].older) = id;
+}
+
+void
+GraphBuilder::unlink(ObjId id)
+{
+    ObjState &o = objs[id];
+    (o.older == kNone ? oldest : objs[o.older].newer) = o.newer;
+    (o.newer == kNone ? newest : objs[o.newer].older) = o.older;
+    o.older = o.newer = kNone;
+}
+
+void
 GraphBuilder::evict(ObjId id)
 {
     ObjState &o = objs[id];
-    panicIf(!o.resident || o.pinned || o.transient || o.isEvk,
-            "evicting an unevictable object");
+    if (!evictable(o))
+        panic("evicting an unevictable object");
+    unlink(id);
     if (o.dirty && !o.dead) {
         Task st;
         st.kind = TaskKind::MemStore;
@@ -90,21 +116,10 @@ void
 GraphBuilder::makeRoom(std::uint64_t need)
 {
     while (used + need > effectiveCapacity) {
-        // Pick the least-recently-used evictable object.
-        std::int64_t victim = -1;
-        std::uint64_t best = ~0ull;
-        for (std::size_t i = 0; i < objs.size(); ++i) {
-            const ObjState &o = objs[i];
-            if (o.resident && !o.pinned && !o.transient && !o.isEvk &&
-                o.lastUse < best) {
-                best = o.lastUse;
-                victim = static_cast<std::int64_t>(i);
-            }
-        }
-        fatalIf(victim < 0,
-                "on-chip data memory too small for this schedule: "
-                "increase capacity or choose another dataflow");
-        evict(static_cast<ObjId>(victim));
+        if (oldest == kNone)
+            fatal("on-chip data memory too small for this schedule: "
+                  "increase capacity or choose another dataflow");
+        evict(oldest);
     }
 }
 
@@ -112,16 +127,21 @@ std::int64_t
 GraphBuilder::ensureResident(ObjId id, bool for_write)
 {
     ObjState &o = objs[id];
-    panicIf(o.dead, "touching a discarded object");
+    if (o.dead)
+        panic("touching a discarded object");
+    // emitCompute pinned the object (or it is a transient or an evk
+    // tower), so it is not in the eviction order and the touch moves
+    // nothing there.
     o.lastUse = ++useClock;
     if (o.resident || o.transient) {
-        if (o.transient && !for_write)
-            panicIf(o.provider < 0, "reading unproduced transient");
+        if (o.transient && !for_write && o.provider < 0)
+            panic("reading unproduced transient");
         return o.provider;
     }
     if (!o.hasDramCopy) {
         // First production of an on-chip object.
-        panicIf(!for_write, "reading an object that was never produced");
+        if (!for_write)
+            panic("reading an object that was never produced");
         if (!o.isEvk) {
             makeRoom(o.bytes);
             used += o.bytes;
@@ -151,23 +171,25 @@ GraphBuilder::ensureResident(ObjId id, bool for_write)
 }
 
 std::uint32_t
-GraphBuilder::emitCompute(StageId stage, OpCounts ops,
-                          const std::vector<ObjId> &operands,
-                          const std::vector<ObjId> &outputs)
+GraphBuilder::emitCompute(StageId stage, OpCounts ops, ObjList operands,
+                          ObjList outputs)
 {
     // Pin everything involved so residency survives sibling loads.
-    std::vector<ObjId> temp_pinned;
+    pinScratch.clear();
     auto pin_temp = [&](ObjId id) {
-        if (!objs[id].pinned && !objs[id].transient && !objs[id].isEvk) {
-            objs[id].pinned = true;
-            temp_pinned.push_back(id);
+        ObjState &o = objs[id];
+        if (!o.pinned && !o.transient && !o.isEvk) {
+            if (o.resident)
+                unlink(id);
+            o.pinned = true;
+            pinScratch.push_back(id);
         }
     };
 
-    std::vector<std::uint32_t> deps;
+    depScratch.clear();
     auto add_dep = [&](std::int64_t d) {
         if (d >= 0)
-            deps.push_back(static_cast<std::uint32_t>(d));
+            depScratch.push_back(static_cast<std::uint32_t>(d));
     };
 
     for (ObjId id : operands)
@@ -184,15 +206,16 @@ GraphBuilder::emitCompute(StageId stage, OpCounts ops,
         add_dep(ensureResident(id, !in_place ? true : false));
     }
 
-    std::sort(deps.begin(), deps.end());
-    deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
+    std::sort(depScratch.begin(), depScratch.end());
+    depScratch.erase(std::unique(depScratch.begin(), depScratch.end()),
+                     depScratch.end());
 
     Task t;
     t.kind = TaskKind::Compute;
     t.stage = stage;
     t.modOps = ops.modOps;
     t.shuffleOps = ops.shuffleOps;
-    t.deps = std::move(deps);
+    t.deps.assign(depScratch.begin(), depScratch.end());
     std::uint32_t id = graph.push(std::move(t));
 
     for (ObjId o : outputs) {
@@ -200,8 +223,11 @@ GraphBuilder::emitCompute(StageId stage, OpCounts ops,
         objs[o].dirty = true;
         objs[o].lastUse = ++useClock;
     }
-    for (ObjId o : temp_pinned)
-        objs[o].pinned = false;
+    // Every object this call touched is pinned, transient or evk, so
+    // the released ones are the newest candidates: each relinks at the
+    // newest end, stepping back at most over those released before it.
+    for (ObjId o : pinScratch)
+        unpin(o);
     return id;
 }
 
@@ -209,7 +235,8 @@ std::uint32_t
 GraphBuilder::emitFinalStore(ObjId id)
 {
     ObjState &o = objs[id];
-    panicIf(!o.resident && !o.transient, "final store of spilled object");
+    if (!o.resident && !o.transient)
+        panic("final store of spilled object");
     Task st;
     st.kind = TaskKind::MemStore;
     st.stage = StageId::DataMove;
@@ -226,15 +253,23 @@ GraphBuilder::emitFinalStore(ObjId id)
 void
 GraphBuilder::pin(ObjId id)
 {
-    panicIf(!objs[id].resident && !objs[id].transient,
-            "pinning a non-resident object");
-    objs[id].pinned = true;
+    ObjState &o = objs[id];
+    if (!o.resident && !o.transient)
+        panic("pinning a non-resident object");
+    if (evictable(o))
+        unlink(id);
+    o.pinned = true;
 }
 
 void
 GraphBuilder::unpin(ObjId id)
 {
-    objs[id].pinned = false;
+    ObjState &o = objs[id];
+    if (!o.pinned)
+        return;
+    o.pinned = false;
+    if (evictable(o))
+        link(id);
 }
 
 void
@@ -243,6 +278,8 @@ GraphBuilder::discard(ObjId id)
     ObjState &o = objs[id];
     if (o.dead)
         return;
+    if (evictable(o))
+        unlink(id);
     o.dead = true;
     o.pinned = false;
     if (o.resident && !o.transient && !o.isEvk) {

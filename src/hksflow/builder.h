@@ -14,6 +14,12 @@
  * of instructions, reuse of loaded and computed data, intermediate data
  * generation, and off-chip memory interaction", §IV).
  *
+ * The spill candidates (resident, unpinned objects that hold capacity)
+ * sit in an intrusive list ordered by last use, so finding and spilling
+ * the victim is O(1) however many objects the build has created or
+ * pinned. Pinning or discarding unlinks in O(1); a released pin rejoins
+ * at its last-use place, found by walking back from the newest end.
+ *
  * Two modeling details:
  *  - evk data never occupies data-memory capacity: the RPU has a
  *    dedicated key memory; when streaming, evk loads still produce
@@ -27,7 +33,8 @@
 #define CIFLOW_HKSFLOW_BUILDER_H
 
 #include <cstdint>
-#include <string>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "hksflow/hks_params.h"
@@ -54,6 +61,32 @@ struct MemoryConfig
 
 /** Handle to a data object tracked by the builder. */
 using ObjId = std::uint32_t;
+
+/**
+ * A read-only run of object handles passed without a copy: a braced
+ * list, a vector or a span. Only a parameter type: a braced list's
+ * elements live until the end of the call it is written in (C++26's
+ * std::span over an initializer list).
+ */
+class ObjList
+{
+  public:
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Winit-list-lifetime"
+    ObjList(std::initializer_list<ObjId> l) : first(l.begin()), n(l.size())
+    {
+    }
+#pragma GCC diagnostic pop
+    ObjList(const std::vector<ObjId> &v) : first(v.data()), n(v.size()) {}
+    ObjList(std::span<const ObjId> s) : first(s.data()), n(s.size()) {}
+
+    const ObjId *begin() const { return first; }
+    const ObjId *end() const { return first + n; }
+
+  private:
+    const ObjId *first;
+    std::size_t n;
+};
 
 /** Capacity-aware task-graph construction. */
 class GraphBuilder
@@ -88,18 +121,22 @@ class GraphBuilder
      * needed); outputs are allocated. An object may appear in both lists
      * (in-place update / accumulator).
      */
-    std::uint32_t emitCompute(StageId stage, OpCounts ops,
-                              const std::vector<ObjId> &operands,
-                              const std::vector<ObjId> &outputs);
+    std::uint32_t emitCompute(StageId stage, OpCounts ops, ObjList operands,
+                              ObjList outputs);
 
     /** Emit a final store of an object to DRAM (outputs of HKS). */
     std::uint32_t emitFinalStore(ObjId obj);
 
     /** Pin an object: it may not be evicted until unpinned. */
     void pin(ObjId obj);
+    /**
+     * Release a pin. The object rejoins the eviction order at its
+     * last-use place: O(1) when it is the newest spill candidate, else
+     * one step per candidate used after it.
+     */
     void unpin(ObjId obj);
 
-    /** Mark an object dead: it is freed without a writeback. */
+    /** Mark an object dead: it is unpinned and freed without a writeback. */
     void discard(ObjId obj);
 
     /** Bytes currently resident (excluding transients and evk). */
@@ -125,7 +162,25 @@ class GraphBuilder
         std::uint64_t lastUse = 0;
         std::int64_t provider = -1;  // task that produced/loaded it
         std::int64_t lastStore = -1; // most recent writeback task
+        /** Neighbours in the eviction order (kNone at either end). */
+        ObjId older = kNone;
+        ObjId newer = kNone;
     };
+
+    static constexpr ObjId kNone = ~ObjId(0);
+
+    /** Resident, unpinned and holding capacity: a spill candidate. */
+    static bool
+    evictable(const ObjState &o)
+    {
+        return o.resident && !o.pinned && !o.transient && !o.isEvk;
+    }
+
+    /** Add a spill candidate to the eviction order at its lastUse. */
+    void link(ObjId obj);
+
+    /** Remove a spill candidate from the eviction order. */
+    void unlink(ObjId obj);
 
     /** Make obj resident; returns provider task id (or -1). */
     std::int64_t ensureResident(ObjId obj, bool for_write);
@@ -143,6 +198,17 @@ class GraphBuilder
     std::uint64_t peak = 0;
     std::uint64_t useClock = 0;
     std::vector<ObjState> objs;
+    /**
+     * Ends of the eviction order: every spill candidate, oldest lastUse
+     * first. Each touch takes a fresh clock value and every candidate
+     * has been touched, so candidates' lastUse values are distinct and
+     * the oldest is the object a least-recently-used scan would pick.
+     */
+    ObjId oldest = kNone;
+    ObjId newest = kNone;
+    /** emitCompute's scratch: the task's deps and its temporary pins. */
+    std::vector<std::uint32_t> depScratch;
+    std::vector<ObjId> pinScratch;
     TaskGraph graph;
 };
 

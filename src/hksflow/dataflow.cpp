@@ -1,7 +1,7 @@
 #include "hksflow/dataflow.h"
 
 #include <algorithm>
-#include <map>
+#include <span>
 
 #include "common/logging.h"
 
@@ -93,19 +93,17 @@ struct HksBuild
     void
     scaleDigit(std::size_t j)
     {
-        std::vector<ObjId> towers = digitIntts(j);
+        const std::span<const ObjId> towers = digitIntts(j);
         b.emitCompute(StageId::ModUpBconv,
                       om.bconvScale(par.digitTowers(j)), towers, towers);
     }
 
-    std::vector<ObjId>
+    /** Digit j's INTT towers (a view of `intt`). */
+    std::span<const ObjId>
     digitIntts(std::size_t j) const
     {
-        const std::size_t first = par.digitFirst(j);
-        std::vector<ObjId> v;
-        for (std::size_t i = 0; i < par.digitTowers(j); ++i)
-            v.push_back(intt[first + i]);
-        return v;
+        return std::span<const ObjId>(intt).subspan(par.digitFirst(j),
+                                                    par.digitTowers(j));
     }
 
     /**
@@ -116,12 +114,12 @@ struct HksBuild
     void
     applyKey(std::size_t j, std::size_t t, ObjId ext)
     {
-        std::vector<ObjId> operands = {ext, evkB[j][t], evkA[j][t]};
         if (contrib[t] == 0) {
             acc[0][t] = b.newObject(par.towerBytes());
             acc[1][t] = b.newObject(par.towerBytes());
             b.emitCompute(StageId::ModUpKeyMul, om.keyMulTower(),
-                          operands, {acc[0][t], acc[1][t]});
+                          {ext, evkB[j][t], evkA[j][t]},
+                          {acc[0][t], acc[1][t]});
             if (pinAcc) {
                 b.pin(acc[0][t]);
                 b.pin(acc[1][t]);
@@ -130,7 +128,7 @@ struct HksBuild
             ObjId tmp0 = b.newTransient();
             ObjId tmp1 = b.newTransient();
             b.emitCompute(StageId::ModUpKeyMul, om.keyMulTower(),
-                          operands, {tmp0, tmp1});
+                          {ext, evkB[j][t], evkA[j][t]}, {tmp0, tmp1});
             b.emitCompute(StageId::ModUpReduce, om.reduceTower(),
                           {tmp0, tmp1, acc[0][t], acc[1][t]},
                           {acc[0][t], acc[1][t]});
@@ -237,16 +235,18 @@ buildMp(const HksParams &par, const MemoryConfig &mem)
         h.inttDigit(j);
 
     // P2 over all digits: scaling then every conversion column.
-    std::map<std::pair<std::size_t, std::size_t>, ObjId> bcol;
+    // Column (j, t) is bcol[j * ext + t]; in-digit slots stay unused.
+    const std::size_t ext = par.extTowers();
+    std::vector<ObjId> bcol(par.dnum * ext, HksBuild::kInvalid);
     for (std::size_t j = 0; j < par.dnum; ++j)
         h.scaleDigit(j);
     for (std::size_t j = 0; j < par.dnum; ++j) {
-        std::vector<ObjId> towers = h.digitIntts(j);
-        for (std::size_t t = 0; t < par.extTowers(); ++t) {
+        const std::span<const ObjId> towers = h.digitIntts(j);
+        for (std::size_t t = 0; t < ext; ++t) {
             if (h.inDigit(j, t))
                 continue;
             ObjId col = h.b.newObject(tb);
-            bcol[{j, t}] = col;
+            bcol[j * ext + t] = col;
             h.b.emitCompute(StageId::ModUpBconv,
                             h.om.bconvColumn(par.digitTowers(j)), towers,
                             {col});
@@ -255,35 +255,36 @@ buildMp(const HksParams &par, const MemoryConfig &mem)
             h.b.discard(o);
     }
 
-    // P3 over every converted tower.
-    for (auto &[key, col] : bcol)
-        h.b.emitCompute(StageId::ModUpNtt, h.om.nttTower(), {col}, {col});
+    // P3 over every converted tower, in (digit, tower) order.
+    for (ObjId col : bcol)
+        if (col != HksBuild::kInvalid)
+            h.b.emitCompute(StageId::ModUpNtt, h.om.nttTower(), {col},
+                            {col});
 
     // P4: stage-sequential apply-key, materializing every digit's full
     // product — the "extremely large" MP intermediate of §IV-A
     // (2*dnum*(kl+kp) towers; cf. the key-product term of Table III).
-    std::map<std::pair<std::size_t, std::size_t>, std::pair<ObjId, ObjId>>
-        prod;
+    std::vector<std::pair<ObjId, ObjId>> prod(par.dnum * ext);
     for (std::size_t j = 0; j < par.dnum; ++j) {
-        for (std::size_t t = 0; t < par.extTowers(); ++t) {
-            ObjId ext = h.inDigit(j, t) ? h.in[t] : bcol[{j, t}];
+        for (std::size_t t = 0; t < ext; ++t) {
+            ObjId x = h.inDigit(j, t) ? h.in[t] : bcol[j * ext + t];
             ObjId p0 = h.b.newObject(tb);
             ObjId p1 = h.b.newObject(tb);
             h.b.emitCompute(StageId::ModUpKeyMul, h.om.keyMulTower(),
-                            {ext, h.evkB[j][t], h.evkA[j][t]}, {p0, p1});
-            h.b.discard(ext);
+                            {x, h.evkB[j][t], h.evkA[j][t]}, {p0, p1});
+            h.b.discard(x);
             h.b.discard(h.evkB[j][t]);
             h.b.discard(h.evkA[j][t]);
-            prod[{j, t}] = {p0, p1};
+            prod[j * ext + t] = {p0, p1};
         }
     }
 
     // P5: reduce the digit products into the final ModUp output.
-    for (std::size_t t = 0; t < par.extTowers(); ++t) {
-        h.acc[0][t] = prod[{0, t}].first;
-        h.acc[1][t] = prod[{0, t}].second;
+    for (std::size_t t = 0; t < ext; ++t) {
+        h.acc[0][t] = prod[t].first;
+        h.acc[1][t] = prod[t].second;
         for (std::size_t j = 1; j < par.dnum; ++j) {
-            auto [p0, p1] = prod[{j, t}];
+            auto [p0, p1] = prod[j * ext + t];
             h.b.emitCompute(StageId::ModUpReduce, h.om.reduceTower(),
                             {h.acc[0][t], h.acc[1][t], p0, p1},
                             {h.acc[0][t], h.acc[1][t]});
@@ -306,9 +307,10 @@ buildDc(const HksParams &par, const MemoryConfig &mem)
         // All of P1..P5 for this digit before the next (Figure 2b).
         h.inttDigit(j);
         h.scaleDigit(j);
-        std::vector<ObjId> towers = h.digitIntts(j);
+        const std::span<const ObjId> towers = h.digitIntts(j);
 
-        std::map<std::size_t, ObjId> cols;
+        // Column t is cols[t]; in-digit slots stay unused.
+        std::vector<ObjId> cols(par.extTowers(), HksBuild::kInvalid);
         for (std::size_t t = 0; t < par.extTowers(); ++t) {
             if (h.inDigit(j, t))
                 continue;
@@ -320,9 +322,10 @@ buildDc(const HksParams &par, const MemoryConfig &mem)
         }
         for (ObjId o : towers)
             h.b.discard(o);
-        for (auto &[t, col] : cols)
-            h.b.emitCompute(StageId::ModUpNtt, h.om.nttTower(), {col},
-                            {col});
+        for (ObjId col : cols)
+            if (col != HksBuild::kInvalid)
+                h.b.emitCompute(StageId::ModUpNtt, h.om.nttTower(), {col},
+                                {col});
 
         for (std::size_t t = 0; t < par.extTowers(); ++t) {
             if (h.inDigit(j, t)) {

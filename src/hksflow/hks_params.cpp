@@ -11,7 +11,10 @@ namespace ciflow
 std::size_t
 HksParams::digitTowers(std::size_t j) const
 {
-    panicIf(j >= dnum, "digit index out of range");
+    // A branch, not panicIf: graph build calls this per tower, and
+    // panicIf would construct its message each time.
+    if (j >= dnum)
+        panic("digit index out of range");
     std::size_t first = j * alpha;
     return std::min(alpha, kl - first);
 }

@@ -98,23 +98,20 @@ ExperimentRunner::experiment(const HksParams &par, Dataflow d,
                              const MemoryConfig &mem)
 {
     const ExperimentKey key = ExperimentKey::of(par, d, mem);
+    CacheSlot *slot = nullptr;
     {
         std::lock_guard<std::mutex> lk(cache_mu);
-        auto it = cache.find(key);
-        if (it != cache.end()) {
-            ++hits;
-            return it->second;
-        }
-        ++misses;
+        const auto [it, inserted] = cache.try_emplace(key);
+        slot = &it->second;
+        ++(inserted ? misses : hits);
     }
     // Build outside the lock: graph construction is the slow part and
-    // independent builds may proceed concurrently. A racing builder of
-    // the same key loses gracefully below.
-    auto built = std::make_shared<const HksExperiment>(par, d, mem);
-    std::lock_guard<std::mutex> lk(cache_mu);
-    auto [it, inserted] = cache.emplace(key, std::move(built));
-    (void)inserted;
-    return it->second;
+    // builds of distinct keys proceed concurrently. Requesters of a key
+    // whose build is in flight wait here for that one build.
+    std::call_once(slot->once, [&] {
+        slot->exp = std::make_shared<const HksExperiment>(par, d, mem);
+    });
+    return slot->exp;
 }
 
 std::size_t

@@ -144,15 +144,17 @@ class ExperimentRunner
     std::size_t cachedExperiments() const;
 
     /**
-     * Graph-cache lookups served without building (monotone counter).
-     * The tuner's eval-cache tests assert on these to prove that
-     * repeated strategies share graphs instead of rebuilding them.
+     * Graph-cache lookups served without building (monotone counter),
+     * including requesters that waited for another thread's build of
+     * the same key. The tuner's eval-cache tests assert on these to
+     * prove that repeated strategies share graphs instead of
+     * rebuilding them.
      */
     std::size_t cacheHits() const;
     /**
-     * Graph builds triggered by cache misses. Two threads racing on
-     * one key may both count a miss (the loser's build is discarded),
-     * so misses >= cachedExperiments().
+     * Graph builds: one per key, counted when its cache slot is
+     * inserted, however many threads race on it; so misses ==
+     * cachedExperiments().
      */
     std::size_t cacheMisses() const;
 
@@ -168,11 +170,17 @@ class ExperimentRunner
   private:
     void workerLoop();
 
-    // Graph cache.
+    /** A cache entry, built exactly once through `once`. */
+    struct CacheSlot
+    {
+        std::once_flag once;
+        std::shared_ptr<const HksExperiment> exp;
+    };
+
+    // Graph cache. Nodes never move and are never erased: experiment()
+    // reads its slot after dropping the lock.
     mutable std::mutex cache_mu;
-    std::unordered_map<ExperimentKey, std::shared_ptr<const HksExperiment>,
-                       ExperimentKeyHash>
-        cache;
+    std::unordered_map<ExperimentKey, CacheSlot, ExperimentKeyHash> cache;
     std::size_t hits = 0;
     std::size_t misses = 0;
 

@@ -42,7 +42,10 @@ CompiledSchedule::addTask(const TaskId *deps, std::size_t ndeps,
                           const CompiledOp *ops_in, std::size_t nops)
 {
     const TaskId id = static_cast<TaskId>(taskCount());
-    panicIf(nops == 0, "task with no ops");
+    // Branches, not panicIf: the checks run per op and per dep of every
+    // compile, and panicIf would construct its message each time.
+    if (nops == 0)
+        panic("task with no ops");
     // Compile-time half of the replay watchdog: a cost numerator that
     // is negative or non-finite can only ever produce a garbage
     // duration, so reject it here where the lowering bug is, not at
@@ -51,16 +54,16 @@ CompiledSchedule::addTask(const TaskId *deps, std::size_t ndeps,
         return std::isfinite(x) && x >= 0.0;
     };
     for (std::size_t i = 0; i < nops; ++i) {
-        panicIf(ops_in[i].resource >= names.size(),
-                "op on unknown resource");
         const CompiledOp &op = ops_in[i];
-        panicIf(!(sane(op.bytes) && sane(op.work[0]) &&
-                  sane(op.work[1]) && sane(op.seconds) &&
-                  sane(op.postSeconds)),
-                "op with a negative or non-finite cost numerator");
+        if (op.resource >= names.size())
+            panic("op on unknown resource");
+        if (!(sane(op.bytes) && sane(op.work[0]) && sane(op.work[1]) &&
+              sane(op.seconds) && sane(op.postSeconds)))
+            panic("op with a negative or non-finite cost numerator");
     }
     for (std::size_t i = 0; i < ndeps; ++i)
-        panicIf(deps[i] >= id, "forward dependency in sim task");
+        if (deps[i] >= id)
+            panic("forward dependency in sim task");
     depIds.insert(depIds.end(), deps, deps + ndeps);
     depOff.push_back(static_cast<std::uint32_t>(depIds.size()));
     for (std::size_t i = 0; i < nops; ++i) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 
 #include "rpu/runner.h"
 
@@ -233,4 +234,40 @@ TEST(Runner, ConcurrentExperimentLookupsShareOneBuild)
         EXPECT_EQ(e.get(), got[0].get());
     }
     EXPECT_EQ(runner.cachedExperiments(), 1u);
+}
+
+TEST(Runner, RacingRequestersOfOneKeyCountOneMissAndOneBuild)
+{
+    // For each key, threads released together on it while it is not
+    // cached: one of them builds, the others wait for that build and
+    // count hits.
+    ExperimentRunner runner(1);
+    const MemoryConfig mem{32ull << 20, false};
+    constexpr std::size_t kThreads = 8;
+    std::size_t keys = 0;
+    for (const HksParams &b : paperBenchmarks()) {
+        for (Dataflow d : allDataflows()) {
+            std::vector<std::shared_ptr<const HksExperiment>> got(kThreads);
+            std::atomic<std::size_t> ready{0};
+            std::vector<std::thread> threads;
+            for (std::size_t i = 0; i < kThreads; ++i) {
+                threads.emplace_back([&, i] {
+                    ready.fetch_add(1);
+                    while (ready.load() < kThreads)
+                        std::this_thread::yield();
+                    got[i] = runner.experiment(b, d, mem);
+                });
+            }
+            for (std::thread &t : threads)
+                t.join();
+            for (const auto &e : got) {
+                ASSERT_NE(e, nullptr);
+                EXPECT_EQ(e.get(), got[0].get());
+            }
+            ++keys;
+            EXPECT_EQ(runner.cacheMisses(), keys) << b.name;
+            EXPECT_EQ(runner.cacheHits(), keys * (kThreads - 1)) << b.name;
+            EXPECT_EQ(runner.cachedExperiments(), keys) << b.name;
+        }
+    }
 }
