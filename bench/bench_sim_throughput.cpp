@@ -15,7 +15,9 @@
  * the bit. Also reports the one-off compile cost the replay paths
  * amortize. Emits BENCH_sim.json so CI can track simulates/sec across
  * PRs; CI gates compiled/rebuild >= 10x and batched/scalar >= 2x
- * (target >= 3x). Exits nonzero on any equivalence mismatch.
+ * (target >= 3x). lane_isa names the replayMany clone the host ran
+ * (x86-64-v4, avx2 or default), so batched readings from different
+ * hosts can be told apart. Exits nonzero on any equivalence mismatch.
  *
  * The patch_vs_recompile section measures the incremental-compile
  * path against the fresh compile it replaces: rebinding a 4-shard
@@ -339,14 +341,35 @@ struct Row
     }
 };
 
+/**
+ * The replayMany lane clone this host runs: the blockBodyFull
+ * target_clones entry (sim/compiled_schedule.cpp) the ifunc resolver
+ * picks, widest first. Builds without the clones (ThreadSanitizer,
+ * other architectures) run the default body. Labels batchedSpeedup,
+ * which an AVX-512 host reads from the x86-64-v4 clone only.
+ */
+const char *
+laneIsa()
+{
+#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
+    if (__builtin_cpu_supports("x86-64-v4"))
+        return "x86-64-v4";
+    if (__builtin_cpu_supports("avx2"))
+        return "avx2";
+#endif
+    return "default";
+}
+
 } // namespace
 
 int
 main()
 {
-    benchutil::header("Simulator throughput: rebuild-per-simulate vs "
-                      "compiled replay vs batched replay (61-point "
-                      "bisection loop)");
+    benchutil::header(std::string("Simulator throughput: rebuild-per-"
+                                  "simulate vs compiled replay vs "
+                                  "batched replay (61-point bisection "
+                                  "loop; lane_isa ") +
+                      laneIsa() + ")");
 
     const std::vector<double> bws = bisectionPoints();
     const MemoryConfig mem{32ull << 20, false};
@@ -727,6 +750,7 @@ main()
         w.field("bench", "sim_throughput");
         w.field("points_per_loop", bws.size());
         w.field("batch_lanes", sim::kBatchLanes);
+        w.field("lane_isa", laneIsa());
         w.field("traced_identical", all_traced_identical);
         w.field("shard_bind_identical", all_shard_bind_identical);
         w.field("bisect_identical", all_bisect_identical);

@@ -24,7 +24,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/event_queue.h"
+#include "sim/ids.h"
 
 namespace ciflow::obs
 {

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/logging.h"
+#include "sim/event_queue.h"
 
 namespace ciflow
 {

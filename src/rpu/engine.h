@@ -43,7 +43,7 @@
 #include "rpu/config.h"
 #include "rpu/isa.h"
 #include "sim/compiled_schedule.h"
-#include "sim/event_queue.h"
+#include "sim/ids.h"
 
 namespace ciflow
 {

@@ -198,9 +198,14 @@ bandwidthToMatch(const HksExperiment &exp, double target_runtime,
 {
     // Blocks replay midpoints the walk may never visit. All of them
     // lie inside the initial bracket, so a non-negative lo keeps every
-    // one a valid bandwidth.
+    // one a valid bandwidth; the first block also replays hi itself,
+    // which must be a positive finite rate. A zero-width bracket
+    // (hi == lo) is a walk of no steps.
     if (!(lo_gbps >= 0.0))
         fatal("bandwidthToMatch: lo_gbps must be a non-negative number");
+    if (!(hi_gbps >= lo_gbps && hi_gbps > 0.0 && std::isfinite(hi_gbps)))
+        fatal("bandwidthToMatch: hi_gbps must be a positive finite "
+              "number no lower than lo_gbps");
     // The bisection, three levels per replay block. A block replays
     // the 7 midpoints the next three steps can visit, heap-ordered:
     // node i's children are node 2i+1 (the bracket after hi = mid) and

@@ -158,9 +158,10 @@ double baselineRuntime(const HksParams &par);
  * 7 midpoints those steps can visit, and the first block also the
  * hi_gbps probe. On the default bracket a call costs 8-10 blocks
  * instead of 22-29 scalar replays, and it returns the double the
- * one-step-at-a-time walk returns. Requires lo_gbps >= 0, so that
- * every speculated midpoint is a positive bandwidth; a negative or
- * NaN lo_gbps is fatal.
+ * one-step-at-a-time walk returns. Requires 0 <= lo_gbps <= hi_gbps
+ * < +inf and hi_gbps > 0, so that every speculated midpoint is a
+ * bandwidth and the hi_gbps probe a positive finite one; a bracket
+ * outside that (NaN included) is fatal.
  */
 double bandwidthToMatch(const HksExperiment &exp, double target_runtime,
                         double lo_gbps = 1.0, double hi_gbps = 2000.0,

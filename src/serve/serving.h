@@ -12,7 +12,7 @@
  * costs. A duration estimator prices every job class once per distinct
  * chip bandwidth through the compiled-replay fast paths
  * (HksExperiment::simulateRuntimeMany for single-chip classes,
- * ShardedEngine::replayRuntimeMany for gang-scheduled ones), memoized
+ * ShardedEngine::replayRuntime for gang-scheduled ones), memoized
  * in a shared tune::EvalCache; the admission scheduler then runs a
  * purely arithmetic event loop over those per-op prices. Because
  * simulation is a pure function of (graph, config), the whole serving
@@ -67,7 +67,7 @@ struct JobClass
      * single-chip compiled schedule. K>1: the per-op graph is
      * partitioned with the placement-search helpers and the job
      * gang-schedules the K least-loaded chips, priced by
-     * ShardedEngine::replayRuntimeMany.
+     * ShardedEngine::replayRuntime.
      */
     std::size_t shards = 1;
 };

@@ -69,24 +69,18 @@ searchPlacements(ExperimentRunner &runner, const HksParams &par,
     chip.dataMemBytes = mem.dataCapacityBytes;
     chip.evkOnChip = mem.evkOnChip;
 
-    // The rate-only bandwidth axis (default: the nominal chip alone).
-    std::vector<double> bws = spec.chipBandwidths;
-    if (bws.empty())
-        bws.push_back(chip.bandwidthGBps);
-
     // Phase 1: one partition per (dataflow, shard count, strategy) —
-    // the cut does not depend on the topology or on any replay rate,
-    // so it is computed once and shared across the topology and
-    // bandwidth grid points. The cuts of one dataflow share its graph
-    // prep and weights.
+    // the cut does not depend on the topology, so it is computed once
+    // and shared across the topology grid points. The cuts of one
+    // dataflow share its graph prep and weights.
     struct Cut
     {
         std::shared_ptr<const HksExperiment> exp;
         /** The dataflow's graph prep, shared by all of its cuts. */
         std::shared_ptr<const PartitionPrep> prep;
         std::shared_ptr<const std::vector<double>> weights;
-        /** Single-RPU runtime per bandwidth axis point. */
-        std::shared_ptr<const std::vector<double>> baselines;
+        /** Single-RPU runtime of the dataflow. */
+        double baseline = 0.0;
         Dataflow dataflow = Dataflow::OC;
         std::size_t shards = 1;
         PartitionStrategy strategy =
@@ -100,16 +94,7 @@ searchPlacements(ExperimentRunner &runner, const HksParams &par,
             exp->graph(), par.towerBytes(), chip.vectorLen);
         auto weights = std::make_shared<const std::vector<double>>(
             taskWeights(*prep, chip));
-        // Single-RPU baselines across the bandwidth axis in one
-        // batched replay (rate-only, so all points share the chip's
-        // compiled layout).
-        std::vector<RpuConfig> bcfgs(bws.size(), chip);
-        for (std::size_t i = 0; i < bws.size(); ++i)
-            bcfgs[i].bandwidthGBps = bws[i];
-        auto baselines =
-            std::make_shared<std::vector<double>>(bws.size());
-        exp->simulateRuntimeMany(bcfgs.data(), bcfgs.size(),
-                                 baselines->data());
+        const double baseline = exp->simulateRuntime(chip);
         bool k1_done = false;
         for (std::size_t k : spec.shardCounts) {
             for (PartitionStrategy strat : spec.strategies) {
@@ -124,7 +109,7 @@ searchPlacements(ExperimentRunner &runner, const HksParams &par,
                 c.exp = exp;
                 c.prep = prep;
                 c.weights = weights;
-                c.baselines = baselines;
+                c.baseline = baseline;
                 c.dataflow = d;
                 c.shards = k;
                 c.strategy = strat;
@@ -146,15 +131,13 @@ searchPlacements(ExperimentRunner &runner, const HksParams &par,
     runner.runAll(jobs);
 
     // Phase 2: bind each (cut, topology) grid point once from the
-    // experiment's compiled schedule and replay the whole bandwidth
-    // axis as one batch. K=1 needs no topology sweep either — there
-    // are no links.
+    // experiment's compiled schedule and replay it. K=1 needs no
+    // topology sweep — there are no links.
     struct Job
     {
         const Cut *cut = nullptr;
         Topology topology = Topology::PointToPoint;
-        /** One result per bandwidth axis point. */
-        std::vector<PlacementResult> results;
+        PlacementResult result;
     };
     std::vector<Job> grid;
     for (const Cut &c : cuts) {
@@ -170,37 +153,30 @@ searchPlacements(ExperimentRunner &runner, const HksParams &par,
     jobs.clear();
     jobs.reserve(grid.size());
     for (Job &j : grid) {
-        jobs.push_back([&j, &chip, &spec, &bws] {
+        jobs.push_back([&j, &chip, &spec] {
             const Cut &c = *j.cut;
             InterconnectConfig net = spec.interconnect;
             net.topology = j.topology;
             const ShardedEngine eng(chip, net);
             const ShardedCompiled sc = eng.compile(*c.exp, c.partition);
-            std::vector<double> runtimes(bws.size());
-            eng.replayRuntimeMany(sc, bws.data(), bws.size(),
-                                  runtimes.data());
-            j.results.resize(bws.size());
-            for (std::size_t i = 0; i < bws.size(); ++i) {
-                PlacementResult &r = j.results[i];
-                r.dataflow = c.dataflow;
-                r.shards = c.shards;
-                r.topology = j.topology;
-                r.strategy = c.strategy;
-                r.chipBandwidthGBps = bws[i];
-                r.runtime = runtimes[i];
-                r.baseline = (*c.baselines)[i];
-                r.cutBytes = c.partition.cutBytes;
-                r.transferTasks = sc.transferTasks;
-                r.imbalance = c.partition.imbalance();
-            }
+            PlacementResult &r = j.result;
+            r.dataflow = c.dataflow;
+            r.shards = c.shards;
+            r.topology = j.topology;
+            r.strategy = c.strategy;
+            r.runtime = eng.replayRuntime(sc);
+            r.baseline = c.baseline;
+            r.cutBytes = c.partition.cutBytes;
+            r.transferTasks = sc.transferTasks;
+            r.imbalance = c.partition.imbalance();
         });
     }
     runner.runAll(jobs);
 
     std::vector<PlacementResult> out;
-    out.reserve(grid.size() * bws.size());
+    out.reserve(grid.size());
     for (const Job &j : grid)
-        out.insert(out.end(), j.results.begin(), j.results.end());
+        out.push_back(j.result);
     std::stable_sort(out.begin(), out.end(),
                      [](const PlacementResult &a,
                         const PlacementResult &b) {

@@ -42,17 +42,6 @@ struct PlacementSpec
     InterconnectConfig interconnect;
     /** MinCutGreedy load cap (see ShardSpec::imbalanceTol). */
     double imbalanceTol = 0.10;
-    /**
-     * Optional per-chip DRAM bandwidth axis (GB/s). Empty (default):
-     * every placement evaluates at `chip.bandwidthGBps` only. Chip
-     * bandwidth is a pure replay rate, so each (cut, topology) point
-     * compiles once and replays the whole axis as one batch
-     * (ShardedEngine::replayRuntimeMany); partitions and task weights
-     * are computed at the nominal `chip` configuration. Layout knobs
-     * (channels, policy, pipes) cannot be swept this way — change
-     * `chip` and search again.
-     */
-    std::vector<double> chipBandwidths;
 };
 
 /** One evaluated placement. */
@@ -63,11 +52,9 @@ struct PlacementResult
     Topology topology = Topology::PointToPoint;
     PartitionStrategy strategy =
         PartitionStrategy::ContiguousByLevel;
-    /** Per-chip DRAM bandwidth this point replayed at (GB/s). */
-    double chipBandwidthGBps = 64.0;
     /** Sharded end-to-end runtime (seconds). */
     double runtime = 0.0;
-    /** Single-RPU runtime at the same (dataflow, chip bandwidth). */
+    /** Single-RPU runtime of the same dataflow on one `chip`. */
     double baseline = 0.0;
     std::uint64_t cutBytes = 0;
     std::size_t transferTasks = 0;

@@ -19,9 +19,6 @@ struct ReplayTls
 {
     sim::ReplayRates rates;
     sim::ReplayScratch scratch;
-    /** Batched-replay buffers (replayRuntimeMany). */
-    std::vector<sim::ReplayRates> batchRates;
-    sim::BatchScratch batchScratch;
 };
 
 ReplayTls &
@@ -405,38 +402,6 @@ ShardedEngine::recompilePartition(ShardedPatchable &ps,
     ps.part = newP;
 }
 
-namespace
-{
-
-/**
- * Fill `r` with the replay rates of `chip_cfg`-configured chips joined
- * by `net`, for a schedule of `sc`'s shape. Shared by the scalar and
- * batched replay paths so every point of a batch derives its rates
- * exactly as a scalar replay would.
- */
-void
-fillRates(const RpuConfig &chip_cfg, const InterconnectConfig &net,
-          const ShardedCompiled &sc, sim::ReplayRates &r)
-{
-    const std::size_t nchan = chip_cfg.channelCount();
-    const std::size_t nres = sc.schedule.resourceCount();
-    panicIf(nres != sc.shards * sc.perChip + sc.links,
-            "sharded schedule resource count does not match config");
-    // Pipes never carry bytes; 1.0 keeps their byte component defined.
-    r.bytesPerSec.assign(nres, 1.0);
-    for (std::size_t s = 0; s < sc.shards; ++s)
-        for (std::size_t c = 0; c < nchan; ++c)
-            r.bytesPerSec[s * sc.perChip + c] =
-                chip_cfg.channelBytesPerSec(c);
-    const double link_bps = gbps(net.linkGBps);
-    for (std::size_t l = 0; l < sc.links; ++l)
-        r.bytesPerSec[sc.shards * sc.perChip + l] = link_bps;
-    r.workPerSec[kWorkArith] = chip_cfg.modopsPerSec();
-    r.workPerSec[kWorkShuffle] = chip_cfg.shuffleElemsPerSec();
-}
-
-} // namespace
-
 void
 ShardedEngine::rates(const ShardedCompiled &sc,
                      sim::ReplayRates &r) const
@@ -448,7 +413,20 @@ ShardedEngine::rates(const ShardedCompiled &sc,
                 shardedTag(RpuLayout::of(cfg), sc.shards,
                            net.topology),
             "sharded schedule layout does not match config");
-    fillRates(cfg, net, sc, r);
+    const std::size_t nchan = cfg.channelCount();
+    const std::size_t nres = sc.schedule.resourceCount();
+    panicIf(nres != sc.shards * sc.perChip + sc.links,
+            "sharded schedule resource count does not match config");
+    // Pipes never carry bytes; 1.0 keeps their byte component defined.
+    r.bytesPerSec.assign(nres, 1.0);
+    for (std::size_t s = 0; s < sc.shards; ++s)
+        for (std::size_t c = 0; c < nchan; ++c)
+            r.bytesPerSec[s * sc.perChip + c] = cfg.channelBytesPerSec(c);
+    const double link_bps = gbps(net.linkGBps);
+    for (std::size_t l = 0; l < sc.links; ++l)
+        r.bytesPerSec[sc.shards * sc.perChip + l] = link_bps;
+    r.workPerSec[kWorkArith] = cfg.modopsPerSec();
+    r.workPerSec[kWorkShuffle] = cfg.shuffleElemsPerSec();
 }
 
 double
@@ -457,36 +435,6 @@ ShardedEngine::replayRuntime(const ShardedCompiled &sc) const
     ReplayTls &tls = replayTls();
     rates(sc, tls.rates);
     return sc.schedule.replay(tls.rates, tls.scratch);
-}
-
-void
-ShardedEngine::replayRuntimeMany(const ShardedCompiled &sc,
-                                 const double *chip_bandwidths_gbps,
-                                 std::size_t n, double *out) const
-{
-    if (n == 0)
-        return;
-    panicIf(sc.schedule.baseLayoutTag() !=
-                shardedTag(RpuLayout::of(cfg), sc.shards,
-                           net.topology),
-            "sharded schedule layout does not match config");
-    // Per-channel bandwidths override the aggregate knob, so a
-    // *varying* bandwidth axis would be silently vacuous; a single
-    // point simply replays the chip's configured (asymmetric) rates.
-    panicIf(n > 1 && !cfg.channelGBps.empty(),
-            "chip-bandwidth batch is vacuous under per-channel "
-            "bandwidths (channelGBps overrides the aggregate)");
-    ReplayTls &tls = replayTls();
-    if (tls.batchRates.size() < n)
-        tls.batchRates.resize(n);
-    RpuConfig chip = cfg;
-    for (std::size_t i = 0; i < n; ++i) {
-        chip.bandwidthGBps = chip_bandwidths_gbps[i];
-        fillRates(chip, net, sc, tls.batchRates[i]);
-    }
-    sc.schedule.replayMany(tls.batchRates.data(), n, tls.batchScratch);
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = tls.batchScratch.makespan[i];
 }
 
 ShardedStats

@@ -221,23 +221,6 @@ class ShardedEngine
     /** Makespan-only replay (allocation-free; the search hot path). */
     double replayRuntime(const ShardedCompiled &sc) const;
 
-    /**
-     * Batched makespan-only replay at `n` per-chip DRAM bandwidths
-     * (GB/s, aggregate per chip; link rates and every other knob stay
-     * at this engine's configuration). Chip bandwidth is a pure replay
-     * rate, so all points share the compiled layout and evaluate with
-     * one walk of the compiled arrays per sim::kBatchLanes-point block
-     * (sim::CompiledSchedule::replayMany). out[i] is bit-identical to
-     * replayRuntime on an engine whose chip carries bandwidth i.
-     * Panics when `n > 1` and the chip sets per-channel bandwidths
-     * (channelGBps): those override the aggregate, which would make a
-     * varying sweep silently vacuous. A single point replays the
-     * chip's configured (possibly asymmetric) rates exactly.
-     */
-    void replayRuntimeMany(const ShardedCompiled &sc,
-                           const double *chip_bandwidths_gbps,
-                           std::size_t n, double *out) const;
-
     /** Replay plus ShardedStats packaging. */
     ShardedStats replay(const ShardedCompiled &sc) const;
 

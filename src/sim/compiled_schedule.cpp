@@ -287,43 +287,52 @@ CompiledSchedule::replayPiecewise(const ReplayRates &rates,
 namespace
 {
 
-#if defined(__GNUC__)
-
-// laneMax passes 64-byte vectors by value, which GCC flags (-Wpsabi)
-// as an ABI hazard for ISAs without 512-bit registers; every such
-// call is always_inline and internal to this TU, so none crosses an
-// ABI boundary (the library builds with -Wno-psabi — the warning is
-// emitted at clone expansion, outside any diagnostic-pragma region).
+#if !defined(__GNUC__)
+#error "replayMany's lane points need the GNU vector extensions (GCC or Clang)"
+#endif
 
 /**
- * One full batch block as an explicit vector value: kBatchLanes
- * doubles wide, element-aligned (the scratch buffers guarantee no
- * more), allowed to alias the double arrays it loads from. GCC/Clang
- * lower it to the widest unit the target has and split otherwise, so
- * the lane math is guaranteed SIMD — no cost-model coin flip — while
- * every element still sees the exact IEEE divide/max/add of the
+ * Point type of a replayMany() block: kBatchLanes replay points side
+ * by side over the lane-contiguous BatchScratch buffers, each time one
+ * explicit vector value — kBatchLanes doubles wide, element-aligned
+ * (the scratch buffers guarantee no more), allowed to alias the double
+ * arrays it loads from. GCC/Clang lower it to the widest unit the
+ * target has and split otherwise, so the lane math is guaranteed SIMD
+ * while every element still sees the exact IEEE divide/max/add of the
  * scalar replay.
  */
-typedef double LaneVec
-    __attribute__((vector_size(kBatchLanes * sizeof(double)),
-                   aligned(8), may_alias));
-
-[[gnu::always_inline]] inline LaneVec
-laneMax(LaneVec a, LaneVec b)
+struct LanePoints
 {
-    return a > b ? a : b;
-}
+    typedef double V
+        __attribute__((vector_size(kBatchLanes * sizeof(double)),
+                       aligned(8), may_alias));
+
+    /** Row `i` of a lane-contiguous buffer: its kBatchLanes lanes. */
+    static V &
+    row(std::vector<double> &buf, std::size_t i)
+    {
+        return *reinterpret_cast<V *>(&buf[i * kBatchLanes]);
+    }
+
+    BatchScratch &s;
+    V w0, w1;
+
+    V &finish(std::size_t t) const { return row(s.finish, t); }
+    V &freeAt(ResourceId r) const { return row(s.freeAt, r); }
+    V &busy(ResourceId r) const { return row(s.busy, r); }
+    V bytesRate(ResourceId r) const { return row(s.bps, r); }
+};
 
 /**
- * One block of kBatchLanes point-lanes: the scalar replay() op body
- * evaluated per lane over lane-contiguous buffers — the same divides
- * in the same max order, so every lane is bit-identical to its scalar
- * replay. Per-ISA clones: the resolver picks the widest vector unit
- * the host has (AVX-512, AVX2, or baseline SSE2) at load time. Every
- * clone runs the identical IEEE operations — ISA width changes how
- * many lanes one instruction covers, never a result bit. ThreadSanitizer
- * builds keep the baseline body only: the clones' ifunc resolver runs
- * during relocation, before the TSan runtime is up.
+ * One full block of kBatchLanes point-lanes: the replay kernel's
+ * recurrence (detail::replayBody) over LanePoints, so every lane is
+ * bit-identical to its scalar replay. Per-ISA clones: the resolver
+ * picks the widest vector unit the host has (AVX-512, AVX2, or
+ * baseline SSE2) at load time. Every clone runs the identical IEEE
+ * operations — ISA width changes how many lanes one instruction
+ * covers, never a result bit. ThreadSanitizer builds keep the baseline
+ * body only: the clones' ifunc resolver runs during relocation, before
+ * the TSan runtime is up.
  */
 #if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
 [[gnu::target_clones("default", "avx2", "arch=x86-64-v4")]]
@@ -331,138 +340,11 @@ laneMax(LaneVec a, LaneVec b)
 void
 blockBodyFull(const ScheduleView &v, BatchScratch &s, double *makespans)
 {
-    const LaneVec w0 = *reinterpret_cast<const LaneVec *>(s.w0.data());
-    const LaneVec w1 = *reinterpret_cast<const LaneVec *>(s.w1.data());
-    LaneVec makespan = {};
-
-    for (std::size_t t = 0; t < v.taskCount; ++t) {
-        LaneVec ready = {};
-        for (std::uint32_t i = v.depOff[t]; i < v.depOff[t + 1]; ++i)
-            ready = laneMax(ready,
-                            *reinterpret_cast<const LaneVec *>(
-                                &s.finish[v.depIds[i] * kBatchLanes]));
-        LaneVec task_fin = {};
-        for (std::uint32_t i = v.opOff[t]; i < v.opOff[t + 1]; ++i) {
-            const ResourceId res = v.opRes[i];
-            // Component maxes with zero numerators skipped exactly as
-            // in scalar replay() (0/rate is +0 and never raises the
-            // max); the branches are per-op, uniform across lanes.
-            LaneVec dur = v.opSec[i] - LaneVec{};
-            if (v.opWork0[i] != 0.0)
-                dur = laneMax(dur, v.opWork0[i] / w0);
-            if (v.opWork1[i] != 0.0)
-                dur = laneMax(dur, v.opWork1[i] / w1);
-            if (v.opBytes[i] != 0.0)
-                dur = laneMax(dur,
-                              v.opBytes[i] /
-                                  *reinterpret_cast<const LaneVec *>(
-                                      &s.bps[res * kBatchLanes]));
-            LaneVec *fa = reinterpret_cast<LaneVec *>(
-                &s.freeAt[res * kBatchLanes]);
-            LaneVec *bz = reinterpret_cast<LaneVec *>(
-                &s.busy[res * kBatchLanes]);
-            const LaneVec fin = laneMax(*fa, ready) + dur;
-            *fa = fin;
-            *bz = *bz + dur;
-            task_fin = laneMax(task_fin, fin + v.opPost[i]);
-            ++s.jobs[res];
-        }
-        *reinterpret_cast<LaneVec *>(&s.finish[t * kBatchLanes]) =
-            task_fin;
-        makespan = laneMax(makespan, task_fin);
-    }
-    *reinterpret_cast<LaneVec *>(makespans) = makespan;
+    const LanePoints pts{s, LanePoints::row(s.w0, 0),
+                         LanePoints::row(s.w1, 0)};
+    *reinterpret_cast<LanePoints::V *>(makespans) = detail::replayBody(
+        v, pts, detail::ConstantRates{}, detail::NoRecord{});
 }
-
-#else // !__GNUC__: portable scalar fallback
-
-/**
- * The same block as per-lane loops over the same buffers, for
- * compilers without GCC vector extensions: the same operations in the
- * same order, so every lane is still bit-identical to its scalar
- * replay. Each stage is a fixed-trip-count, unit-stride loop left to
- * the auto-vectorizer.
- */
-void
-blockBodyFull(const ScheduleView &v, BatchScratch &s, double *makespans)
-{
-    const double *__restrict w0 = s.w0.data();
-    const double *__restrict w1 = s.w1.data();
-    double ready[kBatchLanes];
-    double dur[kBatchLanes];
-    double task_fin[kBatchLanes];
-    double makespan[kBatchLanes] = {};
-
-    for (std::size_t t = 0; t < v.taskCount; ++t) {
-        for (std::size_t l = 0; l < kBatchLanes; ++l) {
-            ready[l] = 0.0;
-            task_fin[l] = 0.0;
-        }
-        for (std::uint32_t i = v.depOff[t]; i < v.depOff[t + 1]; ++i) {
-            const double *df = &s.finish[v.depIds[i] * kBatchLanes];
-            for (std::size_t l = 0; l < kBatchLanes; ++l)
-                if (df[l] > ready[l])
-                    ready[l] = df[l];
-        }
-        for (std::uint32_t i = v.opOff[t]; i < v.opOff[t + 1]; ++i) {
-            const ResourceId res = v.opRes[i];
-            const double bytes = v.opBytes[i];
-            const double work0 = v.opWork0[i];
-            const double work1 = v.opWork1[i];
-            const double sec = v.opSec[i];
-            const double post = v.opPost[i];
-            const double *__restrict bp = &s.bps[res * kBatchLanes];
-            double *__restrict fa = &s.freeAt[res * kBatchLanes];
-            double *__restrict bz = &s.busy[res * kBatchLanes];
-            // Component maxes in staged lane loops; zero numerators
-            // are skipped exactly as in scalar replay() (0/rate is +0
-            // and never raises the max), and the branch is per-op —
-            // uniform across lanes — so each stage stays branch-free
-            // vector code.
-            for (std::size_t l = 0; l < kBatchLanes; ++l)
-                dur[l] = sec;
-            if (work0 != 0.0)
-                for (std::size_t l = 0; l < kBatchLanes; ++l) {
-                    const double da = work0 / w0[l];
-                    if (da > dur[l])
-                        dur[l] = da;
-                }
-            if (work1 != 0.0)
-                for (std::size_t l = 0; l < kBatchLanes; ++l) {
-                    const double ds = work1 / w1[l];
-                    if (ds > dur[l])
-                        dur[l] = ds;
-                }
-            if (bytes != 0.0)
-                for (std::size_t l = 0; l < kBatchLanes; ++l) {
-                    const double db = bytes / bp[l];
-                    if (db > dur[l])
-                        dur[l] = db;
-                }
-            for (std::size_t l = 0; l < kBatchLanes; ++l) {
-                const double start =
-                    fa[l] > ready[l] ? fa[l] : ready[l];
-                const double fin = start + dur[l];
-                fa[l] = fin;
-                bz[l] += dur[l];
-                const double vis = fin + post;
-                if (vis > task_fin[l])
-                    task_fin[l] = vis;
-            }
-            ++s.jobs[res];
-        }
-        double *tf = &s.finish[t * kBatchLanes];
-        for (std::size_t l = 0; l < kBatchLanes; ++l) {
-            tf[l] = task_fin[l];
-            if (task_fin[l] > makespan[l])
-                makespan[l] = task_fin[l];
-        }
-    }
-    for (std::size_t l = 0; l < kBatchLanes; ++l)
-        makespans[l] = makespan[l];
-}
-
-#endif
 
 } // namespace
 

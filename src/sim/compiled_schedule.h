@@ -22,11 +22,12 @@
  * The scalar replay streams only the components it needs, and —
  * the reason for the layout — replayMany() walks the arrays *once*
  * while evaluating up to kBatchLanes replay points per op with
- * lane-contiguous scratch (finish[t*B + lane], freeAt[r*B + lane]), so
- * the per-op lane loop auto-vectorizes. Each lane performs the exact
- * same IEEE divides and maxes as a scalar replay at that point, so a
- * batched sweep is bit-identical lane-by-lane to per-point replay
- * (asserted by tests/test_compiled_schedule.cpp).
+ * lane-contiguous scratch (finish[t*B + lane], freeAt[r*B + lane]):
+ * the replay kernel (sim/replay_kernel.h) instantiated over one
+ * explicit SIMD vector of kBatchLanes doubles per time. Each lane
+ * performs the exact same IEEE divides and maxes as a scalar replay at
+ * that point, so a batched sweep is bit-identical lane-by-lane to
+ * per-point replay (asserted by tests/test_compiled_schedule.cpp).
  *
  * replay() writes into caller-owned ReplayScratch buffers, so repeated
  * simulates — including parallel sweeps with per-thread scratch —
@@ -56,7 +57,7 @@
 #include <vector>
 
 #include "sim/error.h"
-#include "sim/event_queue.h"
+#include "sim/ids.h"
 
 namespace ciflow::sim
 {
@@ -217,11 +218,10 @@ patchedTag(std::uint64_t base, std::uint64_t rev)
 
 /**
  * Read-only snapshot of the compiled CSR arrays, handed out by
- * CompiledSchedule::view(): what every replay walks — the scalar
- * replay kernel (sim/replay_kernel.h) behind replay(),
- * replayPiecewise() and the obs layer's traced replays, and the
- * batched lane bodies of replayMany() — and what the obs layer's
- * critical-path extraction reads. Task t's deps are
+ * CompiledSchedule::view(): what every replay walks — the replay
+ * kernel (sim/replay_kernel.h) behind replay(), replayPiecewise(),
+ * each replayMany() block and the obs layer's traced replays — and
+ * what the obs layer's critical-path extraction reads. Task t's deps are
  * depIds[depOff[t]..depOff[t+1]) and its ops index the SoA component
  * arrays over [opOff[t], opOff[t+1)), exactly as inside the class.
  * Pointers are invalidated by anything that mutates the schedule
@@ -439,10 +439,10 @@ class CompiledSchedule
      * Simulate the schedule at `n` replay points with one walk of the
      * compiled arrays per kBatchLanes-point block, instead of n
      * independent walks: op costs are read once per block and
-     * evaluated across the block's lanes with lane-contiguous scratch,
-     * so the inner loop vectorizes and the dominant cost of a sweep —
-     * memory traffic over the compiled arrays — is amortized across
-     * the batch. Every lane performs the exact divides and maxes of a
+     * evaluated across the block's lanes with lane-contiguous scratch
+     * (the replay kernel over one SIMD vector per time), so the
+     * dominant cost of a sweep — memory traffic over the compiled
+     * arrays — is amortized across the batch. Every lane performs the exact divides and maxes of a
      * scalar replay() at that point, so scratch.makespan[i] is
      * bit-identical to replay(points[i], ...) for every i. A final
      * block of fewer than kBatchLanes points is padded with copies of

@@ -42,30 +42,17 @@
 #include <string>
 #include <vector>
 
+#include "sim/ids.h"
 #include "sim/resource.h"
 
 namespace ciflow::sim
 {
-
-/** Id of a resource registered with an EventQueue. */
-using ResourceId = std::uint32_t;
-
-/** Id of a task added to an EventQueue. */
-using TaskId = std::uint32_t;
 
 /** One unit of service: `duration` seconds on `resource`. */
 struct SimOp
 {
     ResourceId resource = 0;
     double duration = 0.0;
-};
-
-/** Utilization of one resource after a run. */
-struct ResourceUse
-{
-    std::string name;
-    double busySeconds = 0.0;
-    std::size_t jobs = 0;
 };
 
 /** Outcome of one simulation run. */

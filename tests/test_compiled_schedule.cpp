@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -403,7 +404,10 @@ TEST(SinglePassScheduler, RandomDagsBitIdenticalToMultiPass)
 namespace
 {
 
-/** Random compiled DAG mixing bytes/work/seconds and postSeconds. */
+/**
+ * Random compiled DAG mixing bytes/work/seconds, zero-cost ops (every
+ * cost numerator 0) and postSeconds.
+ */
 sim::CompiledSchedule
 randomCompiledDag(std::mt19937 &rng, std::size_t nt, std::size_t nr)
 {
@@ -412,7 +416,7 @@ randomCompiledDag(std::mt19937 &rng, std::size_t nt, std::size_t nr)
         cs.addResource(resName(r));
     std::uniform_int_distribution<std::size_t> op_count(1, 3);
     std::uniform_int_distribution<std::size_t> res(0, nr - 1);
-    std::uniform_int_distribution<int> kind(0, 3);
+    std::uniform_int_distribution<int> kind(0, 4);
     std::uniform_real_distribution<double> mag(0.5, 2000.0);
     std::uniform_real_distribution<double> post(0.0, 0.5);
     std::vector<sim::TaskId> deps;
@@ -434,11 +438,15 @@ randomCompiledDag(std::mt19937 &rng, std::size_t nt, std::size_t nr)
                 o.work[0] = mag(rng);
                 o.work[1] = mag(rng);
                 break;
-            default:
+            case 3:
                 o.seconds = mag(rng) * 1e-3;
                 break;
+            default:
+                // Zero-cost: every component is skipped and the op
+                // takes 0 s on every lane.
+                break;
             }
-            // Half the ops pipeline a propagation delay, so the
+            // Two ops in five pipeline a propagation delay, so the
             // batched path is exercised with postSeconds != 0.
             if (kind(rng) < 2)
                 o.postSeconds = post(rng);
@@ -458,17 +466,26 @@ randomCompiledDag(std::mt19937 &rng, std::size_t nt, std::size_t nr)
     return cs;
 }
 
-/** Random replay point over `nr` resources. */
+/**
+ * Random replay point over `nr` resources. About one rate in eight is
+ * +inf, the free resource or work class checkReplay accepts: every
+ * payload it serves divides to exactly 0 s.
+ */
 sim::ReplayRates
 randomRates(std::mt19937 &rng, std::size_t nr)
 {
     std::uniform_real_distribution<double> rate(1.0, 5000.0);
+    std::bernoulli_distribution free(0.125);
+    const auto draw = [&] {
+        return free(rng) ? std::numeric_limits<double>::infinity()
+                         : rate(rng);
+    };
     sim::ReplayRates r;
     r.bytesPerSec.resize(nr);
     for (std::size_t i = 0; i < nr; ++i)
-        r.bytesPerSec[i] = rate(rng);
-    r.workPerSec[0] = rate(rng);
-    r.workPerSec[1] = rate(rng);
+        r.bytesPerSec[i] = draw();
+    r.workPerSec[0] = draw();
+    r.workPerSec[1] = draw();
     return r;
 }
 

@@ -292,17 +292,28 @@ TEST(Experiment, BandwidthToMatchEqualsScalarBisection)
               std::ldexp(2000.0, -60));
 }
 
-TEST(Experiment, BandwidthToMatchRejectsNegativeOrNanLo)
+TEST(Experiment, BandwidthToMatchRejectsBracketOutsideZeroToInf)
 {
     // The batched walk replays midpoints the one-step walk may never
     // visit; from a negative lo some of them are negative bandwidths.
     const HksParams &b = benchmarkByName("BTS1");
     HksExperiment oc(b, Dataflow::OC, paperMem(true));
     const double target = baselineRuntime(b);
-    for (double lo : {-1.0, std::numeric_limits<double>::quiet_NaN()})
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double lo : {-1.0, nan})
         EXPECT_EXIT(bandwidthToMatch(oc, target, lo, 5.0),
                     ::testing::ExitedWithCode(1), "lo_gbps")
             << lo;
+    // The first block also replays hi itself: zero, negative and NaN
+    // are not rates, and +inf would report a met target infeasible.
+    // A hi below lo is no bracket.
+    for (double hi : {0.0, -5.0, nan, inf, 0.5})
+        EXPECT_EXIT(bandwidthToMatch(oc, target, 1.0, hi),
+                    ::testing::ExitedWithCode(1), "hi_gbps")
+            << hi;
+    EXPECT_EXIT(bandwidthToMatch(oc, target, 0.0, 0.0),
+                ::testing::ExitedWithCode(1), "hi_gbps");
 }
 
 TEST(Experiment, StreamingEvkCostsBoundedBandwidth)

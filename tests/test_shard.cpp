@@ -927,90 +927,6 @@ TEST(ShardedEngine, ReplayingUnderDifferentTopologyPanics)
     EXPECT_DEATH(wrong.replayRuntime(sc), "layout does not match");
 }
 
-TEST(ShardedBatch, ReplayManyMatchesScalarPerBandwidth)
-{
-    // Chip bandwidth is a pure replay rate: one compiled shard
-    // schedule batch-replayed across bandwidths must equal a scalar
-    // replay per bandwidth to the bit — including with link latency
-    // pipelining (postSeconds != 0) in play.
-    const HksParams &par = benchmarkByName("BTS1");
-    MemoryConfig mem{32ull << 20, false};
-    HksExperiment exp(par, Dataflow::OC, mem);
-    RpuConfig chip = unitConfig();
-    chip.dataMemBytes = mem.dataCapacityBytes;
-    chip.evkOnChip = mem.evkOnChip;
-
-    ShardSpec ss;
-    ss.shards = 2;
-    ss.computeOutputBytes = par.towerBytes();
-    Partition p = partitionGraph(exp.graph(), ss,
-                                 taskWeights(exp.graph(), chip));
-    InterconnectConfig net;
-    net.linkGBps = 64.0;
-    net.latencySec = 2e-6;
-
-    const ShardedEngine eng(chip, net);
-    const ShardedCompiled sc = eng.compile(exp.graph(), p);
-
-    const std::vector<double> bws = {1.0, 4.0, 16.0, 64.0, 256.0,
-                                     1000.0, 8.0, 2.0, 32.0};
-    std::vector<double> batched(bws.size());
-    eng.replayRuntimeMany(sc, bws.data(), bws.size(), batched.data());
-    for (std::size_t i = 0; i < bws.size(); ++i) {
-        RpuConfig at_bw = chip;
-        at_bw.bandwidthGBps = bws[i];
-        EXPECT_EQ(batched[i],
-                  ShardedEngine(at_bw, net).replayRuntime(sc))
-            << "bw " << bws[i];
-    }
-}
-
-TEST(PlacementSearch, BandwidthAxisMatchesPerBandwidthSearches)
-{
-    // A search with a chipBandwidths axis must return, per bandwidth,
-    // exactly the rows of a separate search pinned at that bandwidth.
-    ExperimentRunner runner(4);
-    const HksParams &par = benchmarkByName("BTS1");
-    MemoryConfig mem{32ull << 20, false};
-
-    PlacementSpec spec;
-    spec.shardCounts = {1, 2};
-    spec.dataflows = {Dataflow::OC};
-    spec.chip.bandwidthGBps = 16.0;
-    spec.interconnect.linkGBps = 128.0;
-    spec.interconnect.latencySec = 1e-6;
-    spec.chipBandwidths = {8.0, 16.0};
-
-    std::vector<PlacementResult> both =
-        searchPlacements(runner, par, mem, spec);
-
-    for (double bw : spec.chipBandwidths) {
-        PlacementSpec pinned = spec;
-        pinned.chipBandwidths = {bw};
-        // Partition/weights stay at the nominal chip, matching the
-        // batched search's shared cut.
-        std::vector<PlacementResult> ref =
-            searchPlacements(runner, par, mem, pinned);
-        for (const PlacementResult &r : ref) {
-            bool found = false;
-            for (const PlacementResult &q : both) {
-                if (q.chipBandwidthGBps == r.chipBandwidthGBps &&
-                    q.dataflow == r.dataflow &&
-                    q.shards == r.shards &&
-                    q.topology == r.topology &&
-                    q.strategy == r.strategy) {
-                    EXPECT_EQ(q.runtime, r.runtime);
-                    EXPECT_EQ(q.baseline, r.baseline);
-                    found = true;
-                    break;
-                }
-            }
-            EXPECT_TRUE(found)
-                << "missing row at bw " << r.chipBandwidthGBps;
-        }
-    }
-}
-
 TEST(PlacementSearch, AsymmetricChannelChipsStillSearch)
 {
     // Chips with per-channel bandwidths (channelGBps) have no
