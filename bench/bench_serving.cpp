@@ -26,7 +26,7 @@
  *     class, driven by a seeded fault trace (stalls sampled from the
  *     disjoint faultStreamSeed stream, chip failures and channel
  *     degrades scripted mid-run so three of four chips die and the
- *     gang class fails over through the partition patch path).
+ *     gang class fails over: planFailover plus a rebind).
  *     Before any number is reported, two invariants are asserted:
  *     the zero-fault fault-serving run is byte-identical to the
  *     healthy serving loop (.zero_fault_serving_identical), and no
@@ -419,8 +419,8 @@ main()
     // The fault script, scaled by the healthy makespan: seeded
     // transient stalls (from the tenant-disjoint fault seed stream)
     // plus scripted channel degrades and three chip deaths — the last
-    // one pushes the gang class below its width and forces a
-    // patch-path failover.
+    // one pushes the gang class below its width and forces a gang
+    // failover.
     const double M = healthySt.makespanSec;
     fault::FaultModel fm;
     fm.stallMtbfSec = 3.0 * M;

@@ -20,14 +20,14 @@
  * hosts can be told apart. Exits nonzero on any equivalence mismatch.
  *
  * The patch_vs_recompile section measures the incremental-compile
- * path against the fresh compile it replaces: rebinding a 4-shard
- * schedule after a one-task partition move (recompilePartition) vs a
- * from-scratch ShardedEngine::compile — after asserting the patched
- * schedule replays bit-identically to a fresh compile of the same
- * partition. It also times the bind a placement search or tuner pays
- * per point: binding the experiment's compiled schedule into a reused
- * output (shard_bind_ms), after asserting it replays exactly like
- * compile(g, p); CI gates shard_bind_identical == true.
+ * path against the fresh compile it replaces: the bind a placement
+ * search, tuner point or failover pays per re-placement — binding the
+ * experiment's compiled schedule into a reused output, alternating
+ * two 4-shard partitions one task move apart (shard_bind_ms) — vs a
+ * from-scratch ShardedEngine::compile (shard_compile_ms). Before
+ * timing it asserts that a bind to one partition and a rebind to the
+ * other in the same output replays exactly like compile(g, p) of the
+ * second; CI gates shard_bind_identical == true.
  *
  * The traced-replay section measures the opt-in observer
  * (obs::replayTraced) against the plain replay over the same
@@ -305,7 +305,6 @@ struct Row
     double compileMs = 0.0;
     double shardCompileMs = 0.0;
     double shardBindMs = 0.0;
-    double shardMoveRepatchMs = 0.0;
     /** Per-op records one traced replay of this schedule appends. */
     std::size_t traceOps = 0;
     bool identical = true;
@@ -323,12 +322,6 @@ struct Row
     batchedSpeedup() const
     {
         return batched.simsPerSec / replayOnly.simsPerSec;
-    }
-
-    double
-    shardMoveSpeedup() const
-    {
-        return shardCompileMs / shardMoveRepatchMs;
     }
 
     /** How much slower a traced replay is than a plain one. */
@@ -531,7 +524,7 @@ main()
             });
         }
 
-        // patch_vs_recompile: rebind a 4-shard schedule after a
+        // patch_vs_recompile: rebind a 4-shard schedule across a
         // one-task partition move vs a from-scratch sharded compile,
         // asserting bit-identity first.
         {
@@ -553,22 +546,13 @@ main()
                 exp.graph(), spec, std::move(moved), w);
 
             const shard::ShardedEngine seng(chip, net);
-            shard::ShardedPatchable sps =
-                seng.compilePatchable(exp.graph(), p0);
-            seng.recompilePartition(sps, p1);
             const shard::ShardedCompiled fresh =
                 seng.compile(exp.graph(), p1);
-            if (seng.replayRuntime(sps.compiled) !=
-                seng.replayRuntime(fresh)) {
-                std::fprintf(stderr,
-                             "FAIL: %s: move-repatched shard schedule "
-                             "and fresh compile replay differently\n",
-                             name);
-                row.identical = false;
-            }
             // The bind identity: the experiment's compiled schedule,
-            // bound to p1, replays exactly like compile(g, p1).
+            // bound to p0 and rebound to p1 in the same output, replays
+            // exactly like compile(g, p1).
             shard::ShardedCompiled bound;
+            seng.bind(exp, p0, bound);
             seng.bind(exp, p1, bound);
             if (!bitIdentical(seng.replay(bound), seng.replay(fresh))) {
                 std::fprintf(stderr,
@@ -596,14 +580,6 @@ main()
                 for (int i = 0; i < reps; ++i)
                     seng.bind(exp, i % 2 == 0 ? p0 : p1, bound);
                 row.shardBindMs = secondsSince(t0) * 1e3 / reps;
-            }
-            {
-                const int reps = 40;
-                const Clock::time_point t0 = Clock::now();
-                for (int i = 0; i < reps; ++i)
-                    seng.recompilePartition(sps,
-                                            i % 2 == 0 ? p0 : p1);
-                row.shardMoveRepatchMs = secondsSince(t0) * 1e3 / reps;
             }
         }
         rows.push_back(std::move(row));
@@ -647,14 +623,13 @@ main()
     std::printf("\n");
     benchutil::header("patch_vs_recompile: in-place rebinding vs "
                       "fresh compiles");
-    std::printf("%-9s | %9s %9s %9s %8s\n", "Benchmark", "shardcomp",
-                "shardbind", "moverepatch", "speedup");
+    std::printf("%-9s | %9s %9s\n", "Benchmark", "shardcomp",
+                "shardbind");
     benchutil::rule();
     bool all_shard_bind_identical = true;
     for (const Row &r : rows) {
-        std::printf("%-9s | %7.2fms %7.3fms %9.3fms %7.1fx\n",
-                    r.name.c_str(), r.shardCompileMs, r.shardBindMs,
-                    r.shardMoveRepatchMs, r.shardMoveSpeedup());
+        std::printf("%-9s | %7.2fms %7.3fms\n", r.name.c_str(),
+                    r.shardCompileMs, r.shardBindMs);
         all_shard_bind_identical =
             all_shard_bind_identical && r.shardBindIdentical;
     }
@@ -662,9 +637,9 @@ main()
     std::printf("shardcomp   = ShardedEngine::compile at K=4 (the cost "
                 "a partition move used to pay)\n");
     std::printf("shardbind   = ShardedEngine::bind from the experiment's "
-                "compiled schedule into a reused output (a tuner point)\n");
-    std::printf("moverepatch = ShardedEngine::recompilePartition after "
-                "a one-task move (dirty shards only re-place)\n");
+                "compiled schedule into a reused output, alternating two "
+                "partitions one task move apart (a tuner point, a "
+                "partition move)\n");
 
     std::printf("\n");
     benchutil::header("Traced replay: opt-in observer vs plain replay "
@@ -769,8 +744,6 @@ main()
             w.field("shard_compile_ms", r.shardCompileMs);
             w.field("shard_bind_ms", r.shardBindMs);
             w.field("shard_bind_identical", r.shardBindIdentical);
-            w.field("shard_move_repatch_ms", r.shardMoveRepatchMs);
-            w.field("shardMoveSpeedup", r.shardMoveSpeedup());
             w.field("traced_sims_per_sec", r.traced.simsPerSec);
             w.field("trace_overhead", r.traceOverhead());
             w.field("traced_identical", r.tracedIdentical);

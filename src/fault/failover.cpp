@@ -41,11 +41,11 @@ planFailover(const TaskGraph &g, const ShardSpec &spec,
     // Recovery policy: the dead shard's tasks are adopted wholesale
     // by the least-loaded survivor (load = estimated seconds of
     // *remaining* work, ties to the lowest shard id so the plan is
-    // deterministic). Concentrating the move is deliberate: it keeps
-    // the recompilePartition patch footprint at two dirty shards and
-    // aims the migration traffic at one chip, so failover optimizes
-    // time-to-resume. Steady-state balance is a later, off-critical-
-    // path re-partition's job, not the failover's.
+    // deterministic). Concentrating the move is deliberate: only two
+    // shards' placements change and the migration traffic is aimed at
+    // one chip, so failover optimizes time-to-resume. Steady-state
+    // balance is a later, off-critical-path re-partition's job, not
+    // the failover's.
     std::vector<double> load(cur.shards, 0.0);
     for (std::uint32_t t = 0; t < g.size(); ++t)
         if (cur.shardOf[t] != deadShard && !isDone(t))

@@ -6,16 +6,16 @@
  * least-loaded survivor (load = estimated seconds of its
  * not-yet-finished tasks), and the resulting assignment is rebuilt
  * into a full Partition through partition::assignmentPartition, so
- * the patched schedule's cut is exactly what a from-scratch compile
+ * the re-placed schedule's cut is exactly what a from-scratch compile
  * of the post-failover placement would produce. Adoption by a single
  * survivor — rather than re-balancing across all of them — is the
  * policy on purpose: only two shards' placements change, so the
- * recompilePartition patch stays small and the migration traffic
- * targets one chip. Failover optimizes time-to-resume; steady-state
- * balance is a later re-partition's job. The shard count is unchanged (the dead chip keeps its
- * resource block, idle), which is what lets the failover ride the
- * ShardedEngine::recompilePartition patch path instead of a full
- * recompile.
+ * migration traffic targets one chip. Failover optimizes
+ * time-to-resume; steady-state balance is a later re-partition's job.
+ * The shard count is unchanged (the dead chip keeps its resource
+ * block, idle), so the failover re-places the schedule with one
+ * ShardedEngine::bind of the kept single-chip compile into the
+ * existing sharded output, not a recompile.
  *
  * Salvage model: results of tasks that completed before the failure
  * survive it (the fleet's memory pool holds them), but a moved task's

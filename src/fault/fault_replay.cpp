@@ -426,16 +426,16 @@ FaultSim::FaultSim(const TaskGraph &g, const shard::ShardSpec &sp,
 {
     panicIf(spec.shards != part.shards,
             "fault spec and partition disagree on the shard count");
-    ps = eng.compilePatchable(g, part);
-    eng.rates(ps.compiled, baseRates);
+    source = RpuEngine(chip).compile(g);
+    eng.bind(g, source, part, sc);
+    eng.rates(sc, baseRates);
     doneGraph.assign(g.size(), 0);
 }
 
 MachineShape
 FaultSim::shape() const
 {
-    return {ps.compiled.shards, eng.chip().channelCount(),
-            ps.compiled.links};
+    return {sc.shards, eng.chip().channelCount(), sc.links};
 }
 
 void
@@ -443,7 +443,7 @@ FaultSim::resetBinding()
 {
     if (!bindingDirty)
         return;
-    eng.recompilePartition(ps, basePart);
+    eng.bind(graph, source, basePart, sc);
     bindingDirty = false;
 }
 
@@ -451,7 +451,7 @@ double
 FaultSim::healthyMakespan()
 {
     resetBinding();
-    return ps.compiled.schedule.replay(baseRates, scratch);
+    return sc.schedule.replay(baseRates, scratch);
 }
 
 DegradedOutcome
@@ -465,7 +465,7 @@ FaultSim::run(const FaultTrace &trace, obs::ScenarioTrace *viz)
         viz->segments.clear();
         viz->marks.clear();
         viz->resourceNames.clear();
-        const sim::CompiledSchedule &sched = ps.compiled.schedule;
+        const sim::CompiledSchedule &sched = sc.schedule;
         viz->resourceNames.reserve(sched.resourceCount());
         for (std::size_t r = 0; r < sched.resourceCount(); ++r)
             viz->resourceNames.push_back(
@@ -490,7 +490,7 @@ FaultSim::run(const FaultTrace &trace, obs::ScenarioTrace *viz)
 
     DegradedOutcome out;
     std::fill(doneGraph.begin(), doneGraph.end(), std::uint8_t{0});
-    std::vector<char> alive(ps.compiled.shards, 1);
+    std::vector<char> alive(sc.shards, 1);
     double tBase = 0.0;
     bool anyDone = false;
     Partition cur = basePart;
@@ -498,17 +498,18 @@ FaultSim::run(const FaultTrace &trace, obs::ScenarioTrace *viz)
     const auto schedMask = [&]() -> const std::uint8_t * {
         if (!anyDone)
             return nullptr;
-        doneSched.assign(ps.compiled.schedule.taskCount(), 0);
+        doneSched.assign(sc.schedule.taskCount(), 0);
         for (std::uint32_t t = 0; t < graph.size(); ++t)
-            doneSched[ps.newId[t]] = doneGraph[t];
+            doneSched[sc.newId[t]] = doneGraph[t];
         // A transfer re-ships only when its value has not been
         // produced yet; already-produced values moved in the
-        // migration-bytes accounting.
+        // migration-bytes accounting. transferId indexes the cut of
+        // the partition in force.
         constexpr sim::TaskId kUnset = ~sim::TaskId{0};
-        for (std::size_t j = 0; j < ps.transferId.size(); ++j)
-            if (ps.transferId[j] != kUnset)
-                doneSched[ps.transferId[j]] =
-                    doneGraph[ps.part.cutEdges[j].src];
+        for (std::size_t j = 0; j < sc.transferId.size(); ++j)
+            if (sc.transferId[j] != kUnset)
+                doneSched[sc.transferId[j]] =
+                    doneGraph[cur.cutEdges[j].src];
         return doneSched.data();
     };
 
@@ -517,13 +518,13 @@ FaultSim::run(const FaultTrace &trace, obs::ScenarioTrace *viz)
     // outcome) cannot depend on whether a viz is attached.
     const auto segment = [&](const sim::RateEpochs &ep) {
         if (viz == nullptr)
-            return ps.compiled.schedule.replayPiecewise(
+            return sc.schedule.replayPiecewise(
                 baseRates, ep, schedMask(), scratch);
         obs::TraceSegment seg;
         seg.baseSec = tBase;
         seg.epochs = ep;
         const double m = obs::replayPiecewiseTraced(
-            ps.compiled.schedule, baseRates, ep, schedMask(), scratch,
+            sc.schedule, baseRates, ep, schedMask(), scratch,
             seg.buf);
         viz->segments.push_back(std::move(seg));
         return m;
@@ -538,7 +539,7 @@ FaultSim::run(const FaultTrace &trace, obs::ScenarioTrace *viz)
         if (!alive[f.shard])
             continue;
         const sim::RateEpochs ep =
-            buildEpochs(trace, ps.compiled, tBase);
+            buildEpochs(trace, sc, tBase);
         const double m = segment(ep);
         const double tfRel = f.at - tBase;
         if (m <= tfRel) {
@@ -552,7 +553,7 @@ FaultSim::run(const FaultTrace &trace, obs::ScenarioTrace *viz)
         // pause — no new progress to salvage).
         if (tfRel >= 0.0) {
             for (std::uint32_t t = 0; t < graph.size(); ++t)
-                if (scratch.finish[ps.newId[t]] <= tfRel)
+                if (scratch.finish[sc.newId[t]] <= tfRel)
                     doneGraph[t] = 1;
             anyDone = true;
         }
@@ -578,7 +579,7 @@ FaultSim::run(const FaultTrace &trace, obs::ScenarioTrace *viz)
         sim::Error err = planFailover(graph, spec, cur, f.shard, alive,
                                       doneGraph.data(), weights, plan);
         panicIf(bool(err), "failover planning failed unexpectedly");
-        eng.recompilePartition(ps, plan.part);
+        eng.bind(graph, source, plan.part, sc);
         bindingDirty = true;
         cur = plan.part;
         const double mig =
@@ -596,7 +597,7 @@ FaultSim::run(const FaultTrace &trace, obs::ScenarioTrace *viz)
     }
 
     const sim::RateEpochs ep =
-        buildEpochs(trace, ps.compiled, tBase);
+        buildEpochs(trace, sc, tBase);
     const double m = segment(ep);
     out.makespan = tBase + m;
     account(out);
@@ -608,8 +609,8 @@ FaultSim::staticDegradedMakespans(const FaultTrace *traces,
                                   std::size_t n, double *out)
 {
     resetBinding();
-    const std::size_t nres = ps.compiled.schedule.resourceCount();
-    const std::size_t chipRes = ps.compiled.shards * ps.compiled.perChip;
+    const std::size_t nres = sc.schedule.resourceCount();
+    const std::size_t chipRes = sc.shards * sc.perChip;
     if (staticRates.size() < n)
         staticRates.resize(n);
     std::vector<double> mult(nres);
@@ -629,7 +630,7 @@ FaultSim::staticDegradedMakespans(const FaultTrace *traces,
             std::size_t res;
             switch (e.kind) {
             case FaultKind::ChannelDegrade:
-                res = std::size_t{e.shard} * ps.compiled.perChip +
+                res = std::size_t{e.shard} * sc.perChip +
                       e.channel;
                 break;
             case FaultKind::LinkDegrade:
@@ -650,7 +651,7 @@ FaultSim::staticDegradedMakespans(const FaultTrace *traces,
         for (std::size_t j = 0; j < nres; ++j)
             r.bytesPerSec[j] *= mult[j];
     }
-    ps.compiled.schedule.replayMany(staticRates.data(), n, batch);
+    sc.schedule.replayMany(staticRates.data(), n, batch);
     for (std::size_t i = 0; i < n; ++i)
         out[i] = batch.makespan[i];
     // Degrade-only scenarios always complete (no chip ever dies).

@@ -4,10 +4,11 @@
  * FaultTrace.
  *
  * A FaultSim compiles one (graph, partition, chip, interconnect)
- * combination exactly once — through ShardedEngine::compilePatchable,
- * so chip-failure failovers rebind the schedule through the
- * recompilePartition patch path instead of recompiling — and then
- * evaluates any number of fault scenarios against it:
+ * combination exactly once — it keeps the single-chip compile and its
+ * sharded binding, so a chip-failure failover re-places the schedule
+ * with one ShardedEngine::bind into that binding instead of
+ * recompiling — and then evaluates any number of fault scenarios
+ * against it:
  *
  *  - Degrades and stalls become a sim::RateEpochs table (buildEpochs)
  *    and replay through CompiledSchedule::replayPiecewise. A trace
@@ -309,10 +310,7 @@ class FaultSim
 
     const shard::ShardedEngine &engine() const { return eng; }
     /** The compiled base placement (current binding). */
-    const shard::ShardedCompiled &compiled() const
-    {
-        return ps.compiled;
-    }
+    const shard::ShardedCompiled &compiled() const { return sc; }
 
     // Constructor inputs, exposed so harnesses (fault/monte_carlo.h)
     // can build an equivalent FaultSim per worker thread.
@@ -344,7 +342,10 @@ class FaultSim
     const std::vector<double> &weights;
     shard::ShardedEngine eng;
     shard::Partition basePart;
-    shard::ShardedPatchable ps;
+    /** The single-chip compile every bind reads. */
+    sim::CompiledSchedule source;
+    /** The sharded binding: basePart unless a failover moved it. */
+    shard::ShardedCompiled sc;
     bool bindingDirty = false;
 
     sim::ReplayRates baseRates;

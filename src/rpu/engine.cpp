@@ -169,9 +169,9 @@ RpuEngine::rates(const sim::CompiledSchedule &cs,
                  sim::ReplayRates &r) const
 {
     const std::size_t nchan = cfg.channelCount();
-    // The base tag names the layout the schedule was compiled for, so
+    // The tag names the layout the schedule was compiled for, so
     // rates built here are valid for exactly that layout.
-    panicIf(cs.baseLayoutTag() != RpuLayout::of(cfg).tag(),
+    panicIf(cs.layoutTag() != RpuLayout::of(cfg).tag(),
             "compiled schedule layout does not match config");
     panicIf(cs.resourceCount() != nchan + cfg.computePipeCount(),
             "compiled schedule resource count does not match config");

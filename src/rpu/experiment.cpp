@@ -200,7 +200,17 @@ bandwidthToMatch(const HksExperiment &exp, double target_runtime,
     // lie inside the initial bracket, so a non-negative lo keeps every
     // one a valid bandwidth; the first block also replays hi itself,
     // which must be a positive finite rate. A zero-width bracket
-    // (hi == lo) is a walk of no steps.
+    // (hi == lo) is a walk of no steps. The threshold target * (1 +
+    // tol) must be a positive time, and every lane replays at
+    // modops_mult, which replay accepts up to +inf (free compute).
+    if (!(target_runtime > 0.0 && std::isfinite(target_runtime)))
+        fatal("bandwidthToMatch: target_runtime must be a positive "
+              "finite number");
+    if (!(tol >= 0.0 && std::isfinite(tol)))
+        fatal("bandwidthToMatch: tol must be a finite non-negative "
+              "number");
+    if (!(modops_mult > 0.0))
+        fatal("bandwidthToMatch: modops_mult must be a positive number");
     if (!(lo_gbps >= 0.0))
         fatal("bandwidthToMatch: lo_gbps must be a non-negative number");
     if (!(hi_gbps >= lo_gbps && hi_gbps > 0.0 && std::isfinite(hi_gbps)))

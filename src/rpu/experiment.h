@@ -161,7 +161,9 @@ double baselineRuntime(const HksParams &par);
  * one-step-at-a-time walk returns. Requires 0 <= lo_gbps <= hi_gbps
  * < +inf and hi_gbps > 0, so that every speculated midpoint is a
  * bandwidth and the hi_gbps probe a positive finite one; a bracket
- * outside that (NaN included) is fatal.
+ * outside that (NaN included) is fatal. So are a target_runtime that
+ * is not positive and finite, a tol that is not finite and >= 0, and
+ * a modops_mult that is not > 0 (+inf, free compute, is legal).
  */
 double bandwidthToMatch(const HksExperiment &exp, double target_runtime,
                         double lo_gbps = 1.0, double hi_gbps = 2000.0,

@@ -57,24 +57,15 @@ FaultServingSim::FaultServingSim(ServingSim &s)
         g->spec = shard::placementShardSpec(jc.params, jc.shards,
                                             sp.fleet.strategy,
                                             sp.fleet.imbalanceTol);
-        g->expMiss =
-            sim.runnerRef.experiment(jc.params, jc.dataflow, missMem);
-        g->expHit =
-            sim.runnerRef.experiment(jc.params, jc.dataflow, hitMem);
-        g->wMiss = shard::taskWeights(g->expMiss->graph(), sp.fleet.chip);
-        g->wHit = shard::taskWeights(g->expHit->graph(), sp.fleet.chip);
-        g->baseMiss =
-            shard::partitionGraph(g->expMiss->graph(), g->spec, g->wMiss);
-        g->baseHit =
-            shard::partitionGraph(g->expHit->graph(), g->spec, g->wHit);
-        g->psMiss = assets->eng->compilePatchable(*g->expMiss, g->baseMiss);
-        g->psHit = assets->eng->compilePatchable(*g->expHit, g->baseHit);
-        assets->eng->rates(g->psMiss.compiled, g->rMiss);
-        assets->eng->rates(g->psHit.compiled, g->rHit);
-        g->slotAlive.assign(jc.shards, 1);
-        g->activeSlots = jc.shards;
-        g->liveMiss = sim.models[k].missRt[0];
-        g->liveHit = sim.models[k].hitRt[0];
+        for (int variant = 0; variant < 2; ++variant) {
+            detail::FaultAssets::Gang::Variant &x = g->variants[variant];
+            x.exp = sim.runnerRef.experiment(jc.params, jc.dataflow,
+                                             variant ? hitMem : missMem);
+            x.w = shard::taskWeights(x.exp->graph(), sp.fleet.chip);
+            x.base = shard::partitionGraph(x.exp->graph(), g->spec, x.w);
+        }
+        g->bindToBase(*assets->eng);
+        assets->eng->rates(g->variants[0].sc, g->rates);
         assets->gang[k] = std::move(g);
     }
 }
@@ -103,21 +94,10 @@ FaultServingSim::run(const std::vector<JobArrival> &arrivals,
         return err;
     tr.normalize();
 
-    // Reset gang bindings a previous run's failovers moved.
-    for (std::size_t k = 0; k < sp.classes.size(); ++k) {
-        detail::FaultAssets::Gang *g = assets->gang[k].get();
-        if (!g || !g->failedOver)
-            continue;
-        assets->eng->recompilePartition(g->psMiss, g->baseMiss);
-        assets->eng->recompilePartition(g->psHit, g->baseHit);
-        assets->eng->rates(g->psMiss.compiled, g->rMiss);
-        assets->eng->rates(g->psHit.compiled, g->rHit);
-        g->slotAlive.assign(sim.models[k].shards, 1);
-        g->activeSlots = sim.models[k].shards;
-        g->liveMiss = sim.models[k].missRt[0];
-        g->liveHit = sim.models[k].hitRt[0];
-        g->failedOver = false;
-    }
+    // Rebind the gangs a previous run's failovers moved.
+    for (const auto &g : assets->gang)
+        if (g && g->failedOver())
+            g->bindToBase(*assets->eng);
 
     detail::FaultRun fr{tr, policy, *assets};
     sim.serveLoop<true>(arrivals, out, stats, viz, &fr);

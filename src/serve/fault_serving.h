@@ -33,9 +33,9 @@
  *    lost (the lost-job counter must read zero, CI-gated). Survivor
  *    chips of a cut gang batch free up at the failure time.
  *  - Gang-scheduled classes whose width no longer fits the surviving
- *    fleet are re-placed through the existing fault::planFailover /
- *    ShardedEngine::recompilePartition patch path, with the migration
- *    modeled as a wall-clock pause on every surviving chip.
+ *    fleet are re-placed by fault::planFailover and rebound from their
+ *    experiment's schedule with ShardedEngine::bind, with the
+ *    migration modeled as a wall-clock pause on every surviving chip.
  *  - Admission is fault-aware: failed chips are never admitted to,
  *    and chips currently degraded are deprioritized in the
  *    least-loaded choice.
@@ -124,7 +124,7 @@ struct FaultServeStats
     std::size_t salvagedJobs = 0;
     /** ChipFail events that killed a live chip. */
     std::size_t chipFailures = 0;
-    /** Gang classes re-placed through the partition patch path. */
+    /** Gang-class failovers, each a re-placement and rebind. */
     std::size_t failovers = 0;
     /** Bytes re-replicated by gang failovers. */
     std::uint64_t migratedBytes = 0;
@@ -153,18 +153,17 @@ struct FaultServeStats
  * builds per-class replay assets once at construction: single-chip
  * classes take each key-cache variant's schedule from the
  * experiment's layout cache, with rates per fleet bandwidth, for
- * piecewise degraded pricing; gang classes get patchable sharded
- * compiles so chip failures re-place them through the
- * planFailover/recompilePartition patch path. run() may be called
- * many times; equal (arrivals, trace, policy) inputs produce
- * bit-identical results regardless of the estimator thread count.
+ * piecewise degraded pricing; gang classes get a sharded binding per
+ * variant that chip failures re-place with planFailover and one
+ * ShardedEngine::bind. run() may be called many times; equal
+ * (arrivals, trace, policy) inputs produce bit-identical results
+ * regardless of the estimator thread count.
  */
 class FaultServingSim
 {
   public:
     /** Build replay assets for `sim`'s spec (cached single-chip
-     * schedules; one patchable sharded compile per (gang class,
-     * variant)). */
+     * schedules; one sharded binding per (gang class, variant)). */
     explicit FaultServingSim(ServingSim &sim);
     ~FaultServingSim();
 

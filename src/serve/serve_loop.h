@@ -70,24 +70,50 @@ struct FaultAssets
         std::vector<sim::ReplayRates> rates;
     };
 
-    /** Gang-class failover state: patchable sharded compiles (one per
-     * key-cache variant) that chip failures re-place in place. */
+    /** Gang-class failover state: per key-cache variant, a sharded
+     * binding of the experiment's schedule that chip failures re-place
+     * with one ShardedEngine::bind. */
     struct Gang
     {
+        /** One key-cache variant's schedule and placement. */
+        struct Variant
+        {
+            std::shared_ptr<const HksExperiment> exp;
+            /** Balance weights (shard::taskWeights). */
+            std::vector<double> w;
+            /** The healthy placement, and the one in force. */
+            shard::Partition base, part;
+            shard::ShardedCompiled sc;
+            /** Per-op service of `sc` once failed over. */
+            double live = 0.0;
+        };
+
         shard::ShardSpec spec;
-        std::shared_ptr<const HksExperiment> expMiss, expHit;
-        std::vector<double> wMiss, wHit;
-        shard::Partition baseMiss, baseHit;
-        shard::ShardedPatchable psMiss, psHit;
-        sim::ReplayRates rMiss, rHit;
+        /** variants[variant]; variant 0 = miss, 1 = hit. */
+        Variant variants[2];
+        /** Replay rates of every binding: one layout (the fleet chip,
+         * spec.shards chips, the interconnect) serves them all. */
+        sim::ReplayRates rates;
         /** Live slots; failovers retire the highest slots first, so
-         * slots [0, activeSlots) are exactly the live ones. */
+         * slots [0, activeSlots) are exactly the live ones, and within
+         * a run the count names the binding in force. */
         std::vector<char> slotAlive;
         std::size_t activeSlots = 0;
-        /** Per-op service under the current binding (the healthy model
-         * scalars until the first failover). */
-        double liveMiss = 0.0, liveHit = 0.0;
-        bool failedOver = false;
+
+        bool failedOver() const { return activeSlots < spec.shards; }
+
+        /** Bind every variant to its healthy placement with every slot
+         * live: the state each run starts from. */
+        void
+        bindToBase(const shard::ShardedEngine &eng)
+        {
+            for (Variant &x : variants) {
+                eng.bind(*x.exp, x.base, x.sc);
+                x.part = x.base;
+            }
+            slotAlive.assign(spec.shards, 1);
+            activeSlots = spec.shards;
+        }
     };
 
     /** The gang classes' engine; null when no class gangs. */
@@ -195,7 +221,7 @@ ServingSim::serveLoop(const std::vector<JobArrival> &arrivals,
             for (std::uint32_t variant = 0; variant < 2; ++variant) {
                 const Gang *g = fr->assets.gang[k].get();
                 const std::size_t w =
-                    g ? g->psMiss.compiled.perChip
+                    g ? g->variants[0].sc.perChip
                       : fr->assets.ops[k * 2 + variant].cs->resourceCount();
                 if (std::find(widths.begin(), widths.end(), w) ==
                     widths.end())
@@ -379,40 +405,37 @@ ServingSim::serveLoop(const std::vector<JobArrival> &arrivals,
             next = n;
             return;
         }
-        // Gang classes wider than the surviving fleet fail over
-        // through the partition patch path, paying migration as a
-        // wall-clock pause on every survivor.
+        // Gang classes wider than the surviving fleet fail over: each
+        // variant re-places the dead slot's tasks and rebinds, and the
+        // migration (the miss variant's bytes) is a wall-clock pause
+        // on every survivor.
         for (std::size_t k = 0; k < sp.classes.size(); ++k) {
             Gang *g = fr->assets.gang[k].get();
             if (!g || g->activeSlots <= aliveCount)
                 continue;
-            shard::ShardedEngine &eng = *fr->assets.eng;
+            const shard::ShardedEngine &eng = *fr->assets.eng;
             std::uint64_t bytes = 0;
             while (g->activeSlots > aliveCount) {
                 const std::uint32_t dead =
                     static_cast<std::uint32_t>(g->activeSlots - 1);
                 g->slotAlive[dead] = 0;
                 --g->activeSlots;
-                fault::FailoverPlan plan;
-                sim::Error err = fault::planFailover(
-                    g->expMiss->graph(), g->spec, g->psMiss.part, dead,
-                    g->slotAlive, nullptr, g->wMiss, plan);
-                panicIf(bool(err), "gang failover planning failed");
-                eng.recompilePartition(g->psMiss, plan.part);
-                bytes += plan.migrationBytes;
-                fault::FailoverPlan planHit;
-                err = fault::planFailover(
-                    g->expHit->graph(), g->spec, g->psHit.part, dead,
-                    g->slotAlive, nullptr, g->wHit, planHit);
-                panicIf(bool(err), "gang failover planning failed");
-                eng.recompilePartition(g->psHit, planHit.part);
+                for (std::uint32_t variant = 0; variant < 2; ++variant) {
+                    Gang::Variant &x = g->variants[variant];
+                    fault::FailoverPlan plan;
+                    const sim::Error err = fault::planFailover(
+                        x.exp->graph(), g->spec, x.part, dead,
+                        g->slotAlive, nullptr, x.w, plan);
+                    panicIf(bool(err), "gang failover planning failed");
+                    eng.bind(*x.exp, plan.part, x.sc);
+                    x.part = std::move(plan.part);
+                    if (variant == 0)
+                        bytes += plan.migrationBytes;
+                }
             }
             ++stats.failovers;
-            g->failedOver = true;
-            g->liveMiss = eng.replayRuntime(g->psMiss.compiled);
-            g->liveHit = eng.replayRuntime(g->psHit.compiled);
-            eng.rates(g->psMiss.compiled, g->rMiss);
-            eng.rates(g->psHit.compiled, g->rHit);
+            for (Gang::Variant &x : g->variants)
+                x.live = eng.replayRuntime(x.sc);
             const double mig = fault::migrationSeconds(
                 bytes, sp.fleet.interconnect, aliveCount);
             stats.migratedBytes += bytes;
@@ -438,10 +461,11 @@ ServingSim::serveLoop(const std::vector<JobArrival> &arrivals,
     // table's entries at 0 alone, so its price serves every op of the
     // same (class, variant, schedule) with the same entries whose own
     // first later edge lies at or past it. A schedule is its bandwidth
-    // index (single-chip) or the gang binding's layout tag; the
-    // entries are the slot chips' interned at-zero states, trailing
-    // empty ones dropped, so equal keys mean equal entries. The first
-    // price stored under a key is the one every later lookup reads.
+    // index (single-chip) or the gang's live-slot count, which names
+    // its binding within a run; the entries are the slot chips'
+    // interned at-zero states, trailing empty ones dropped, so equal
+    // keys mean equal entries. The first price stored under a key is
+    // the one every later lookup reads.
     std::unordered_map<std::vector<std::uint32_t>, double,
                        detail::MemoKeyHash>
         memo;
@@ -558,7 +582,7 @@ ServingSim::serveLoop(const std::vector<JobArrival> &arrivals,
         if constexpr (Faults) {
             for (std::size_t c : chosen)
                 affected = affected || !tl->spans(c).empty();
-            gangFo = g && g->activeSlots < m.shards;
+            gangFo = g && g->failedOver();
         }
 
         // A single-chip op priced clean renders as the class's clean
@@ -580,34 +604,33 @@ ServingSim::serveLoop(const std::vector<JobArrival> &arrivals,
                                        double clean, double &dur) {
             const detail::FaultAssets::OpSched *os =
                 g ? nullptr : &fr->assets.ops[k * 2 + variant];
+            const shard::ShardedCompiled *sc =
+                g ? &g->variants[variant].sc : nullptr;
             const std::size_t per =
-                g ? g->psMiss.compiled.perChip : os->cs->resourceCount();
-            const sim::CompiledSchedule &cs =
-                g ? (variant ? g->psHit : g->psMiss).compiled.schedule
-                  : *os->cs;
-            const std::uint64_t sched = g ? cs.layoutTag() : bwIdx;
+                g ? sc->perChip : os->cs->resourceCount();
+            const sim::CompiledSchedule &cs = g ? sc->schedule : *os->cs;
             // The op's epoch table up to the first span edge past its
             // start holds only its entries at local time 0: each slot
             // chip's at-zero state.
-            memoKey.assign({k, variant, static_cast<std::uint32_t>(sched),
-                            static_cast<std::uint32_t>(sched >> 32)});
+            memoKey.assign({k, variant,
+                            static_cast<std::uint32_t>(
+                                g ? g->activeSlots : bwIdx)});
             double edge = kInf;
             for (std::size_t s = 0; s < width; ++s) {
                 std::uint32_t state = 0;
                 edge = std::min(edge, tl->probe(chosen[s], per, t, state));
                 memoKey.push_back(state);
             }
-            while (memoKey.size() > 4 && memoKey.back() == 0)
+            while (memoKey.size() > 3 && memoKey.back() == 0)
                 memoKey.pop_back();
-            const bool atZero = memoKey.size() > 4;
+            const bool atZero = memoKey.size() > 3;
             // The table's first boundary is 0 when it has entries
             // there, else at or past `edge`: with no entry at 0 and the
             // edge at or past the clean finish the op prices clean, no
             // table needed.
             if (!atZero && edge >= clean)
                 return false;
-            const sim::ReplayRates &rates =
-                g ? (variant ? g->rHit : g->rMiss) : os->rates[bwIdx];
+            const sim::ReplayRates &rates = g ? g->rates : os->rates[bwIdx];
             // A viz run records each degraded single-chip op's own
             // replay, so it reads no memo there.
             const bool traced = viz && !g;
@@ -620,9 +643,7 @@ ServingSim::serveLoop(const std::vector<JobArrival> &arrivals,
                 }
             }
             const std::size_t nres =
-                g ? g->psMiss.compiled.shards * per +
-                        g->psMiss.compiled.links
-                  : per;
+                g ? sc->shards * per + sc->links : per;
             ep = tl->epochs(chosen.data(), width, per, nres, t);
             ++fr->epochTables;
             if (!(detail::firstBoundary(ep) < clean))
@@ -670,8 +691,9 @@ ServingSim::serveLoop(const std::vector<JobArrival> &arrivals,
             for (std::size_t i = 0; i < mask.size(); ++i) {
                 const std::uint32_t variant = mask[i] ? 1 : 0;
                 const double clean =
-                    g ? (variant ? g->liveHit : g->liveMiss)
-                      : (variant ? m.hitRt[bwIdx] : m.missRt[bwIdx]);
+                    g && g->failedOver()
+                        ? g->variants[variant].live
+                        : (variant ? m.hitRt[bwIdx] : m.missRt[bwIdx]);
                 double dur = clean;
                 bool opDegraded = false;
                 if constexpr (Faults)

@@ -281,9 +281,10 @@ Partition partitionGraph(const PartitionPrep &prep, const ShardSpec &spec,
  * per-shard work and the deduplicated cut are recomputed exactly as
  * partitionGraph computes them for its own assignments. The entry
  * point for move sequences — nudge an assignment, rebuild the
- * Partition, hand it to ShardedEngine::recompilePartition — and for
- * comparing a patched schedule against a from-scratch compile of the
- * final assignment. Every assigned shard id must be < spec.shards;
+ * Partition, bind it into the existing output with
+ * ShardedEngine::bind — and for comparing a rebound schedule against a
+ * from-scratch compile of the final assignment. Every assigned shard
+ * id must be < spec.shards;
  * `weights` must hold one entry per task (see taskWeights).
  */
 Partition assignmentPartition(const TaskGraph &g, const ShardSpec &spec,

@@ -47,28 +47,21 @@ shardedTag(const RpuLayout &chip, std::size_t shards, Topology topo)
 bool
 sameSkeleton(const RpuConfig &chip, const sim::CompiledSchedule &src)
 {
-    return (src.baseLayoutTag() & RpuLayout::kSkeletonTagMask) ==
+    return (src.layoutTag() & RpuLayout::kSkeletonTagMask) ==
            (RpuLayout::of(chip).tag() & RpuLayout::kSkeletonTagMask);
 }
 
-/** Bind state of the one-shot entry points, reused per thread. */
-ShardBinding &
-bindTls()
+/**
+ * The binds' cut-edge lookup on this thread, dense over (producer * K
+ * + destination shard): the index of that edge's first occurrence in
+ * Partition::cutEdges, or ~0. Every entry is ~0 between binds — a bind
+ * writes its cut's entries and resets them before returning.
+ */
+std::vector<std::uint32_t> &
+cutTableTls()
 {
-    thread_local ShardBinding b;
-    return b;
-}
-
-/** Record `g`'s per-task memory payloads and evk flags in `b`. */
-void
-loadPayloads(const TaskGraph &g, ShardBinding &b)
-{
-    b.memBytes.resize(g.size());
-    b.isEvk.resize(g.size());
-    for (const Task &t : g.tasks()) {
-        b.memBytes[t.id] = t.bytes;
-        b.isEvk[t.id] = t.isEvk ? 1 : 0;
-    }
+    thread_local std::vector<std::uint32_t> table;
+    return table;
 }
 
 /**
@@ -109,15 +102,14 @@ ShardedEngine::ShardedEngine(const RpuConfig &chip,
 }
 
 void
-ShardedEngine::bindInto(const sim::CompiledSchedule &src,
-                        const Partition &p, ShardBinding &b,
-                        ShardedCompiled &sc) const
+ShardedEngine::bind(const TaskGraph &g, const sim::CompiledSchedule &src,
+                    const Partition &p, ShardedCompiled &sc) const
 {
     const std::size_t n = src.taskCount();
     panicIf(!sameSkeleton(cfg, src),
             "bind source was compiled with another pipe split or "
             "vector length than the engine chip");
-    panicIf(b.memBytes.size() != n,
+    panicIf(g.size() != n,
             "bind source was not compiled from this graph (task "
             "counts differ)");
     panicIf(p.shardOf.size() != n, "partition does not cover the graph");
@@ -132,7 +124,6 @@ ShardedEngine::bindInto(const sim::CompiledSchedule &src,
     const std::uint64_t tag =
         shardedTag(RpuLayout::of(cfg), k, net.topology);
     sim::CompiledSchedule &cs = sc.schedule;
-    const bool reused = cs.resourceCount() > 0;
 
     sc.shards = k;
     sc.perChip = per_chip;
@@ -143,7 +134,7 @@ ShardedEngine::bindInto(const sim::CompiledSchedule &src,
     // Chip resource blocks first — channels then pipe(s) within each
     // block, exactly the single-RPU layout — then the links. A reused
     // schedule already bound under this tag keeps its table.
-    if (!reused || cs.baseLayoutTag() != tag) {
+    if (cs.layoutTag() != tag) {
         cs.patchBegin(k * per_chip + sc.links);
         char name[64];
         sim::ResourceId r = 0;
@@ -184,18 +175,18 @@ ShardedEngine::bindInto(const sim::CompiledSchedule &src,
     // the first consumer.
     constexpr std::uint32_t kNoEdge = ~std::uint32_t{0};
     const std::size_t ncut = p.cutEdges.size();
-    if (b.cutTable.size() < n * k)
-        b.cutTable.resize(n * k, kNoEdge);
+    std::vector<std::uint32_t> &cutTable = cutTableTls();
+    if (cutTable.size() < n * k)
+        cutTable.resize(n * k, kNoEdge);
     for (std::size_t i = 0; i < ncut; ++i) {
         std::uint32_t &slot =
-            b.cutTable[p.cutEdges[i].src * k + p.cutEdges[i].toShard];
+            cutTable[p.cutEdges[i].src * k + p.cutEdges[i].toShard];
         if (slot == kNoEdge)
             slot = static_cast<std::uint32_t>(i);
     }
     constexpr sim::TaskId kUnset = ~sim::TaskId{0};
-    b.transferId.assign(ncut, kUnset);
-    b.newId.resize(n);
-    b.chanOf.resize(n);
+    sc.transferId.assign(ncut, kUnset);
+    sc.newId.resize(n);
 
     std::vector<ChannelPlacer> placers;
     placers.reserve(k);
@@ -215,7 +206,7 @@ ShardedEngine::bindInto(const sim::CompiledSchedule &src,
     std::uint32_t placed = 0;
     for (std::size_t t = 0; t < n; ++t) {
         const std::uint32_t shard = p.shardOf[t];
-        const std::uint32_t *row = b.cutTable.data() + shard;
+        const std::uint32_t *row = cutTable.data() + shard;
         const std::uint32_t d0 = v.depOff[t];
         const std::uint32_t d1 = v.depOff[t + 1];
 
@@ -230,13 +221,13 @@ ShardedEngine::bindInto(const sim::CompiledSchedule &src,
             if (e == kNoEdge)
                 panic("partition cut does not cover a cross-shard "
                       "dependency");
-            if (b.transferId[e] != kUnset)
+            if (sc.transferId[e] != kUnset)
                 continue;
             const CutEdge &edge = p.cutEdges[e];
             const std::uint32_t id = static_cast<std::uint32_t>(t) + placed;
             const std::uint32_t dpos = d0 + placed;
             const std::uint32_t opos = v.opOff[t] + placed;
-            w.depIds[dpos] = b.newId[d];
+            w.depIds[dpos] = sc.newId[d];
             w.depOff[id + 1] = dpos + 1;
             w.opRes[opos] = link_base +
                             static_cast<sim::ResourceId>(net.linkIndex(
@@ -247,7 +238,7 @@ ShardedEngine::bindInto(const sim::CompiledSchedule &src,
             w.opSec[opos] = 0.0;
             w.opPost[opos] = net.latencySec;
             w.opOff[id + 1] = opos + 1;
-            b.transferId[e] = id;
+            sc.transferId[e] = id;
             ++placed;
             ++sc.transferTasks;
             sc.transferBytes += edge.bytes;
@@ -261,14 +252,14 @@ ShardedEngine::bindInto(const sim::CompiledSchedule &src,
             const sim::TaskId d = v.depIds[i];
             deps[i - d0] =
                 p.shardOf[d] == shard
-                    ? b.newId[d]
-                    : b.transferId[row[static_cast<std::size_t>(d) * k]];
+                    ? sc.newId[d]
+                    : sc.transferId[row[static_cast<std::size_t>(d) * k]];
         }
         w.depOff[id + 1] = d1 + placed;
 
         // Its ops: the source's cost numerators (validated by addTask
         // when the source was compiled), pipes offset into the chip's
-        // block, memory ops re-placed on dirty shards.
+        // block, memory ops re-placed by the chip's placer.
         const sim::ResourceId base =
             static_cast<sim::ResourceId>(shard * per_chip);
         const std::uint32_t o1 = v.opOff[t + 1];
@@ -280,11 +271,10 @@ ShardedEngine::bindInto(const sim::CompiledSchedule &src,
             w.opSec[j] = v.opSec[i];
             w.opPost[j] = v.opPost[i];
             if (v.opRes[i] < src_chan) {
-                if (b.shardDirty[shard])
-                    b.chanOf[t] = static_cast<std::uint32_t>(
-                        placers[shard].place(b.memBytes[t],
-                                             b.isEvk[t] != 0));
-                w.opRes[j] = base + b.chanOf[t];
+                const Task &task = g[static_cast<std::uint32_t>(t)];
+                w.opRes[j] = base + static_cast<sim::ResourceId>(
+                                        placers[shard].place(task.bytes,
+                                                             task.isEvk));
             } else {
                 w.opRes[j] =
                     base + static_cast<sim::ResourceId>(nchan) +
@@ -292,26 +282,12 @@ ShardedEngine::bindInto(const sim::CompiledSchedule &src,
             }
         }
         w.opOff[id + 1] = o1 + placed;
-        b.newId[t] = id;
+        sc.newId[t] = id;
     }
     cs.bulkWrite(n + placed, ndeps + placed, nops + placed);
     for (const CutEdge &e : p.cutEdges)
-        b.cutTable[e.src * k + e.toShard] = kNoEdge;
-
-    if (reused)
-        cs.patchCommit(tag);
-    else
-        cs.setLayoutTag(tag);
-}
-
-void
-ShardedEngine::bind(const TaskGraph &g, const sim::CompiledSchedule &src,
-                    const Partition &p, ShardedCompiled &out) const
-{
-    ShardBinding &b = bindTls();
-    loadPayloads(g, b);
-    b.shardDirty.assign(p.shards, 1);
-    bindInto(src, p, b, out);
+        cutTable[e.src * k + e.toShard] = kNoEdge;
+    cs.patchCommit(tag);
 }
 
 const sim::CompiledSchedule &
@@ -344,72 +320,13 @@ ShardedEngine::compile(const HksExperiment &exp, const Partition &p) const
     return sc;
 }
 
-ShardedPatchable
-ShardedEngine::patchableOf(sim::CompiledSchedule src, const TaskGraph &g,
-                           const Partition &p) const
-{
-    ShardedPatchable ps;
-    ps.source = std::move(src);
-    loadPayloads(g, ps);
-    ps.shardDirty.assign(p.shards, 1);
-    bindInto(ps.source, p, ps, ps.compiled);
-    ps.part = p;
-    return ps;
-}
-
-ShardedPatchable
-ShardedEngine::compilePatchable(const TaskGraph &g,
-                                const Partition &p) const
-{
-    return patchableOf(RpuEngine(cfg).compile(g), g, p);
-}
-
-ShardedPatchable
-ShardedEngine::compilePatchable(const HksExperiment &exp,
-                                const Partition &p) const
-{
-    return patchableOf(sourceOf(exp), exp.graph(), p);
-}
-
-void
-ShardedEngine::recompilePartition(ShardedPatchable &ps,
-                                  const Partition &newP) const
-{
-    const std::size_t k = ps.compiled.shards;
-    const std::size_t n = ps.part.shardOf.size();
-    panicIf(newP.shards != k,
-            "partition repatch cannot change the shard count: the "
-            "chip resource blocks would resize, compile from scratch");
-    panicIf(newP.shardOf.size() != n,
-            "partition does not cover the compiled graph");
-    panicIf(ps.compiled.schedule.baseLayoutTag() !=
-                shardedTag(RpuLayout::of(cfg), k, net.topology),
-            "patchable sharded schedule was compiled under a "
-            "different engine configuration");
-    checkPartition(newP);
-
-    // A shard is dirty when its membership changed (a task left or
-    // joined); only dirty shards re-run placement. A clean shard's
-    // task sequence is unchanged, so its placer would retrace the
-    // recorded channels — the bind reuses them instead.
-    ps.shardDirty.assign(k, 0);
-    for (std::size_t t = 0; t < n; ++t)
-        if (ps.part.shardOf[t] != newP.shardOf[t]) {
-            ps.shardDirty[ps.part.shardOf[t]] = 1;
-            ps.shardDirty[newP.shardOf[t]] = 1;
-        }
-    bindInto(ps.source, newP, ps, ps.compiled);
-    ps.part = newP;
-}
-
 void
 ShardedEngine::rates(const ShardedCompiled &sc,
                      sim::ReplayRates &r) const
 {
-    // The base tag identifies the layout of the *current* binding
-    // (partition repatches re-stamp it), so these rates match exactly
-    // this revision of the schedule.
-    panicIf(sc.schedule.baseLayoutTag() !=
+    // The tag names the chip layout, shard count and topology the
+    // schedule is bound under, so these rates serve any partition.
+    panicIf(sc.schedule.layoutTag() !=
                 shardedTag(RpuLayout::of(cfg), sc.shards,
                            net.topology),
             "sharded schedule layout does not match config");

@@ -33,11 +33,12 @@
  * the experiment overloads bind from HksExperiment::compiled() when
  * its skeleton matches and from the experiment's layout cache entry
  * for the chip otherwise, so they lower nothing the experiment has
- * not already compiled;
- * recompilePartition() re-runs the same bind over the patchable's
- * kept source. A K=1 partition binds to the identical op stream with
- * no transfer tasks, and its replay is bit-identical to the
- * single-RPU compiled replay (tests/test_shard.cpp pins this).
+ * not already compiled. Re-placing a schedule — a tuner point, a
+ * placement-search cut, a failover's partition move — is one more
+ * bind() into the caller's reused output. A K=1 partition binds to
+ * the identical op stream with no transfer tasks, and its replay is
+ * bit-identical to the single-RPU compiled replay
+ * (tests/test_shard.cpp pins this).
  *
  * replay()/replayRuntime() evaluate a compiled shard schedule at the
  * chip + link rates through per-thread scratch, so a K-shard simulate
@@ -48,7 +49,6 @@
 #ifndef CIFLOW_SHARD_SHARDED_ENGINE_H
 #define CIFLOW_SHARD_SHARDED_ENGINE_H
 
-#include <utility>
 #include <vector>
 
 #include "rpu/engine.h"
@@ -73,56 +73,13 @@ struct ShardedCompiled
     std::size_t transferTasks = 0;
     /** Total payload shipped over the interconnect. */
     std::uint64_t transferBytes = 0;
-};
-
-/**
- * Per-task state of one bind pass: what it reads to re-place memory
- * ops, and the graph -> schedule id maps it writes. After a bind,
- * graph task t is schedule task newId[t] and cut edge j's transfer is
- * schedule task transferId[j] (or ~0 if the edge never materialized)
- * — the fault layer's done masks rely on this.
- */
-struct ShardBinding
-{
-    /** Memory-task payload in bytes per graph task (0 for compute). */
-    std::vector<std::uint64_t> memBytes;
-    /** 1 where graph task t streams evk data. */
-    std::vector<std::uint8_t> isEvk;
-    /** Within-chip channel bound per graph task (memory tasks). */
-    std::vector<std::uint32_t> chanOf;
+    /**
+     * Graph -> schedule ids of the current binding: graph task t is
+     * schedule task newId[t], and cut edge j's transfer is schedule
+     * task transferId[j] (~0 if the edge never materialized). The
+     * fault layer's done masks read them.
+     */
     std::vector<sim::TaskId> newId, transferId;
-
-    /**
-     * Shards whose memory ops re-run channel placement this pass;
-     * the others reuse chanOf.
-     */
-    std::vector<char> shardDirty;
-    /**
-     * Cut-edge lookup, dense over (producer * K + destination shard):
-     * the index of that edge's first occurrence in
-     * Partition::cutEdges, or ~0. Every entry is ~0 between binds — a
-     * bind writes its cut's entries and resets them before returning.
-     */
-    std::vector<std::uint32_t> cutTable;
-};
-
-/**
- * A sharded compile that can be rebound to a new partition without
- * re-lowering: it keeps its single-chip source schedule plus the
- * memory payloads and evk flags (the ShardBinding base), so a
- * partition move re-runs the bind pass — dirty shards re-run their
- * ChannelPlacer, clean shards reuse the recorded channel of every op
- * (valid because placer state depends only on that shard's unchanged
- * task sequence) — and materializes the new cut's transfer tasks. The
- * compiled member replays exactly like a compile() result.
- */
-struct ShardedPatchable : ShardBinding
-{
-    ShardedCompiled compiled;
-    /** Partition the schedule is currently bound to. */
-    Partition part;
-    /** Single-chip schedule every rebind reads deps and ops from. */
-    sim::CompiledSchedule source;
 };
 
 /** Aggregate results of one sharded simulation. */
@@ -170,15 +127,18 @@ class ShardedEngine
                             const Partition &p) const;
 
     /**
-     * The bind pass into `out`, reusing its buffers: `src` must be a
+     * The bind pass — the one way a sharded schedule is built or
+     * re-placed — into `out`, reusing its buffers: `src` must be a
      * single-chip compile of `g` with this chip's pipe split and
      * vector length (any channel layout), and not `out.schedule`
      * itself, or this panics. So does a malformed `p`: a task on a
      * shard >= p.shards, or a cut edge whose producer is outside the
      * graph, whose shards are out of range or equal, or whose
-     * fromShard is not its producer's shard. A reused `out` gets a
-     * new patch revision; the result replays exactly like
-     * compile(g, p).
+     * fromShard is not its producer's shard. `out` may hold an earlier
+     * binding of any partition and shard count; the result replays
+     * exactly like compile(g, p), id maps included
+     * (tests/test_patch.cpp pins every entry point and move sequences
+     * against the legacy graph lowering).
      */
     void bind(const TaskGraph &g, const sim::CompiledSchedule &src,
               const Partition &p, ShardedCompiled &out) const;
@@ -186,34 +146,6 @@ class ShardedEngine
     /** bind() from `exp`'s schedule, as compile(exp, p) picks it. */
     void bind(const HksExperiment &exp, const Partition &p,
               ShardedCompiled &out) const;
-
-    /**
-     * compile() that keeps what recompilePartition() needs: the
-     * single-chip source schedule, the memory payloads and evk flags.
-     * Its schedule is bit-identical to compile(g, p).
-     */
-    ShardedPatchable compilePatchable(const TaskGraph &g,
-                                      const Partition &p) const;
-
-    /** compilePatchable() sourced as compile(exp, p) sources it. */
-    ShardedPatchable compilePatchable(const HksExperiment &exp,
-                                      const Partition &p) const;
-
-    /**
-     * Rebind `ps` to partition `newP` in place by re-running the bind
-     * pass over its kept source (no graph, no CodeGen, no
-     * re-lowering): shards whose membership changed re-run channel
-     * placement, untouched shards reuse their existing channel
-     * binding, and the new cut's transfer tasks are materialized
-     * exactly as compile() would. Commits a patch revision (distinct
-     * layoutTag). The shard count cannot change — that resizes the
-     * resource table's chip blocks, so compile from scratch. The
-     * result is bit-identical to compile(g, newP)
-     * (tests/test_patch.cpp pins move sequences against the legacy
-     * graph lowering of the final partition).
-     */
-    void recompilePartition(ShardedPatchable &ps,
-                            const Partition &newP) const;
 
     /** Replay rates: per-chip channel rates, link rates, work rates. */
     void rates(const ShardedCompiled &sc, sim::ReplayRates &r) const;
@@ -233,22 +165,6 @@ class ShardedEngine
   private:
     /** The single-chip source the experiment overloads bind from. */
     const sim::CompiledSchedule &sourceOf(const HksExperiment &exp) const;
-
-    /** compilePatchable() around an already chosen source of `g`. */
-    ShardedPatchable patchableOf(sim::CompiledSchedule src,
-                                 const TaskGraph &g,
-                                 const Partition &p) const;
-
-    /**
-     * The one bind pass behind every entry point: rewrites `sc` in
-     * place as the binding of `src` under `p`, re-placing the memory
-     * ops of the shards `b.shardDirty` marks and reusing `b.chanOf` on
-     * the rest. Reuses `sc`'s buffers; a fresh `sc` is stamped
-     * revision 0, a reused one commits a new patch revision. Panics on
-     * a malformed partition (see bind()) before touching `b`.
-     */
-    void bindInto(const sim::CompiledSchedule &src, const Partition &p,
-                  ShardBinding &b, ShardedCompiled &sc) const;
 
     RpuConfig cfg;
     InterconnectConfig net;

@@ -102,7 +102,7 @@ CompiledSchedule::patchResourceName(ResourceId id, const char *name)
 }
 
 void
-CompiledSchedule::patchCommit(std::uint64_t newBaseTag)
+CompiledSchedule::patchCommit(std::uint64_t newTag)
 {
     // A single vectorizable max-scan instead of a per-op check keeps
     // commit cost negligible next to the rebind itself.
@@ -111,8 +111,7 @@ CompiledSchedule::patchCommit(std::uint64_t newBaseTag)
         hi = opRes[i] > hi ? opRes[i] : hi;
     panicIf(!opRes.empty() && hi >= names.size(),
             "patched op targets an unknown resource");
-    tag = newBaseTag;
-    ++rev;
+    tag = newTag;
 }
 
 ScheduleArrays

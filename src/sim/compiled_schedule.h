@@ -43,10 +43,10 @@
  * patchResourceName / patchCommit) resizes and renames the resource
  * table in place, and bulkWrite() resizes the CSR arrays while
  * keeping their capacity and hands them out for writing, so the shard
- * engine rebinds a reused schedule to a new partition in place,
- * without reallocating. Each commit bumps a revision counter that is
- * mixed into layoutTag(), so stale rate vectors built against an
- * earlier binding still trip the tag-mismatch panic.
+ * engine binds a reused schedule to any partition in place, without
+ * reallocating. The layout tag names the resource layout alone (chip,
+ * shard count, topology), so rates built for it serve every binding
+ * of that layout.
  */
 
 #ifndef CIFLOW_SIM_COMPILED_SCHEDULE_H
@@ -204,19 +204,6 @@ struct BatchScratch
 };
 
 /**
- * The externally visible identity of patch revision `rev` of a
- * schedule whose compiler stamped base tag `base`: the base tag itself
- * for a fresh compile (revision 0), and a revision-mixed value for
- * every patched binding. The multiplier is odd, so distinct revisions
- * of one base never collide with each other or with the base.
- */
-constexpr std::uint64_t
-patchedTag(std::uint64_t base, std::uint64_t rev)
-{
-    return rev == 0 ? base : base ^ (rev * 0x9E3779B97F4A7C15ull);
-}
-
-/**
  * Read-only snapshot of the compiled CSR arrays, handed out by
  * CompiledSchedule::view(): what every replay walks — the replay
  * kernel (sim/replay_kernel.h) behind replay(), replayPiecewise(),
@@ -302,7 +289,7 @@ class CompiledSchedule
     /**
      * Bulk write for trusted binders: size the CSR arrays to exactly
      * `tasks` tasks, `deps` dependencies and `ops` ops — keeping the
-     * resource table, the tags, array capacity and the entries below
+     * resource table, the tag, array capacity and the entries below
      * the new sizes — and return them for writing. The caller fills
      * depOff[1..tasks], opOff[1..tasks] and every dep and op entry
      * (depOff[0] and opOff[0] stay 0); a binder that sized for more
@@ -310,10 +297,10 @@ class CompiledSchedule
      * without reallocating. Nothing is validated, so this is only for
      * re-binding ops a prior addTask() of this process validated (the
      * shard engine binds single-chip schedules through here), with
-     * monotone offsets and dep ids that precede their task. Seal a
-     * rewrite of a committed schedule with patchCommit(), which still
-     * bounds-checks every op's resource id. The validated addTask() is
-     * the front door for anything lowered from fresh input.
+     * monotone offsets and dep ids that precede their task. Seal every
+     * bulk write with patchCommit(), which still bounds-checks every
+     * op's resource id. The validated addTask() is the front door for
+     * anything lowered from fresh input.
      */
     ScheduleArrays bulkWrite(std::size_t tasks, std::size_t deps,
                              std::size_t ops);
@@ -323,28 +310,19 @@ class CompiledSchedule
     std::size_t depCount() const { return depIds.size(); }
 
     /**
-     * Stamp the base layout tag — the opaque identity of the layout
-     * the current binding was lowered (or last patched) against.
-     * Leaves the patch revision alone; compilers stamping a fresh
-     * build use this, patches go through patchCommit().
+     * Stamp the layout tag — the opaque identity of the layout the
+     * schedule was lowered against. Compilers stamping a validated
+     * addTask() build use this; bulk writes seal through
+     * patchCommit().
      */
     void setLayoutTag(std::uint64_t t) { tag = t; }
 
     /**
-     * Identity of the current binding: the base layout tag mixed with
-     * the patch revision (patchedTag). Consumers verify it before
-     * replaying with layout-derived rates; a rate vector built against
-     * an earlier revision of this schedule fails the check even when
-     * both revisions bound the same layout. 0 = untagged fresh
-     * schedule (hand-built).
+     * Identity of the current binding's layout. Consumers verify it
+     * before replaying with layout-derived rates. 0 = untagged
+     * (hand-built).
      */
-    std::uint64_t layoutTag() const { return patchedTag(tag, rev); }
-
-    /** The compiler-stamped layout identity alone, revision-free. */
-    std::uint64_t baseLayoutTag() const { return tag; }
-
-    /** Patches committed since compile (0 = fresh build). */
-    std::uint64_t patchRevision() const { return rev; }
+    std::uint64_t layoutTag() const { return tag; }
 
     /**
      * Begin an in-place rebind: sizes the resource table to
@@ -360,12 +338,10 @@ class CompiledSchedule
     void patchResourceName(ResourceId id, const char *name);
 
     /**
-     * Seal a patch: validates that every op targets a live resource,
-     * stamps `newBaseTag` as the base layout tag, and bumps the patch
-     * revision so layoutTag() is distinct from every earlier revision
-     * of this schedule.
+     * Seal a bind: validates that every op targets a live resource and
+     * stamps `newTag` as the layout tag.
      */
-    void patchCommit(std::uint64_t newBaseTag);
+    void patchCommit(std::uint64_t newTag);
 
     /**
      * Simulate the whole schedule at one replay point: a single pass
@@ -482,8 +458,6 @@ class CompiledSchedule
     // --- binding: rewritten in place by the patch API ---
     std::vector<std::string> names;
     std::uint64_t tag = 0;
-    /** Patches committed since compile; mixed into layoutTag(). */
-    std::uint64_t rev = 0;
     // --- skeleton: CSR arrays, fixed by the lowering ---
     // Task t's deps are depIds[depOff[t]..depOff[t+1]) and its ops are
     // index range [opOff[t], opOff[t+1]) into the SoA op component

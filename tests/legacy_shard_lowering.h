@@ -10,9 +10,9 @@
  * its first consumer, every append through the validated
  * CompiledSchedule::addTask — and stamps the engine's layout tag, so
  * its schedule replays through ShardedEngine like any compile()
- * result. The library's bind pass (compile, compilePatchable,
- * recompilePartition, bind) must reproduce it exactly: the same CSR
- * arrays, resource names and graph -> schedule id maps.
+ * result. The library's bind pass (compile and bind, fresh or into a
+ * reused output) must reproduce it exactly: the same CSR arrays,
+ * resource names and graph -> schedule id maps.
  */
 
 #ifndef CIFLOW_TESTS_LEGACY_SHARD_LOWERING_H
@@ -28,18 +28,11 @@
 namespace ciflow::legacy
 {
 
-/** A legacy-lowered sharded schedule and its id maps. */
-struct LoweredShards
-{
-    shard::ShardedCompiled compiled;
-    /** Graph task t is schedule task newId[t]. */
-    std::vector<sim::TaskId> newId;
-    /** Cut edge j's transfer task (~0 if it never materialized). */
-    std::vector<sim::TaskId> transferId;
-};
-
-/** Lower `g` under `p` onto `cfg` chips joined by `net`. */
-inline LoweredShards
+/**
+ * Lower `g` under `p` onto `cfg` chips joined by `net`, id maps
+ * included.
+ */
+inline shard::ShardedCompiled
 lowerSharded(const RpuConfig &cfg, const shard::InterconnectConfig &net,
              const TaskGraph &g, const shard::Partition &p)
 {
@@ -47,8 +40,7 @@ lowerSharded(const RpuConfig &cfg, const shard::InterconnectConfig &net,
     g.validate();
     panicIf(p.shardOf.size() != g.size(),
             "partition does not cover the graph");
-    LoweredShards out;
-    shard::ShardedCompiled &sc = out.compiled;
+    shard::ShardedCompiled sc;
     const std::size_t k = p.shards;
     const std::size_t nchan = cfg.channelCount();
     const std::size_t per_chip = nchan + cfg.computePipeCount();
@@ -93,8 +85,8 @@ lowerSharded(const RpuConfig &cfg, const shard::InterconnectConfig &net,
                 p.cutEdges[i].toShard,
             i);
     constexpr sim::TaskId kUnset = ~sim::TaskId{0};
-    out.transferId.assign(p.cutEdges.size(), kUnset);
-    out.newId.assign(g.size(), 0);
+    sc.transferId.assign(p.cutEdges.size(), kUnset);
+    sc.newId.assign(g.size(), 0);
 
     std::vector<sim::TaskId> deps;
     std::vector<sim::CompiledOp> ops;
@@ -103,7 +95,7 @@ lowerSharded(const RpuConfig &cfg, const shard::InterconnectConfig &net,
         deps.clear();
         for (std::uint32_t d : t.deps) {
             if (p.shardOf[d] == shard) {
-                deps.push_back(out.newId[d]);
+                deps.push_back(sc.newId[d]);
                 continue;
             }
             const auto it = cut_index.find(
@@ -112,7 +104,7 @@ lowerSharded(const RpuConfig &cfg, const shard::InterconnectConfig &net,
                     "partition cut does not cover a cross-shard "
                     "dependency");
             const std::size_t idx = it->second;
-            if (out.transferId[idx] == kUnset) {
+            if (sc.transferId[idx] == kUnset) {
                 const shard::CutEdge &e = p.cutEdges[idx];
                 sim::CompiledOp xfer;
                 xfer.resource =
@@ -120,17 +112,17 @@ lowerSharded(const RpuConfig &cfg, const shard::InterconnectConfig &net,
                                     e.fromShard, e.toShard, k));
                 xfer.bytes = static_cast<double>(e.bytes);
                 xfer.postSeconds = net.latencySec;
-                out.transferId[idx] =
-                    sc.schedule.addTask({out.newId[d]}, {xfer});
+                sc.transferId[idx] =
+                    sc.schedule.addTask({sc.newId[d]}, {xfer});
                 ++sc.transferTasks;
                 sc.transferBytes += e.bytes;
             }
-            deps.push_back(out.transferId[idx]);
+            deps.push_back(sc.transferId[idx]);
         }
         ops.clear();
         eng.lowerTask(t, cg, placers[shard],
                       static_cast<sim::ResourceId>(shard * per_chip), ops);
-        out.newId[t.id] = sc.schedule.addTask(deps, ops);
+        sc.newId[t.id] = sc.schedule.addTask(deps, ops);
     }
 
     // The engine's layout stamp: chip layout, shard count, topology.
@@ -138,7 +130,7 @@ lowerSharded(const RpuConfig &cfg, const shard::InterconnectConfig &net,
         RpuLayout::of(cfg).tag() * 1000003ull +
         ((static_cast<std::uint64_t>(k) << 2) |
          (net.topology == Topology::PointToPoint ? 2u : 0u) | 1u));
-    return out;
+    return sc;
 }
 
 } // namespace ciflow::legacy

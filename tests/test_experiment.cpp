@@ -81,7 +81,6 @@ expectSameSchedule(const sim::CompiledSchedule &a,
         EXPECT_EQ(a.resourceName(static_cast<sim::ResourceId>(r)),
                   b.resourceName(static_cast<sim::ResourceId>(r)));
     EXPECT_EQ(a.layoutTag(), b.layoutTag());
-    EXPECT_EQ(a.patchRevision(), b.patchRevision());
 }
 
 const std::vector<ChannelPolicy> kPolicies = {
@@ -292,15 +291,34 @@ TEST(Experiment, BandwidthToMatchEqualsScalarBisection)
               std::ldexp(2000.0, -60));
 }
 
-TEST(Experiment, BandwidthToMatchRejectsBracketOutsideZeroToInf)
+TEST(Experiment, BandwidthToMatchRejectsMalformedArguments)
 {
-    // The batched walk replays midpoints the one-step walk may never
-    // visit; from a negative lo some of them are negative bandwidths.
     const HksParams &b = benchmarkByName("BTS1");
     HksExperiment oc(b, Dataflow::OC, paperMem(true));
     const double target = baselineRuntime(b);
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double inf = std::numeric_limits<double>::infinity();
+    // Unchecked, a NaN target or tol returned hi, a negative threshold
+    // returned +inf and an infinite target a bandwidth below 1.0001.
+    for (double t : {nan, -1.0, 0.0, inf})
+        EXPECT_EXIT(bandwidthToMatch(oc, t), ::testing::ExitedWithCode(1),
+                    "target_runtime")
+            << t;
+    for (double tol : {nan, -2.0, -1e-3, inf})
+        EXPECT_EXIT(bandwidthToMatch(oc, target, 1.0, 2000.0, 1.0, tol),
+                    ::testing::ExitedWithCode(1), "tol")
+            << tol;
+    // A MODOPS multiplier that is no rate used to panic inside the
+    // batched replay; +inf is free compute and stays legal.
+    for (double mult : {nan, 0.0, -1.0})
+        EXPECT_EXIT(bandwidthToMatch(oc, target, 1.0, 2000.0, mult),
+                    ::testing::ExitedWithCode(1), "modops_mult")
+            << mult;
+    EXPECT_EQ(bandwidthToMatch(oc, target, 1.0, 2000.0, inf),
+              scalarBandwidthToMatch(oc, target, 1.0, 2000.0, inf, 1e-3));
+
+    // The batched walk replays midpoints the one-step walk may never
+    // visit; from a negative lo some of them are negative bandwidths.
     for (double lo : {-1.0, nan})
         EXPECT_EXIT(bandwidthToMatch(oc, target, lo, 5.0),
                     ::testing::ExitedWithCode(1), "lo_gbps")

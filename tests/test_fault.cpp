@@ -13,6 +13,7 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <string>
 #include <vector>
@@ -566,6 +567,144 @@ TEST(FaultSimTest, SequentialFailuresAccumulate)
     FaultTrace one;
     one.events = {chipFail(h / 4.0, 0)};
     EXPECT_GE(out.makespan, fs.run(one).makespan);
+}
+
+/** FNV-1a 64 over the bytes of `s`. */
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** Append the bits of `x` as hex: equal doubles give equal bytes. */
+void
+appendBits(std::string &s, double x)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "%016llx ",
+                  static_cast<unsigned long long>(
+                      std::bit_cast<std::uint64_t>(x)));
+    s += buf;
+}
+
+void
+appendOutcome(std::string &s, const DegradedOutcome &o)
+{
+    appendBits(s, o.makespan);
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%d %zu %llu ", o.completed ? 1 : 0,
+                  o.failovers,
+                  static_cast<unsigned long long>(o.migratedBytes));
+    s += buf;
+    appendBits(s, o.migrationSec);
+    s += '\n';
+}
+
+TEST(FaultSimTest, FailoverOutcomesMatchGoldens)
+{
+    // The outcome of every run is pinned by hash, so a change in how a
+    // failover re-places the schedule may not move a bit of it: which
+    // tasks the done mask salvages (the cut edges of the partition in
+    // force), the migration bytes and pauses, and the resumed replay.
+    // Per rig: 32 sampled scenarios with every fault class active,
+    // then two failures, a death during a migration pause, and a
+    // degrade + stall + failure.
+    struct Pin
+    {
+        std::size_t k;
+        Topology topo;
+        std::uint64_t hash;
+    };
+    const Pin pins[] = {
+        {2, Topology::PointToPoint, 0x03c5a3dfb9e9c4beull},
+        {2, Topology::SharedBus, 0x08550e5445729228ull},
+        {4, Topology::PointToPoint, 0x8e73bc140d7b1450ull},
+        {4, Topology::SharedBus, 0x35631a1ecb79fc59ull},
+        {8, Topology::PointToPoint, 0xed925e792c129ccfull},
+        {8, Topology::SharedBus, 0xab9a3c151cd7b572ull},
+    };
+    for (const Pin &pin : pins) {
+        Rig rig(pin.k, pin.topo);
+        FaultSim fs = rig.sim();
+        const double h = fs.healthyMakespan();
+        const std::uint32_t last = static_cast<std::uint32_t>(pin.k - 1);
+        std::string s;
+        std::size_t failovers = 0;
+        const auto record = [&](const DegradedOutcome &o) {
+            appendOutcome(s, o);
+            failovers += o.failovers;
+        };
+
+        const FaultModel model = busyModel(h);
+        for (std::uint64_t i = 0; i < 32; ++i)
+            record(fs.run(sampleTrace(model, fs.shape(), deriveSeed(5, i))));
+
+        FaultTrace two;
+        two.events = {chipFail(h / 4.0, 0), chipFail(h / 2.0, last)};
+        two.normalize();
+        record(fs.run(two));
+
+        FaultTrace one;
+        one.events = {chipFail(h / 3.0, last)};
+        const double pause = fs.run(one).migrationSec;
+        ASSERT_GT(pause, 0.0);
+        FaultTrace mid;
+        mid.events = {chipFail(h / 3.0, last),
+                      chipFail(h / 3.0 + pause / 2.0, 0)};
+        mid.normalize();
+        record(fs.run(mid));
+
+        FaultTrace mixed;
+        FaultEvent stall;
+        stall.atSec = h / 5.0;
+        stall.kind = FaultKind::TransientStall;
+        stall.shard = 0;
+        stall.factor = 0.25;
+        stall.durSec = h / 10.0;
+        mixed.events = {chanDegrade(h / 10.0, last, 0, 0.5), stall,
+                        chipFail(h / 2.0, last)};
+        mixed.normalize();
+        record(fs.run(mixed));
+
+        const std::uint64_t got = fnv1a(s);
+        EXPECT_EQ(got, pin.hash)
+            << "K=" << pin.k << " topology "
+            << (pin.topo == Topology::SharedBus ? "bus" : "p2p")
+            << " hash 0x" << std::hex << got;
+        // The pins are worth something only if failovers happened.
+        EXPECT_GE(failovers, 10u) << "K=" << pin.k;
+    }
+
+    // One observed run: its segment cuts and marks are pinned too.
+    Rig rig(4);
+    FaultSim fs = rig.sim();
+    const double h = fs.healthyMakespan();
+    FaultTrace t;
+    t.events = {chipFail(h / 4.0, 1), chipFail(h / 2.0, 3)};
+    t.normalize();
+    obs::ScenarioTrace viz;
+    std::string s;
+    appendOutcome(s, fs.run(t, &viz));
+    for (const obs::TraceSegment &seg : viz.segments) {
+        appendBits(s, seg.baseSec);
+        appendBits(s, seg.cutSec);
+        s += '\n';
+    }
+    for (const obs::TraceMark &m : viz.marks) {
+        s += m.label;
+        s += ' ';
+        appendBits(s, m.atSec);
+        appendBits(s, m.durSec);
+        s += '\n';
+    }
+    EXPECT_EQ(viz.segments.size(), 3u);
+    const std::uint64_t got = fnv1a(s);
+    EXPECT_EQ(got, 0xf116119a08db7c98ull) << "viz hash 0x" << std::hex << got;
 }
 
 TEST(MonteCarlo, ZeroFaultModelReportsHealthyNumbers)

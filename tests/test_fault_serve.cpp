@@ -5,7 +5,7 @@
  * exact retry/backoff/deadline accounting on a hand-built two-job
  * chip-failure scenario, degraded-op pricing against a from-scratch
  * piecewise-replay reference, fault-aware admission, gang failover
- * against the planFailover/recompilePartition reference, fleet-death
+ * against a planFailover + fresh-compile reference, fleet-death
  * rejection (nothing silently lost), bit-identical seeded runs across
  * repeats and estimator thread counts, open-horizon events being
  * cleanly ignored, stream/policy/trace validation through the
@@ -765,10 +765,10 @@ TEST(FaultServe, EventsBeyondLastDepartureAreCleanlyIgnored)
 TEST(FaultServe, GangFailoverMatchesPatchPathReference)
 {
     // A 2-wide gang class loses a chip mid-job: the class re-places
-    // through planFailover/recompilePartition, pays the migration as a
-    // wall-clock pause, and the retried job prices at the patched
+    // through planFailover and a rebind, pays the migration as a
+    // wall-clock pause, and the retried job prices at the new
     // binding's replay runtime — all asserted against a from-scratch
-    // reference.
+    // reference that compiles the post-failover placement afresh.
     const HksParams &par = benchmarkByName("BTS1");
     const HeWorkload wl = HeWorkload::reduction(4);
     ServeSpec sp;
@@ -788,7 +788,7 @@ TEST(FaultServe, GangFailoverMatchesPatchPathReference)
     FaultServeStats st;
     ASSERT_TRUE(fs.run(atZero(1), tr, RetryPolicy{}, out, st).ok());
 
-    // Reference: replicate the miss-variant patch path by hand.
+    // Reference: replicate the miss-variant failover by hand.
     const MemoryConfig mem{sp.fleet.chip.dataMemBytes, false};
     const auto exp = runner.experiment(par, Dataflow::MP, mem);
     const shard::ShardSpec spec2 = shard::placementShardSpec(
@@ -798,15 +798,13 @@ TEST(FaultServe, GangFailoverMatchesPatchPathReference)
     const shard::Partition basePart =
         shard::partitionGraph(exp->graph(), spec2, w);
     shard::ShardedEngine eng(sp.fleet.chip, sp.fleet.interconnect);
-    shard::ShardedPatchable ps =
-        eng.compilePatchable(exp->graph(), basePart);
     fault::FailoverPlan plan;
     const std::vector<char> alive{1, 0};
-    ASSERT_TRUE(fault::planFailover(exp->graph(), spec2, ps.part, 1,
+    ASSERT_TRUE(fault::planFailover(exp->graph(), spec2, basePart, 1,
                                     alive, nullptr, w, plan)
                     .ok());
-    eng.recompilePartition(ps, plan.part);
-    const double patchedOpRt = eng.replayRuntime(ps.compiled);
+    const double patchedOpRt =
+        eng.replayRuntime(eng.compile(exp->graph(), plan.part));
     const double mig = fault::migrationSeconds(
         plan.migrationBytes, sp.fleet.interconnect, 1);
 
@@ -1206,7 +1204,7 @@ TEST(FaultServe, GangPricingMatchesFreshTableReference)
 {
     // A 2-wide gang on a 2-chip fleet: stalls on both chips, a
     // permanent degrade on chip 1, then chip 1 dies and the gang fails
-    // over to a new binding revision on chip 0 alone. Every op must
+    // over to a new binding on chip 0 alone. Every op must
     // price as a fresh buildEpochs table over the gang's slot view
     // plus a piecewise replay of the binding it ran on.
     const HksParams &par = benchmarkByName("BTS1");
@@ -1258,20 +1256,18 @@ TEST(FaultServe, GangPricingMatchesFreshTableReference)
     const shard::Partition basePart =
         shard::partitionGraph(exp->graph(), spec2, w);
     shard::ShardedEngine eng(sp.fleet.chip, sp.fleet.interconnect);
-    const shard::ShardedPatchable base =
-        eng.compilePatchable(exp->graph(), basePart);
-    shard::ShardedPatchable moved =
-        eng.compilePatchable(exp->graph(), basePart);
+    const shard::ShardedCompiled base = eng.compile(exp->graph(), basePart);
     fault::FailoverPlan plan;
-    ASSERT_TRUE(fault::planFailover(exp->graph(), spec2, moved.part, 1,
+    ASSERT_TRUE(fault::planFailover(exp->graph(), spec2, basePart, 1,
                                     {1, 0}, nullptr, w, plan)
                     .ok());
-    eng.recompilePartition(moved, plan.part);
+    const shard::ShardedCompiled moved =
+        eng.compile(exp->graph(), plan.part);
     sim::ReplayRates baseRates, movedRates;
-    eng.rates(base.compiled, baseRates);
-    eng.rates(moved.compiled, movedRates);
-    const double baseClean = eng.replayRuntime(base.compiled);
-    const double movedClean = eng.replayRuntime(moved.compiled);
+    eng.rates(base, baseRates);
+    eng.rates(moved, movedRates);
+    const double baseClean = eng.replayRuntime(base);
+    const double movedClean = eng.replayRuntime(moved);
     EXPECT_EQ(baseClean, c);
 
     sim::ReplayScratch scratch;
@@ -1303,13 +1299,13 @@ TEST(FaultServe, GangPricingMatchesFreshTableReference)
                 }
         }
         view.normalize();
-        const shard::ShardedPatchable &ps = after ? moved : base;
+        const shard::ShardedCompiled &sc = after ? moved : base;
         const double clean = after ? movedClean : baseClean;
         const sim::RateEpochs ep =
-            fault::buildEpochs(view, ps.compiled, r.startSec);
+            fault::buildEpochs(view, sc, r.startSec);
         const bool degraded = firstBoundaryOf(ep) < clean;
         const double dur =
-            degraded ? ps.compiled.schedule.replayPiecewise(
+            degraded ? sc.schedule.replayPiecewise(
                            after ? movedRates : baseRates, ep, nullptr,
                            scratch)
                      : clean;

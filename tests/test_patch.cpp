@@ -1,24 +1,22 @@
 /**
  * @file
  * Tests for incremental compile: sharded schedules rebound in place
- * (ShardedEngine::recompilePartition) instead of compiled again.
+ * (one more ShardedEngine::bind into a reused output) instead of
+ * compiled again.
  *
- * The contract under test is bit-identity: a patched binding must be
+ * The contract under test is bit-identity: a rebound schedule must be
  * indistinguishable from a fresh compile of the same target — same
- * runtime, same per-resource busy seconds and job counts, same
- * resource names — across randomized DAGs, channel layouts, pipe
- * splits and multi-shard partition-move sequences. On top of that,
- * layoutTag() must make patched bindings *distinguishable* from the
- * compiler's stamp (revision-mixed tags), so stale cached ReplayRates
- * keep panicking instead of silently replaying a superseded binding.
+ * CSR arrays, id maps, runtime, per-resource busy seconds and job
+ * counts, and resource names — across randomized DAGs, channel
+ * layouts, pipe splits and multi-shard partition-move sequences.
  *
  * Sharded schedules are bindings of a single-chip compile; every
  * entry point of that bind pass (compile, the experiment overloads,
- * bind, compilePatchable, recompilePartition) is pinned against the
- * legacy graph lowering in legacy_shard_lowering.h, CSR array by CSR
- * array and id map by id map — also for hand-built cuts with
- * duplicated or unused edges and for one output rebound across shard
- * counts — and malformed cuts are refused.
+ * bind into a fresh or a reused output) is pinned against the legacy
+ * graph lowering in legacy_shard_lowering.h, CSR array by CSR array
+ * and id map by id map — also for hand-built cuts with duplicated or
+ * unused edges and for one output rebound across shard counts — and
+ * malformed cuts are refused.
  */
 
 #include <gtest/gtest.h>
@@ -116,20 +114,21 @@ sameArray(const T *a, const T *b, std::size_t n)
 /**
  * `got` is the legacy lowering `want`, exactly: the same CSR arrays
  * (deps, op resources and every cost numerator), the same layout
- * stamp, and — replayed through `eng` — the same makespan, per-resource
- * names, busy seconds and job counts, and transfer count and bytes.
+ * stamp and graph -> schedule id maps, and — replayed through `eng` —
+ * the same makespan, per-resource names, busy seconds and job counts,
+ * and transfer count and bytes.
  */
 void
 expectMatchesLegacy(const shard::ShardedEngine &eng,
                     const shard::ShardedCompiled &got,
-                    const legacy::LoweredShards &want)
+                    const shard::ShardedCompiled &want)
 {
     const sim::ScheduleView a = got.schedule.view();
-    const sim::ScheduleView b = want.compiled.schedule.view();
+    const sim::ScheduleView b = want.schedule.view();
     ASSERT_EQ(a.taskCount, b.taskCount);
     ASSERT_EQ(a.opCount, b.opCount);
     ASSERT_EQ(a.resourceCount, b.resourceCount);
-    ASSERT_EQ(got.schedule.depCount(), want.compiled.schedule.depCount());
+    ASSERT_EQ(got.schedule.depCount(), want.schedule.depCount());
     EXPECT_TRUE(sameArray(a.depOff, b.depOff, a.taskCount + 1));
     EXPECT_TRUE(sameArray(a.depIds, b.depIds, got.schedule.depCount()));
     EXPECT_TRUE(sameArray(a.opOff, b.opOff, a.taskCount + 1));
@@ -139,23 +138,13 @@ expectMatchesLegacy(const shard::ShardedEngine &eng,
     EXPECT_TRUE(sameArray(a.opWork1, b.opWork1, a.opCount));
     EXPECT_TRUE(sameArray(a.opSec, b.opSec, a.opCount));
     EXPECT_TRUE(sameArray(a.opPost, b.opPost, a.opCount));
-    EXPECT_EQ(got.schedule.baseLayoutTag(),
-              want.compiled.schedule.baseLayoutTag());
-    EXPECT_EQ(got.shards, want.compiled.shards);
-    EXPECT_EQ(got.perChip, want.compiled.perChip);
-    EXPECT_EQ(got.links, want.compiled.links);
-    expectShardStatsEqual(eng.replay(got), eng.replay(want.compiled));
-}
-
-/** expectMatchesLegacy plus the patchable's graph -> schedule ids. */
-void
-expectPatchableMatchesLegacy(const shard::ShardedEngine &eng,
-                             const shard::ShardedPatchable &ps,
-                             const legacy::LoweredShards &want)
-{
-    expectMatchesLegacy(eng, ps.compiled, want);
-    EXPECT_EQ(ps.newId, want.newId);
-    EXPECT_EQ(ps.transferId, want.transferId);
+    EXPECT_EQ(got.schedule.layoutTag(), want.schedule.layoutTag());
+    EXPECT_EQ(got.shards, want.shards);
+    EXPECT_EQ(got.perChip, want.perChip);
+    EXPECT_EQ(got.links, want.links);
+    EXPECT_EQ(got.newId, want.newId);
+    EXPECT_EQ(got.transferId, want.transferId);
+    expectShardStatsEqual(eng.replay(got), eng.replay(want));
 }
 
 /** A chip of `channels` DRAM channels under `pol`, fused or split. */
@@ -180,9 +169,9 @@ allPolicies()
 
 } // namespace
 
-// A sequence of single-task partition moves, each applied with
-// recompilePartition, must equal a from-scratch compile of the final
-// partition — runtime, per-resource busy/jobs, and transfer counts.
+// A sequence of single-task partition moves, each bound into the same
+// output, must equal a from-scratch lowering of the partition — CSR
+// arrays, id maps, runtime, per-resource busy/jobs and transfers.
 TEST(Patch, ShardMoveSequenceMatchesFromScratchCompile)
 {
     const HksParams &par = benchmarkByName("BTS1");
@@ -199,10 +188,11 @@ TEST(Patch, ShardMoveSequenceMatchesFromScratchCompile)
     const std::vector<double> w = shard::taskWeights(g, chip);
 
     const shard::ShardedEngine seng(chip, net);
+    const sim::CompiledSchedule src = RpuEngine(chip).compile(g);
     shard::Partition cur = shard::partitionGraph(g, spec, w);
-    shard::ShardedPatchable ps = seng.compilePatchable(g, cur);
-    expectPatchableMatchesLegacy(seng, ps,
-                                 legacy::lowerSharded(chip, net, g, cur));
+    shard::ShardedCompiled sc;
+    seng.bind(g, src, cur, sc);
+    expectMatchesLegacy(seng, sc, legacy::lowerSharded(chip, net, g, cur));
 
     std::mt19937 rng(7);
     std::uniform_int_distribution<std::size_t> pick(0, g.size() - 1);
@@ -213,20 +203,18 @@ TEST(Patch, ShardMoveSequenceMatchesFromScratchCompile)
         assign[pick(rng)] = to(rng);
         cur = shard::assignmentPartition(g, spec, std::move(assign),
                                          w);
-        seng.recompilePartition(ps, cur);
-        expectPatchableMatchesLegacy(
-            seng, ps, legacy::lowerSharded(chip, net, g, cur));
+        seng.bind(g, src, cur, sc);
+        expectMatchesLegacy(seng, sc,
+                            legacy::lowerSharded(chip, net, g, cur));
     }
-    EXPECT_GT(ps.compiled.schedule.patchRevision(), 0u);
 }
 
 // Every entry point of the bind pass reproduces the legacy graph
-// lowering on random DAGs: compile, compilePatchable (with its id
-// maps), and bind from single-chip sources compiled at 1, 2 and 4
-// channels under every policy — one reused output carried through
-// the whole walk — across fused and split pipes, engine chips of
-// every channel layout, K in {1, 2, 4}, both topologies and both
-// strategies.
+// lowering on random DAGs, id maps included: compile, and bind from
+// single-chip sources compiled at 1, 2 and 4 channels under every
+// policy — one reused output carried through the whole walk — across
+// fused and split pipes, engine chips of every channel layout, K in
+// {1, 2, 4}, both topologies and both strategies.
 TEST(ShardBind, EntryPointsMatchLegacyLoweringOnRandomDags)
 {
     std::mt19937 rng(20261017);
@@ -268,12 +256,10 @@ TEST(ShardBind, EntryPointsMatchLegacyLoweringOnRandomDags)
                                 shard::InterconnectConfig net;
                                 net.topology = topo;
                                 const shard::ShardedEngine eng(chip, net);
-                                const legacy::LoweredShards want =
+                                const shard::ShardedCompiled want =
                                     legacy::lowerSharded(chip, net, g, p);
                                 expectMatchesLegacy(eng, eng.compile(g, p),
                                                     want);
-                                expectPatchableMatchesLegacy(
-                                    eng, eng.compilePatchable(g, p), want);
                                 for (const sim::CompiledSchedule &src :
                                      sources) {
                                     eng.bind(g, src, p, reused);
@@ -282,8 +268,6 @@ TEST(ShardBind, EntryPointsMatchLegacyLoweringOnRandomDags)
                             }
                 }
     }
-    // The reused output committed one patch revision per rebind.
-    EXPECT_GT(reused.schedule.patchRevision(), 0u);
 }
 
 // The same pin on real HKS graphs, through the experiment overloads
@@ -323,16 +307,12 @@ TEST(ShardBind, EntryPointsMatchLegacyLoweringOnHksGraphs)
                         shard::InterconnectConfig net;
                         net.topology = topo;
                         const shard::ShardedEngine eng(chip, net);
-                        const legacy::LoweredShards want =
+                        const shard::ShardedCompiled want =
                             legacy::lowerSharded(chip, net, g, p);
                         expectMatchesLegacy(eng, eng.compile(g, p), want);
                         expectMatchesLegacy(eng, eng.compile(exp, p), want);
                         eng.bind(exp, p, reused);
                         expectMatchesLegacy(eng, reused, want);
-                        expectPatchableMatchesLegacy(
-                            eng, eng.compilePatchable(exp, p), want);
-                        expectPatchableMatchesLegacy(
-                            eng, eng.compilePatchable(g, p), want);
                         for (std::size_t sch : {1, 2, 4})
                             for (ChannelPolicy spol : allPolicies()) {
                                 eng.bind(g,
@@ -345,10 +325,10 @@ TEST(ShardBind, EntryPointsMatchLegacyLoweringOnHksGraphs)
         }
 }
 
-// recompilePartition is the same bind pass: walks of random moves
-// and whole-strategy switches on random DAGs keep matching the legacy
-// lowering of the current partition, id maps included, under every
-// policy and both pipe splits.
+// A partition move is one more bind into the same output: walks of
+// random moves and whole-strategy switches on random DAGs keep
+// matching the legacy lowering of the current partition, id maps
+// included, under every policy and both pipe splits.
 TEST(ShardBind, PartitionMovesMatchLegacyLowering)
 {
     std::mt19937 rng(77);
@@ -371,8 +351,11 @@ TEST(ShardBind, PartitionMovesMatchLegacyLowering)
                     const shard::ShardSpec spec{
                         k, shard::PartitionStrategy::ContiguousByLevel,
                         0.10, 1ull << 12, 2};
+                    const sim::CompiledSchedule src =
+                        RpuEngine(chip).compile(g);
                     shard::Partition cur = shard::partitionGraph(g, spec, w);
-                    shard::ShardedPatchable ps = eng.compilePatchable(g, cur);
+                    shard::ShardedCompiled sc;
+                    eng.bind(g, src, cur, sc);
                     std::uniform_int_distribution<std::uint32_t> to(
                         0, static_cast<std::uint32_t>(k - 1));
                     for (int move = 0; move < 5; ++move) {
@@ -381,16 +364,16 @@ TEST(ShardBind, PartitionMovesMatchLegacyLowering)
                             assign[pick(rng)] = to(rng);
                         cur = shard::assignmentPartition(
                             g, spec, std::move(assign), w);
-                        eng.recompilePartition(ps, cur);
-                        expectPatchableMatchesLegacy(
-                            eng, ps, legacy::lowerSharded(chip, net, g, cur));
+                        eng.bind(g, src, cur, sc);
+                        expectMatchesLegacy(
+                            eng, sc, legacy::lowerSharded(chip, net, g, cur));
                     }
                     shard::ShardSpec mincut = spec;
                     mincut.strategy = shard::PartitionStrategy::MinCutGreedy;
                     cur = shard::partitionGraph(g, mincut, w);
-                    eng.recompilePartition(ps, cur);
-                    expectPatchableMatchesLegacy(
-                        eng, ps, legacy::lowerSharded(chip, net, g, cur));
+                    eng.bind(g, src, cur, sc);
+                    expectMatchesLegacy(
+                        eng, sc, legacy::lowerSharded(chip, net, g, cur));
                 }
 }
 
@@ -429,7 +412,7 @@ TEST(ShardBindDeathTest, MismatchedSourcesAreRejected)
 // The bind indexes a dense (producer x shard) cut table and the chip
 // blocks by the partition's ids, so a hand-built partition whose ids
 // do not describe a cut of the graph is refused before anything is
-// written — through bind, compilePatchable and recompilePartition.
+// written — through bind, compile and a rebind of a bound output.
 TEST(ShardBindDeathTest, MalformedCutsAreRejected)
 {
     std::mt19937 rng(11);
@@ -455,7 +438,7 @@ TEST(ShardBindDeathTest, MalformedCutsAreRejected)
                  "cut edge names a shard outside the partition");
     bad = p;
     bad.cutEdges[0].toShard = 7;
-    EXPECT_DEATH(eng.compilePatchable(g, bad),
+    EXPECT_DEATH(eng.compile(g, bad),
                  "cut edge names a shard outside the partition");
     bad = p;
     bad.cutEdges[0].toShard = home;
@@ -471,8 +454,8 @@ TEST(ShardBindDeathTest, MalformedCutsAreRejected)
     EXPECT_DEATH(eng.bind(g, src, bad, out),
                  "partition puts a task on a shard outside its shard "
                  "count");
-    shard::ShardedPatchable ps = eng.compilePatchable(g, p);
-    EXPECT_DEATH(eng.recompilePartition(ps, bad),
+    eng.bind(g, src, p, out);
+    EXPECT_DEATH(eng.bind(g, src, bad, out),
                  "partition puts a task on a shard outside its shard "
                  "count");
 }
@@ -523,28 +506,28 @@ TEST(ShardBind, DuplicateAndUnusedCutEdgesMatchLegacyLowering)
 
         shard::ShardedCompiled reused;
         for (const shard::Partition *q : {&dup, &extra}) {
-            const legacy::LoweredShards want =
+            const shard::ShardedCompiled want =
                 legacy::lowerSharded(chip, eng.interconnect(), g, *q);
-            const shard::ShardedPatchable ps = eng.compilePatchable(g, *q);
-            expectPatchableMatchesLegacy(eng, ps, want);
+            const shard::ShardedCompiled fresh = eng.compile(g, *q);
+            expectMatchesLegacy(eng, fresh, want);
             eng.bind(g, RpuEngine(chip).compile(g), *q, reused);
             expectMatchesLegacy(eng, reused, want);
             // Every edge past the materialized ones left no slot behind.
             const std::size_t unused = static_cast<std::size_t>(
-                std::count(ps.transferId.begin(), ps.transferId.end(),
+                std::count(fresh.transferId.begin(), fresh.transferId.end(),
                            ~sim::TaskId{0}));
             EXPECT_EQ(unused, q == &dup ? 2u : 1u);
-            EXPECT_EQ(ps.compiled.transferTasks, q->cutEdges.size() - unused);
-            EXPECT_EQ(ps.compiled.schedule.taskCount(),
-                      g.size() + ps.compiled.transferTasks);
+            EXPECT_EQ(fresh.transferTasks, q->cutEdges.size() - unused);
+            EXPECT_EQ(fresh.schedule.taskCount(),
+                      g.size() + fresh.transferTasks);
         }
     }
 }
 
 // One output rebound across shard counts: the chip blocks resize with
 // K, and the dense cut table, kept unset between binds, is indexed by
-// each bind's own K. Every step, and a patchable of the same
-// partition (id maps included), equals the legacy lowering.
+// each bind's own K. Every step, and a fresh compile of the same
+// partition, equals the legacy lowering, id maps included.
 TEST(ShardBind, ReusedOutputRebindsAcrossShardCounts)
 {
     std::mt19937 rng(31);
@@ -558,7 +541,6 @@ TEST(ShardBind, ReusedOutputRebindsAcrossShardCounts)
         net.topology = topo;
         const shard::ShardedEngine eng(chip, net);
         shard::ShardedCompiled reused;
-        std::uint64_t revisions = 0;
         for (std::size_t k : {4, 2, 4}) {
             SCOPED_TRACE(std::string(shard::topologyName(topo)) + " K " +
                          std::to_string(k));
@@ -566,84 +548,11 @@ TEST(ShardBind, ReusedOutputRebindsAcrossShardCounts)
                 g, {k, shard::PartitionStrategy::MinCutGreedy, 0.10,
                     1ull << 12, 2},
                 w);
-            const legacy::LoweredShards want =
+            const shard::ShardedCompiled want =
                 legacy::lowerSharded(chip, net, g, p);
             eng.bind(g, src, p, reused);
             expectMatchesLegacy(eng, reused, want);
-            expectPatchableMatchesLegacy(eng, eng.compilePatchable(g, p),
-                                         want);
-            EXPECT_EQ(reused.schedule.patchRevision(), revisions);
-            ++revisions;
+            expectMatchesLegacy(eng, eng.compile(g, p), want);
         }
     }
-}
-
-// Partition repatches carry a revision-mixed layoutTag: after every
-// recompilePartition it differs from the compiler's shard stamp and
-// from every earlier revision — also when a move returns to an
-// earlier partition — while baseLayoutTag() keeps naming the shard
-// layout the engine builds rates against.
-TEST(Patch, PatchedLayoutTagIsDistinctPerRevision)
-{
-    std::mt19937 rng(3);
-    const TaskGraph g = randomGraph(rng, 60);
-    const RpuConfig chip = chipOf(2, ChannelPolicy::LeastLoaded, false);
-    const shard::ShardedEngine eng(chip, shard::InterconnectConfig{});
-    const std::vector<double> w = shard::taskWeights(g, chip);
-    const shard::ShardSpec spec{
-        3, shard::PartitionStrategy::ContiguousByLevel, 0.10, 1ull << 12,
-        2};
-    const shard::Partition base = shard::partitionGraph(g, spec, w);
-
-    shard::ShardedPatchable ps = eng.compilePatchable(g, base);
-    const std::uint64_t shard_tag =
-        eng.compile(g, base).schedule.layoutTag();
-    EXPECT_EQ(ps.compiled.schedule.layoutTag(), shard_tag);
-    EXPECT_EQ(ps.compiled.schedule.patchRevision(), 0u);
-
-    std::vector<std::uint64_t> seen = {shard_tag};
-    std::uniform_int_distribution<std::size_t> pick(0, g.size() - 1);
-    sim::ReplayRates rates;
-    for (std::uint64_t rev = 1; rev <= 6; ++rev) {
-        shard::Partition next = base;
-        if (rev % 2 == 1) {
-            std::vector<std::uint32_t> assign = base.shardOf;
-            const std::size_t t = pick(rng);
-            assign[t] = (assign[t] + 1) % 3;
-            next = shard::assignmentPartition(g, spec, std::move(assign),
-                                              w);
-        }
-        eng.recompilePartition(ps, next);
-        const sim::CompiledSchedule &cs = ps.compiled.schedule;
-        EXPECT_EQ(cs.patchRevision(), rev);
-        EXPECT_EQ(cs.baseLayoutTag(), shard_tag);
-        for (std::uint64_t t : seen)
-            EXPECT_NE(cs.layoutTag(), t) << "revision " << rev;
-        seen.push_back(cs.layoutTag());
-        // The engine still recognizes the binding's layout.
-        eng.rates(ps.compiled, rates);
-    }
-}
-
-// A shard-count move resizes the chip resource blocks, which reshapes
-// the schedule, so the partition patch path must reject it.
-TEST(PatchDeathTest, SkeletonChangesAreRejected)
-{
-    std::mt19937 rng(13);
-    const TaskGraph g = randomGraph(rng, 40);
-    const RpuConfig base;
-    const shard::InterconnectConfig net;
-    const shard::ShardSpec spec2{
-        2, shard::PartitionStrategy::ContiguousByLevel, 0.10,
-        1ull << 19, 2};
-    const shard::ShardSpec spec3{
-        3, shard::PartitionStrategy::ContiguousByLevel, 0.10,
-        1ull << 19, 2};
-    const std::vector<double> w = shard::taskWeights(g, base);
-    const shard::ShardedEngine seng(base, net);
-    shard::ShardedPatchable sps = seng.compilePatchable(
-        g, shard::partitionGraph(g, spec2, w));
-    EXPECT_DEATH(seng.recompilePartition(
-                     sps, shard::partitionGraph(g, spec3, w)),
-                 "cannot change the shard count");
 }

@@ -820,8 +820,8 @@ TEST(Interconnect, CheckRejectsOutOfRangeLatencyAndLinkRates)
     }
 }
 
-// A patchable compiled on a cut-free partition hands no transfer to
-// a validated append, so rebinding it onto a real cut used to append
+// A schedule compiled on a cut-free partition hands no transfer to a
+// validated append, so rebinding it onto a real cut used to append
 // transfers carrying any latency unchecked: at NaN they dropped out of
 // replay's max (BTS1 OC K=2 replayed 14.25 ms), at -1 ms they became
 // visible before they were sent (20.00 ms), against 22.01 ms for a
@@ -848,9 +848,9 @@ TEST(InterconnectDeathTest, RebindOntoACutRejectsBadLatency)
     net.latencySec = 0.0;
     {
         const ShardedEngine eng(chip, net);
-        ShardedPatchable ps = eng.compilePatchable(g, allOn0);
-        eng.recompilePartition(ps, mincut);
-        EXPECT_EQ(eng.replayRuntime(ps.compiled),
+        ShardedCompiled sc = eng.compile(g, allOn0);
+        eng.bind(g, RpuEngine(chip).compile(g), mincut, sc);
+        EXPECT_EQ(eng.replayRuntime(sc),
                   eng.replayRuntime(eng.compile(g, mincut)));
     }
     for (double lat : {std::numeric_limits<double>::quiet_NaN(), -1e-3}) {
@@ -858,9 +858,9 @@ TEST(InterconnectDeathTest, RebindOntoACutRejectsBadLatency)
         EXPECT_EXIT(
             {
                 const ShardedEngine eng(chip, net);
-                ShardedPatchable ps = eng.compilePatchable(g, allOn0);
-                eng.recompilePartition(ps, mincut);
-                std::printf("%a\n", eng.replayRuntime(ps.compiled));
+                ShardedCompiled sc = eng.compile(g, allOn0);
+                eng.bind(g, RpuEngine(chip).compile(g), mincut, sc);
+                std::printf("%a\n", eng.replayRuntime(sc));
             },
             ::testing::ExitedWithCode(1),
             "link latency must be finite")
